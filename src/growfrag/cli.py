@@ -15,7 +15,6 @@ import hashlib
 import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,7 +25,7 @@ from .errors import ConfigError, CriterionViolated, GrowfragError
 from .model import (DoeblinDeclaration, FragmentationKernel, GrowthSpec,
                     ModelSpec, constant_weight, mitosis_ratio, power_ratio,
                     uniform_ratio)
-from .pdmp import TiltedJumpLaw, simulate_path
+from .pdmp import TiltedJumpLaw, mc_semigroup, simulate_path
 
 EXIT_OK = 0
 EXIT_FAILED_CHECK = 1
@@ -36,10 +35,10 @@ _KNOWN_KEYS = {
     "model": {"growth", "growth_c0", "growth_exponent", "kernel",
               "kernel_theta", "rate", "rate_k0", "rate_exponent",
               "mass_conserving", "irreducible"},
-    "numerics": {"grid_n", "x_min", "x_max", "dt", "quad_tol", "method"},
+    "numerics": {"grid_n", "x_min", "x_max", "dt", "method"},
     "run": {"seed", "n_paths", "n_particles", "t_end", "checkpoints", "x0",
-            "f", "regime", "alpha", "beta", "t_probe", "burn_in",
-            "lambda0_estimate", "spectral_json", "eta_paths"},
+            "f", "regime", "alpha", "beta", "burn_in", "lambda0_estimate",
+            "spectral_json"},
 }
 
 
@@ -88,7 +87,6 @@ class RunConfig:
     x_min: float
     x_max: float
     dt: Optional[float]
-    quad_tol: float
     method: str
     seed: int
     n_paths: int
@@ -100,11 +98,9 @@ class RunConfig:
     regime: str
     alpha: float
     beta: float
-    t_probe: float
     burn_in: Optional[float]
     lambda0_estimate: float
     spectral_json: Optional[str]
-    eta_paths: int
 
     def functional(self):
         name = self.f_name
@@ -121,7 +117,8 @@ class RunConfig:
         raise ConfigError(f"unknown functional {name!r}", key="f")
 
 
-def _get(parser, section, key, cast, default=None, positive=False):
+def _get(parser, section, key, cast, default=None, positive=False,
+         minimum=None):
     if not parser.has_option(section, key):
         if default is None and cast is not bool:
             return None
@@ -135,10 +132,16 @@ def _get(parser, section, key, cast, default=None, positive=False):
     except ValueError:
         raise ConfigError(
             f"cannot parse [{section}] {key} = {raw!r}", key=key)
-    if positive and not (isinstance(val, bool)) and val is not None \
-            and val <= 0:
+    if cast is float and not np.isfinite(val):
+        raise ConfigError(f"[{section}] {key} must be finite, got {val}",
+                          key=key)
+    if positive and val <= 0:
         raise ConfigError(f"[{section}] {key} must be positive, got {val}",
                           key=key)
+    if minimum is not None and val < minimum:
+        raise ConfigError(
+            f"[{section}] {key} must be at least {minimum}, got {val}",
+            key=key)
     return val
 
 
@@ -207,8 +210,6 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
         raise ConfigError(
             f"domain must satisfy x_min < 1 < x_max, got ({x_min}, {x_max})",
             key="x_min")
-    quad_tol = _get(parser, "numerics", "quad_tol", float, 1e-8,
-                    positive=True)
     grid_n = _get(parser, "numerics", "grid_n", int, 256, positive=True)
     dt = _get(parser, "numerics", "dt", float, None, positive=True)
     method = _get(parser, "numerics", "method", str, "euler").strip()
@@ -222,6 +223,9 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
     seed = _get(parser, "run", "seed", int, 0)
     if seed_override is not None:
         seed = seed_override
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError(f"seed must lie in [0, 2^64), got {seed}",
+                          key="seed")
     checkpoints = []
     raw_cp = _get(parser, "run", "checkpoints", str, "")
     if raw_cp:
@@ -230,14 +234,16 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
         except ValueError:
             raise ConfigError(f"bad checkpoint list {raw_cp!r}",
                               key="checkpoints")
+        if not np.all(np.isfinite(checkpoints)):
+            raise ConfigError(f"non-finite checkpoint in {raw_cp!r}",
+                              key="checkpoints")
     return RunConfig(
         model=model,
         kernel_name=_get(parser, "model", "kernel", str, "uniform").strip(),
         sha256=sha, grid_n=grid_n, x_min=x_min, x_max=x_max,
-        dt=dt, quad_tol=quad_tol, method=method, seed=seed,
-        n_paths=_get(parser, "run", "n_paths", int, 1000, positive=True),
-        n_particles=_get(parser, "run", "n_particles", int, 200,
-                         positive=True),
+        dt=dt, method=method, seed=seed,
+        n_paths=_get(parser, "run", "n_paths", int, 1000, minimum=2),
+        n_particles=_get(parser, "run", "n_particles", int, 200, minimum=2),
         t_end=_get(parser, "run", "t_end", float, 1.0, positive=True),
         checkpoints=checkpoints,
         x0=_get(parser, "run", "x0", float, 1.0, positive=True),
@@ -245,11 +251,9 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
         regime=_get(parser, "run", "regime", str, "pseudo-entrance").strip(),
         alpha=_get(parser, "run", "alpha", float, 2.0),
         beta=_get(parser, "run", "beta", float, 0.0),
-        t_probe=_get(parser, "run", "t_probe", float, 1.0, positive=True),
         burn_in=_get(parser, "run", "burn_in", float, None, positive=True),
         lambda0_estimate=_get(parser, "run", "lambda0_estimate", float, 0.0),
         spectral_json=_get(parser, "run", "spectral_json", str, None),
-        eta_paths=_get(parser, "run", "eta_paths", int, 400, positive=True),
     )
 
 
@@ -274,7 +278,7 @@ def _grid(cfg: RunConfig) -> pde.SizeGrid:
 
 # -- subcommands ----------------------------------------------------------
 
-def cmd_check(cfg: RunConfig, out_dir: str, threads: int) -> dict:
+def cmd_check(cfg: RunConfig, out_dir: str) -> dict:
     checks = []
     thresholds = {}
     if cfg.kernel_name == "uniform":
@@ -325,30 +329,12 @@ def cmd_check(cfg: RunConfig, out_dir: str, threads: int) -> dict:
     }
 
 
-def cmd_simulate(cfg: RunConfig, out_dir: str, threads: int) -> dict:
+def cmd_simulate(cfg: RunConfig, out_dir: str) -> dict:
     h, report = _build_weight(cfg)
     law = TiltedJumpLaw(cfg.model, h, b=report.b)
-    f = cfg.functional()
-
-    def one_path(i):
-        trace = simulate_path(cfg.model, law, cfg.x0, cfg.t_end,
-                              seed=cfg.seed, stream_id=i)
-        if trace.alive:
-            y = trace.endpoint
-            return f(y) / h(y)
-        return 0.0
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            vals = np.fromiter(pool.map(one_path, range(cfg.n_paths)),
-                               dtype=float, count=cfg.n_paths)
-    else:
-        vals = np.fromiter(map(one_path, range(cfg.n_paths)),
-                           dtype=float, count=cfg.n_paths)
-    scale = float(np.exp(report.b * cfg.t_end)) * h(cfg.x0)
-    from .pdmp import _jackknife_se
-    estimate = scale * float(vals.mean())
-    std_error = scale * _jackknife_se(vals)
+    estimate, std_error = mc_semigroup(cfg.model, law, cfg.functional(),
+                                       cfg.x0, cfg.t_end, cfg.n_paths,
+                                       seed=cfg.seed)
     trace = simulate_path(cfg.model, law, cfg.x0, cfg.t_end,
                           seed=cfg.seed, stream_id=0)
     trace.to_csv(os.path.join(out_dir, "path.csv"))
@@ -366,7 +352,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, threads: int) -> dict:
     }
 
 
-def cmd_pde(cfg: RunConfig, out_dir: str, threads: int) -> dict:
+def cmd_pde(cfg: RunConfig, out_dir: str) -> dict:
     grid = _grid(cfg)
     traj = pde.solve(cfg.model, grid, cfg.x0, cfg.t_end, dt=cfg.dt,
                      method=cfg.method, checkpoints=cfg.checkpoints or None)
@@ -388,7 +374,7 @@ def _spectral_triple(cfg: RunConfig):
     return grid, op, triple
 
 
-def cmd_spectral(cfg: RunConfig, out_dir: str, threads: int) -> dict:
+def cmd_spectral(cfg: RunConfig, out_dir: str) -> dict:
     _, _, triple = _spectral_triple(cfg)
     triple.to_csv(os.path.join(out_dir, "triple.csv"))
     return {
@@ -402,7 +388,7 @@ def cmd_spectral(cfg: RunConfig, out_dir: str, threads: int) -> dict:
     }
 
 
-def cmd_qsd(cfg: RunConfig, out_dir: str, threads: int) -> dict:
+def cmd_qsd(cfg: RunConfig, out_dir: str) -> dict:
     h, report = _build_weight(cfg)
     law = TiltedJumpLaw(cfg.model, h, b=report.b)
     res = qsd.fv_run(cfg.model, law, cfg.n_particles, cfg.t_end,
@@ -423,7 +409,7 @@ def cmd_qsd(cfg: RunConfig, out_dir: str, threads: int) -> dict:
     }
 
 
-def cmd_converge(cfg: RunConfig, out_dir: str, threads: int) -> dict:
+def cmd_converge(cfg: RunConfig, out_dir: str) -> dict:
     lambda0 = None
     if cfg.spectral_json:
         import json as _json
@@ -488,17 +474,15 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", type=int, default=None,
+                       help="accepted for compatibility; has no effect")
         p.add_argument("--out", default=".")
     args = parser.parse_args(argv)
 
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("GFSPEC_THREADS", "1") or "1")
     try:
         cfg = load_config(args.config, seed_override=args.seed)
         os.makedirs(args.out, exist_ok=True)
-        result = _COMMANDS[args.command](cfg, args.out, max(threads, 1))
+        result = _COMMANDS[args.command](cfg, args.out)
     except ConfigError as exc:
         sys.stderr.write(dumps_stable(
             {"error": "config", "message": str(exc),

@@ -9,7 +9,7 @@ kernel k_h(x,dy) = h(y)/h(x) k(x,dy).  Since
 
 the total rate collapses to r(x) = b + K(x) - (dh/ds)(x)/h(x), so jump
 *times* are sampled by thinning without any kernel integral; the tilted
-mass is only evaluated at accepted jump positions (and memoized).
+mass is only evaluated at accepted jump positions.
 
 The semigroup is recovered through the h-transform
 T_t f(x) = e^{bt} h(x) E_x[ f(X_t)/h(X_t); t < zeta ].
@@ -18,7 +18,6 @@ T_t f(x) = e^{bt} h(x) E_x[ f(X_t)/h(X_t); t < zeta ].
 from __future__ import annotations
 
 import csv
-import threading
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
@@ -73,16 +72,13 @@ class PdmpState:
     position: object
     clock: float
     rng: np.random.Generator
-    seed: int = 0
-    stream_id: int = 0
 
     @staticmethod
     def fresh(x0, seed=0, stream_id=0):
         if not (isinstance(x0, (int, float)) and x0 > 0.0):
             raise DomainError(f"initial position must be positive, got {x0}")
         return PdmpState(position=float(x0), clock=0.0,
-                         rng=make_rng(seed, stream_id),
-                         seed=seed, stream_id=stream_id)
+                         rng=make_rng(seed, stream_id))
 
 
 class TiltedJumpLaw:
@@ -95,14 +91,9 @@ class TiltedJumpLaw:
         self.b = float(b)
         self.flow = flow if flow is not None else \
             FlowEngine(model.growth, *model.domain_hint)
-        self._mass_cache = {}
-        self._lock = threading.Lock()
 
     def kh_mass(self, x: float) -> float:
-        """k_h(x,(0,x)) = int h(y)/h(x) k(x,dy), memoized per position."""
-        cached = self._mass_cache.get(x)
-        if cached is not None:
-            return cached
+        """k_h(x,(0,x)) = int h(y)/h(x) k(x,dy)."""
         frag = self.model.frag
         if frag.kind == "relative":
             val = frag.rate(x) * frag.ratio_measure.integral(
@@ -112,8 +103,6 @@ class TiltedJumpLaw:
                         * frag.general_density(x, y), 0.0, x)
         if not np.isfinite(val):
             raise DomainError(f"tilted kernel mass diverges at x={x:g}")
-        with self._lock:
-            self._mass_cache[x] = val
         return val
 
     def r(self, x: float) -> float:
@@ -263,14 +252,19 @@ class PathTrace:
             writer = csv.writer(fh)
             writer.writerow(["t", "x", "event"])
             for t, pos, event in self.points:
-                writer.writerow([repr(t),
-                                 "" if pos is CEMETERY else repr(pos), event])
+                writer.writerow([format(t, ".17g"), "" if pos is CEMETERY
+                                 else format(pos, ".17g"), event])
 
 
 def simulate_path(model: ModelSpec, law: TiltedJumpLaw, x0: float,
                   t_end: float, seed: int = 0, stream_id: int = 0,
                   state: Optional[PdmpState] = None) -> PathTrace:
-    """Simulate one path of X on [0, t_end] (or until killing)."""
+    """Simulate one path of X on [0, t_end] (or until killing).
+
+    A given ``state`` is continued from its clock (x0 must be its
+    position) and is left at the path's end: the terminal position and
+    clock t_end, or CEMETERY and the kill time.
+    """
     if x0 <= 0.0:
         raise DomainError(f"initial position must be positive, got {x0}")
     if state is None:

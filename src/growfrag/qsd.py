@@ -24,8 +24,7 @@ from scipy import stats
 
 from .errors import DomainError, Extinction, InconsistentEta
 from .model import ModelSpec, WeightFunction, constant_weight
-from .pdmp import (CEMETERY, NO_JUMP, PdmpState, TiltedJumpLaw, make_rng,
-                   next_jump_time, post_jump_sample)
+from .pdmp import PdmpState, TiltedJumpLaw, make_rng, simulate_path
 from .pde import SizeGrid
 
 _BURN_IN_FRACTION = 0.3
@@ -33,6 +32,7 @@ _N_BATCHES = 20
 _N_SNAPSHOTS = 200
 _ETA_DRIFT_TOL = 0.10
 _MIN_PARTICLES = 100
+_ETA_STREAM_STRIDE = 2 ** 20   # eta stream ids are (k+1)*stride + path
 
 
 class StallWarning(UserWarning):
@@ -61,6 +61,18 @@ class _Particle:
         k = int(np.searchsorted(times, t, side="right")) - 1
         t_k, x_k = self.anchors[k]
         return flow.flow_at(x_k, t - t_k)
+
+    def run(self, model: ModelSpec, law: TiltedJumpLaw, t_end: float):
+        """Simulate until the particle is killed or reaches t_end.
+
+        Jumps become anchors; on killing next_kill is set to the kill
+        time and the caller handles the respawn.
+        """
+        trace = simulate_path(model, law, self.state.position, t_end,
+                              state=self.state)
+        self.anchors.extend((t, x) for t, x, event in trace.points
+                            if event == "jump")
+        self.next_kill = np.inf if trace.alive else trace.points[-1][0]
 
 
 @dataclass
@@ -113,31 +125,6 @@ class FVResult:
         })
 
 
-def _advance(particle: _Particle, model: ModelSpec, law: TiltedJumpLaw,
-             t_end: float):
-    """Run one particle forward until it is killed or reaches t_end.
-
-    On killing the particle is frozen at the kill time with next_kill
-    set; the caller handles the respawn.
-    """
-    state = particle.state
-    while True:
-        remaining = t_end - state.clock
-        tau = next_jump_time(state, law, remaining)
-        if tau is NO_JUMP:
-            state.clock = t_end
-            particle.next_kill = np.inf
-            return
-        state.position = law.flow.flow_at(state.position, tau)
-        state.clock += tau
-        child = post_jump_sample(state, law)
-        if child is CEMETERY:
-            particle.next_kill = state.clock
-            return
-        state.position = child
-        particle.anchors.append((state.clock, child))
-
-
 def fv_run(model: ModelSpec, law: TiltedJumpLaw, n_particles: int,
            t_end: float, burn_in: Optional[float] = None,
            x0: float = 1.0, seed: int = 0) -> FVResult:
@@ -175,7 +162,7 @@ def fv_run(model: ModelSpec, law: TiltedJumpLaw, n_particles: int,
         state = PdmpState.fresh(x0, seed=seed, stream_id=i)
         particles.append(_Particle(state=state, anchors=[(0.0, float(x0))],
                                    next_kill=np.inf))
-        _advance(particles[-1], model, law, t_end)
+        particles[-1].run(model, law, t_end)
 
     kill_times = []
     while True:
@@ -197,8 +184,7 @@ def fv_run(model: ModelSpec, law: TiltedJumpLaw, n_particles: int,
         victim.state.position = float(x_new)
         victim.state.clock = t_kill
         victim.anchors.append((t_kill, float(x_new)))
-        victim.next_kill = np.inf
-        _advance(victim, model, law, t_end)
+        victim.run(model, law, t_end)
 
     kill_times = np.array(kill_times)
     kills_post = int(np.sum(kill_times > burn_in))
@@ -257,10 +243,14 @@ def eta_estimate(model: ModelSpec, law: TiltedJumpLaw, grid, t_probe: float,
 
     Each probe runs independent paths to 1.5*t_probe; survival at
     t_probe and 1.5*t_probe gives the two-horizon consistency check
-    (InconsistentEta beyond 10% relative drift).
+    (InconsistentEta beyond 10% relative drift).  At most 2^20 paths
+    per probe keep the per-probe random streams disjoint.
     """
     if t_probe <= 0.0:
         raise DomainError("t_probe must be positive")
+    if not 1 <= n_paths <= _ETA_STREAM_STRIDE:
+        raise DomainError(
+            f"n_paths must lie in [1, {_ETA_STREAM_STRIDE}], got {n_paths}")
     probes = grid.centers if isinstance(grid, SizeGrid) \
         else np.asarray(grid, dtype=float)
     if np.any(probes <= 0.0):
@@ -271,9 +261,10 @@ def eta_estimate(model: ModelSpec, law: TiltedJumpLaw, grid, t_probe: float,
     for k, x in enumerate(probes):
         alive_mid = alive_late = 0
         for i in range(n_paths):
-            state = PdmpState.fresh(float(x), seed=seed,
-                                    stream_id=(k + 1) * 2 ** 20 + i)
-            death = _survival_time(state, law, t_late)
+            trace = simulate_path(
+                model, law, float(x), t_late, seed=seed,
+                stream_id=(k + 1) * _ETA_STREAM_STRIDE + i)
+            death = np.inf if trace.alive else trace.points[-1][0]
             if death > t_probe:
                 alive_mid += 1
             if death > t_late:
@@ -287,22 +278,6 @@ def eta_estimate(model: ModelSpec, law: TiltedJumpLaw, grid, t_probe: float,
             f"survival estimates drift by {est.consistency:.1%} between "
             f"t={t_probe:g} and t={t_late:g}")
     return est
-
-
-def _survival_time(state: PdmpState, law: TiltedJumpLaw,
-                   t_end: float) -> float:
-    """Death time of one path, or +inf if it survives past t_end."""
-    while True:
-        tau = next_jump_time(state, law, t_end - state.clock)
-        if tau is NO_JUMP:
-            state.clock = t_end
-            return np.inf
-        state.position = law.flow.flow_at(state.position, tau)
-        state.clock += tau
-        child = post_jump_sample(state, law)
-        if child is CEMETERY:
-            return state.clock
-        state.position = child
 
 
 def reconstruct_m_phi(nu_hat: np.ndarray, eta_hat: Optional[EtaEstimate],

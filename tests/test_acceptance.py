@@ -41,6 +41,8 @@ from conftest import (
     make_mitosis,
 )
 
+pytestmark = pytest.mark.slow
+
 
 # -- 1: analytic thresholds ---------------------------------------------------
 

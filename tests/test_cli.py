@@ -143,6 +143,30 @@ def test_nonpositive_path_count_rejected(tmp_path, capsys):
     assert json.loads(err)["key"] == "n_paths"
 
 
+@pytest.mark.parametrize("command, old, new, argv, key", [
+    ("simulate", "seed = 11", "seed = -1", (), "seed"),
+    ("simulate", "seed = 11", f"seed = {2 ** 64}", (), "seed"),
+    ("simulate", "seed = 11", "seed = 11", ("--seed", "-1"), "seed"),
+    ("pde", "t_end = 0.5", "t_end = nan", (), "t_end"),
+    ("simulate", "x0 = 1.0", "x0 = inf", (), "x0"),
+    ("simulate", "alpha = 2.0", "alpha = -inf", (), "alpha"),
+    ("pde", "t_end = 0.5", "t_end = 0.5\ncheckpoints = 0.1, nan", (),
+     "checkpoints"),
+    ("simulate", "n_paths = 60", "n_paths = 1", (), "n_paths"),
+    ("qsd", "n_particles = 120", "n_particles = 1", (), "n_particles"),
+])
+def test_bad_value_exits_2_naming_key(tmp_path, capsys, command, old, new,
+                                      argv, key):
+    cfg = _write(tmp_path, CANONICAL.replace(old, new))
+    code, out, err = _run(capsys, command, "--config", cfg, *argv, "--out",
+                          str(tmp_path))
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "config"
+    assert payload["key"] == key
+
+
 def test_missing_config_rejected(tmp_path, capsys):
     code, _, err = _run(capsys, "check", "--config",
                         str(tmp_path / "absent.ini"))

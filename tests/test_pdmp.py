@@ -1,5 +1,7 @@
 """Jump-process simulation: thinning, child sampling, semigroup MC."""
 
+import csv
+
 import numpy as np
 import pytest
 from scipy.stats import kstest
@@ -163,6 +165,29 @@ def test_path_trace_csv(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "t,x,event"
     assert len(lines) == len(trace.points) + 1
+
+
+def test_path_trace_csv_holds_plain_numbers(tmp_path):
+    # b = 1.3 adds killing at rate 0.3, so kill rows (empty x) appear too
+    model = make_mitosis()
+    law = _law(model, b=1.3)
+    events = set()
+    for i in range(10):
+        trace = simulate_path(model, law, 1.0, 3.0, seed=1, stream_id=i)
+        out = tmp_path / f"path{i}.csv"
+        trace.to_csv(out)
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(trace.points)
+        for row, (t, pos, event) in zip(rows, trace.points):
+            assert float(row["t"]) == t
+            assert row["event"] == event
+            if event == "kill":
+                assert row["x"] == ""
+            else:
+                assert float(row["x"]) == pos
+            events.add(event)
+    assert events == {"jump", "kill", "end"}
 
 
 def test_simulate_path_rejects_bad_start():

@@ -169,6 +169,16 @@ def test_input_validation():
                      lambda0X=0.0)
 
 
+def test_eta_path_count_keeps_streams_disjoint():
+    # probe k uses stream ids (k+1)*2^20 + i, so i must stay below 2^20;
+    # the check runs before any path is simulated
+    model, law = _mitosis_law(1.3)
+    for n_paths in (0, 2 ** 20 + 1):
+        with pytest.raises(DomainError):
+            eta_estimate(model, law, np.array([1.0, 2.0]), t_probe=1.0,
+                         lambda0X=0.0, n_paths=n_paths)
+
+
 def test_result_artifacts(tmp_path):
     model, law = _mitosis_law(1.3)
     with warnings.catch_warnings():
