@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import json
 import os
 import sys
 import warnings
@@ -51,7 +52,7 @@ def dumps_stable(obj, indent=0) -> str:
         if not obj:
             return "{}"
         items = ",\n".join(
-            f'{pad}  "{k}": {dumps_stable(v, indent + 1)}'
+            f'{pad}  {dumps_stable(str(k))}: {dumps_stable(v, indent + 1)}'
             for k, v in obj.items())
         return "{\n" + items + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
@@ -70,7 +71,8 @@ def dumps_stable(obj, indent=0) -> str:
             raise ConfigError(f"non-finite value {val} in JSON output")
         return format(val, ".17g")
     if isinstance(obj, str):
-        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        # escapes quotes, backslashes and control characters
+        return json.dumps(obj, ensure_ascii=False)
     raise ConfigError(f"unserializable value of type {type(obj).__name__}")
 
 
@@ -412,10 +414,9 @@ def cmd_qsd(cfg: RunConfig, out_dir: str) -> dict:
 def cmd_converge(cfg: RunConfig, out_dir: str) -> dict:
     lambda0 = None
     if cfg.spectral_json:
-        import json as _json
         try:
             with open(cfg.spectral_json) as fh:
-                prior = _json.load(fh)
+                prior = json.load(fh)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read spectral summary: {exc}",
                               key="spectral_json")
@@ -483,6 +484,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, seed_override=args.seed)
         os.makedirs(args.out, exist_ok=True)
         result = _COMMANDS[args.command](cfg, args.out)
+        text = dumps_stable(result) + "\n"
     except ConfigError as exc:
         sys.stderr.write(dumps_stable(
             {"error": "config", "message": str(exc),
@@ -496,7 +498,6 @@ def main(argv=None) -> int:
         sys.stderr.write(dumps_stable(
             {"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return EXIT_FAILED_CHECK
-    text = dumps_stable(result) + "\n"
     sys.stdout.write(text)
     with open(os.path.join(args.out, f"{args.command}.json"), "w") as fh:
         fh.write(text)

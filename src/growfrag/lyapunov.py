@@ -14,7 +14,7 @@ every report carries an explicit asymptotic-extrapolation caveat.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
@@ -81,20 +81,10 @@ def _tail_mask(probes, side, decades=2.0):
     return logs >= logs[-1] - decades
 
 
-def _limsup_at_infinity(probes, vals):
-    return float(np.max(vals[_tail_mask(probes, "inf")]))
-
-
-def _liminf_at_zero(probes, vals):
-    return float(np.min(vals[_tail_mask(probes, "zero")]))
-
-
-def _liminf_at_infinity(probes, vals):
-    return float(np.min(vals[_tail_mask(probes, "inf")]))
-
-
-def _limsup_at_zero(probes, vals):
-    return float(np.max(vals[_tail_mask(probes, "zero")]))
+def _tail_extreme(probes, vals, side, extreme):
+    """Limsup (extreme=np.max) or liminf (np.min) of vals at side
+    ("zero" or "inf"), read off the two outermost probe decades."""
+    return float(extreme(vals[_tail_mask(probes, side)]))
 
 
 def _monotone_increasing_tail(probes, vals, decades=1.0):
@@ -243,17 +233,45 @@ class Lambda2Bound(float):
         return obj
 
 
+def _probe_pass(model: ModelSpec, w: WeightFunction):
+    """w, k_w(x,(0,x))/w(x) and A w/w on the probe grid.
+
+    One kernel integral per probe serves both ratios; A w/w repeats the
+    float operations of generator_apply, so it matches it bit for bit.
+    """
+    probes = model.probe_grid()
+    vals = np.array([w.value(x) for x in probes])
+    if np.any(vals <= 0.0):
+        raise DomainError("weight must be positive on the probe grid")
+    jumps = np.array([model.frag.integrate(x, w.value) for x in probes])
+    ratio = np.array([(w.s_derivative(x) + jump
+                       - model.frag.loss_rate(x) * v) / v
+                      for x, v, jump in zip(probes, vals, jumps)])
+    return vals, jumps / vals, ratio
+
+
 def lambda2_bound(model: ModelSpec, psi_prime: WeightFunction):
     """lambda2 = -inf over the probe grid of A psi'/psi'.
 
     The returned float carries .is_constant (ratio spread below 1e-9),
     which decides whether the upper bound lambda0 <= lambda2 is strict.
     """
-    probes = model.probe_grid()
-    ratio = np.array([generator_apply(model, psi_prime, x) / psi_prime(x)
-                      for x in probes])
+    ratio = _probe_pass(model, psi_prime)[2]
     spread = float(np.max(ratio) - np.min(ratio))
     return Lambda2Bound(-float(np.min(ratio)), spread <= 1e-9, spread)
+
+
+def _report(model, regime, h, h_pass, b, checks, psi_prime,
+            psi_prime_ratio=None):
+    """Fit Assumption 4 with psi = h and assemble the regime's report."""
+    h_vals, _, ahh = h_pass
+    lambda1, compact, _ = _assumption4_fit(model.probe_grid(), ahh, h_vals)
+    if psi_prime_ratio is None:
+        psi_prime_ratio = _probe_pass(model, psi_prime)[2]
+    return AssumptionReport(regime=regime, h=h, psi=h, psi_prime=psi_prime,
+                            b=b, lambda1=lambda1,
+                            lambda2=-float(np.min(psi_prime_ratio)),
+                            compact_set=compact, checks=checks)
 
 
 # -- weight constructions ------------------------------------------------
@@ -265,6 +283,24 @@ def _require_relative(model_or_kernel):
         raise DomainError("this construction needs a relative kernel "
                           "K(x) p(m_x^{-1} du)")
     return frag
+
+
+def _two_sided_exp(left, right, scale, label, slope=lambda x: 1.0):
+    """w(x) = exp(coef scale(x)), coef = left for x < 1 and right from 1 on.
+
+    slope(x) is dscale/ds, so dw/ds = coef slope(x) w(x).
+    """
+    def log_value(x):
+        return (left if x < 1.0 else right) * scale(x)
+
+    def value(x):
+        return float(np.exp(log_value(x)))
+
+    def s_derivative(x):
+        return (left if x < 1.0 else right) * slope(x) * value(x)
+
+    return WeightFunction(value=value, s_derivative=s_derivative,
+                          label=label, kinks=(1.0,), log_value=log_value)
 
 
 def build_h_pseudo_entrance(model: ModelSpec, alpha: float) -> WeightFunction:
@@ -333,22 +369,8 @@ def build_h_pseudo_entrance(model: ModelSpec, alpha: float) -> WeightFunction:
             "no admissible tilt exponent a_inf after bisecting alpha")
 
     a0 = max(measure.mass() - 1.0, 0.0) + 1.0
-    rate = frag.loss_rate
-
-    def log_value(x):
-        coef = -a0 if x < 1.0 else a_inf
-        return coef * cum(x)
-
-    def value(x):
-        return float(np.exp(log_value(x)))
-
-    def s_derivative(x):
-        coef = -a0 if x < 1.0 else a_inf
-        return coef * rate(x) * value(x)
-
-    return WeightFunction(value=value, s_derivative=s_derivative,
-                          label="pseudo-entrance", kinks=(1.0,),
-                          log_value=log_value)
+    return _two_sided_exp(-a0, a_inf, cum, "pseudo-entrance",
+                          slope=frag.loss_rate)
 
 
 def build_h_powerlaw(model: ModelSpec, alpha: float,
@@ -376,7 +398,8 @@ def build_h_powerlaw(model: ModelSpec, alpha: float,
                        float(np.min(cx_ratio)) - alpha))
     if beta > 0.0:
         checks.append(("beta-above-tail-speed-ratio",
-                       beta - _limsup_at_infinity(probes, cx_ratio)))
+                       beta - _tail_extreme(probes, cx_ratio, "inf",
+                                            np.max)))
     for name, margin in checks:
         if margin <= 0.0:
             raise CriterionViolated(f"{name} fails", margin=margin)
@@ -387,21 +410,7 @@ def build_h_powerlaw(model: ModelSpec, alpha: float,
     inf_inv_above = float(np.min((probes / speed)[~below]))
     measure.moment(alpha * inf_inv_below)
     measure.moment(beta * inf_inv_above)
-
-    def log_value(x):
-        coef = alpha if x < 1.0 else beta
-        return coef * flow.s_of(x)
-
-    def value(x):
-        return float(np.exp(log_value(x)))
-
-    def s_derivative(x):
-        coef = alpha if x < 1.0 else beta
-        return coef * value(x)
-
-    return WeightFunction(value=value, s_derivative=s_derivative,
-                          label="powerlaw", kinks=(1.0,),
-                          log_value=log_value)
+    return _two_sided_exp(alpha, beta, flow.s_of, "powerlaw")
 
 
 # -- closed-form thresholds ----------------------------------------------
@@ -550,17 +559,17 @@ def criterion_K_constant(model: ModelSpec) -> AssumptionReport:
     s0 = flow.s_lower_limit()
     checks.append(("scale-diverges-at-zero",
                    -s0 if np.isfinite(s0) else np.inf, not np.isfinite(s0)))
-    top = threshold - _limsup_at_infinity(probes, cx_ratio)
-    bot = _liminf_at_zero(probes, cx_ratio) - threshold
+    top = threshold - _tail_extreme(probes, cx_ratio, "inf", np.max)
+    bot = _tail_extreme(probes, cx_ratio, "zero", np.min) - threshold
     checks.append(("speed-ratio-below-entropy-at-infinity", top, top > 0.0))
     checks.append(("speed-ratio-above-entropy-at-zero", bot, bot > 0.0))
 
     # exponents for the two-sided exponential weight, per the small-tilt
     # window: tilted mass below alpha + p((0,1)) on the left and below
     # -beta + p((0,1)) on the right
-    sup_inv_below = _limsup_at_zero(probes, probes / speed)
+    sup_inv_below = _tail_extreme(probes, probes / speed, "zero", np.max)
     inf_inv_above = float(np.min((probes / speed)[probes >= 1.0]))
-    liminf_inv_inf = _liminf_at_infinity(probes, probes / speed)
+    liminf_inv_inf = _tail_extreme(probes, probes / speed, "inf", np.min)
     ladder = [0.5, 0.25, 0.1, 0.05, 0.02, 0.01, 0.005, 0.001]
     alpha = beta = None
     for cand in ladder:
@@ -580,28 +589,11 @@ def criterion_K_constant(model: ModelSpec) -> AssumptionReport:
     alpha = alpha if alpha is not None else 1e-3
     beta = beta if beta is not None else 1e-3
 
-    def log_value(x):
-        coef = -alpha if x < 1.0 else beta
-        return coef * flow.s_of(x)
-
-    def value(x):
-        return float(np.exp(log_value(x)))
-
-    def s_derivative(x):
-        coef = -alpha if x < 1.0 else beta
-        return coef * value(x)
-
-    h = WeightFunction(value=value, s_derivative=s_derivative,
-                       label="K-constant", kinks=(1.0,), log_value=log_value)
-    ahh = np.array([generator_apply(model, h, x) / h(x) for x in probes])
-    b = _sup_generator_ratio(model, h, probes, ahh)
-    psi_vals = np.array([h(x) for x in probes])
-    lambda1, compact, _ = _assumption4_fit(probes, ahh, psi_vals)
-    lam2 = lambda2_bound(model, constant_weight(1.0))
-    return AssumptionReport(regime="K-constant-critical", h=h, psi=h,
-                            psi_prime=constant_weight(1.0), b=b,
-                            lambda1=lambda1, lambda2=float(lam2),
-                            compact_set=compact, checks=checks)
+    h = _two_sided_exp(-alpha, beta, flow.s_of, "K-constant")
+    h_pass = _probe_pass(model, h)
+    b = _sup_generator_ratio(model, h, probes, h_pass[2])
+    return _report(model, "K-constant-critical", h, h_pass, b, checks,
+                   constant_weight(1.0))
 
 
 def criterion_entrance(model: ModelSpec,
@@ -617,12 +609,13 @@ def criterion_entrance(model: ModelSpec,
         raise EntranceBoundaryAbsent(
             "s(0+) diverges on the flow table; no entrance boundary")
     probes = model.probe_grid()
-    net = np.array([model.frag.total_mass(x) - model.frag.loss_rate(x)
-                    for x in probes])
-    kernel_mass = np.array([model.frag.total_mass(x) for x in probes])
-    margin = -lambda0_estimate - _limsup_at_infinity(probes, net)
+    # with w = 1, k_w(x,(0,x))/w is the kernel mass and A w/w the net
+    # growth k(x,(0,x)) - K(x), which is also A psi'/psi' for psi' = 1
+    one = constant_weight(1.0)
+    _, kernel_mass, net = _probe_pass(model, one)
+    margin = -lambda0_estimate - _tail_extreme(probes, net, "inf", np.max)
 
-    limsup0 = _limsup_at_zero(probes, kernel_mass)
+    limsup0 = _tail_extreme(probes, kernel_mass, "zero", np.max)
     bound = -limsup0 - lambda0_estimate
     a = min(0.0, bound - 0.1) if bound <= 0.0 else min(0.0, bound - 0.5 * bound)
     # x0 >= 1 solves exp(-a s(0+)) + s(x0) = 1
@@ -641,29 +634,22 @@ def criterion_entrance(model: ModelSpec,
 
     h = WeightFunction(value=value, s_derivative=s_derivative,
                        label="entrance", kinks=(1.0, x0))
-    ahh = np.array([generator_apply(model, h, x) / h(x) for x in probes])
-    b = _sup_generator_ratio(model, h, probes, ahh)
-    psi_vals = np.array([h(x) for x in probes])
-    lambda1, compact, _ = _assumption4_fit(probes, ahh, psi_vals)
-    lam2 = lambda2_bound(model, constant_weight(1.0))
+    h_pass = _probe_pass(model, h)
+    b = _sup_generator_ratio(model, h, probes, h_pass[2])
     checks = [
         ("entrance-scale-finite", -s0, True),
         ("tail-killing-margin", margin, margin > 0.0),
     ]
-    return AssumptionReport(regime="entrance", h=h, psi=h,
-                            psi_prime=constant_weight(1.0), b=b,
-                            lambda1=lambda1, lambda2=float(lam2),
-                            compact_set=compact, checks=checks)
+    return _report(model, "entrance", h, h_pass, b, checks, one,
+                   psi_prime_ratio=net)
 
 
 def verify_assumption1(model: ModelSpec, h: WeightFunction) -> AssumptionReport:
     """Probe-grid verification that A h / h is bounded above and the
     tilted kernel mass is finite on bounded sets."""
     probes = model.probe_grid()
-    h_vals = np.array([h(x) for x in probes])
-    if np.any(h_vals <= 0.0):
-        raise DomainError("weight h must be positive on the probe grid")
-    ahh = np.array([generator_apply(model, h, x) for x in probes]) / h_vals
+    h_pass = _probe_pass(model, h)
+    _, tilted, ahh = h_pass
     if _monotone_increasing_tail(probes, ahh):
         raise UnboundedAbove(
             "A h/h increases monotonically over the last probe decade")
@@ -676,15 +662,9 @@ def verify_assumption1(model: ModelSpec, h: WeightFunction) -> AssumptionReport:
         mask = probes <= level
         if not np.any(mask):
             continue
-        tilted = np.array([model.frag.integrate(x, h.value) / h(x)
-                           for x in probes[mask]])
-        sup = float(np.max(tilted))
+        sup = float(np.max(tilted[mask]))
         checks.append((f"tilted-mass-sup-below-{level:g}", sup,
                        bool(np.isfinite(sup))))
-    lambda1, compact, _ = _assumption4_fit(probes, ahh, h_vals)
     flow = FlowEngine(model.growth, *model.domain_hint)
-    psi_prime = identity_weight(flow)
-    lam2 = lambda2_bound(model, psi_prime)
-    return AssumptionReport(regime="custom", h=h, psi=h, psi_prime=psi_prime,
-                            b=b, lambda1=lambda1, lambda2=float(lam2),
-                            compact_set=compact, checks=checks)
+    return _report(model, "custom", h, h_pass, b, checks,
+                   identity_weight(flow))

@@ -52,7 +52,10 @@ _GUARD_FACTOR = 1e3
 
 
 class VarianceBlowup(UserWarning):
-    """Monte Carlo standard error exceeds the estimate itself."""
+    """Monte Carlo standard error exceeds the estimate itself, or fewer
+    than two paths contribute a nonzero value (the jackknife error of
+    non-negative samples never exceeds their mean, so such runs would
+    otherwise pass silently)."""
 
 
 def make_rng(seed: int, stream_id: int) -> np.random.Generator:
@@ -330,7 +333,13 @@ def mc_semigroup(model: ModelSpec, law: TiltedJumpLaw, f: Callable,
     scale = float(np.exp(law.b * t)) * h(x0)
     estimate = scale * float(vals.mean())
     std_error = scale * _jackknife_se(vals)
-    if estimate != 0.0 and std_error / abs(estimate) > 1.0:
+    contributing = int(np.count_nonzero(vals))
+    if contributing < 2:
+        warnings.warn(
+            f"only {contributing} of {n_paths} paths contribute a nonzero "
+            f"value; estimate {estimate:g}, standard error {std_error:g}",
+            VarianceBlowup)
+    elif estimate != 0.0 and std_error / abs(estimate) > 1.0:
         warnings.warn(
             f"standard error {std_error:g} exceeds estimate {estimate:g}",
             VarianceBlowup)

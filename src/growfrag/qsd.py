@@ -14,7 +14,6 @@ independent survival Monte Carlo.
 from __future__ import annotations
 
 import csv
-import json
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -114,15 +113,6 @@ class FVResult:
     supported: bool
     snapshots: Sequence[ParticleEnsemble]
     kill_times: np.ndarray
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "lambda0X": self.lambda0X,
-            "ci": [self.ci[0], self.ci[1]],
-            "N": self.n_particles,
-            "burn_in": self.burn_in,
-            "kills": self.kills,
-        })
 
 
 def fv_run(model: ModelSpec, law: TiltedJumpLaw, n_particles: int,

@@ -15,9 +15,8 @@ lambda0 < 0.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import csgraph
@@ -59,17 +58,6 @@ class SpectralTriple:
             for x, p, w in zip(self.grid.centers, self.phi, self.m):
                 writer.writerow([repr(float(x)), repr(float(p)),
                                  repr(float(w))])
-
-    def to_json(self, gamma: Optional[float] = None,
-                r_squared: Optional[float] = None) -> str:
-        payload = {
-            "lambda0": self.lambda0,
-            "gamma": gamma,
-            "r_squared": r_squared,
-            "residuals": {"right": self.residuals[0],
-                          "left": self.residuals[1]},
-        }
-        return json.dumps(payload, sort_keys=False)
 
 
 def _require_strongly_connected(matrix):

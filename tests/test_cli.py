@@ -1,11 +1,13 @@
 """Command-line interface: exit codes, stable JSON, artifacts."""
 
 import json
+import warnings
 
 import pytest
 
 from growfrag.cli import dumps_stable, main
 from growfrag.errors import ConfigError
+from growfrag.pdmp import VarianceBlowup
 
 CANONICAL = """
 [model]
@@ -122,6 +124,56 @@ def test_check_critical_fails(tmp_path, capsys):
     assert failed == ["rate-above-high-threshold-at-infinity"]
 
 
+# reports of the two criteria on CANONICAL (c = 1, K(x) = x, p(du) = 2 du on
+# (0.01, 40)), pinned to the values the criteria gave before they shared one
+# probe pass per weight; both fail, so `check` exits 1
+ENTRANCE_REPORT = {
+    "regime": "entrance", "b": 38.0885507658644,
+    "lambda1": -38.08464230163423, "lambda2": -0.01,
+    "L": [0.6222531917560458, 0.6640772216232578],
+    "checks": [
+        {"name": "entrance-scale-finite", "margin": 0.999999999999,
+         "pass": True},
+        {"name": "tail-killing-margin", "margin": -40, "pass": False},
+    ],
+}
+K_CONSTANT_REPORT = {
+    "regime": "K-constant-critical", "b": 38.42798760238201,
+    "lambda1": -38.42404519786223, "lambda2": -0.01,
+    "L": [0.6222531917560458, 0.6640772216232578],
+    "checks": [
+        {"name": "rate-positive", "margin": 0.01, "pass": True},
+        {"name": "rate-at-most-one", "margin": -39, "pass": False},
+        {"name": "scale-diverges-at-zero", "margin": 0.999999999999,
+         "pass": False},
+        {"name": "speed-ratio-below-entropy-at-infinity",
+         "margin": -0.45282914545663755, "pass": False},
+        {"name": "speed-ratio-above-entropy-at-zero",
+         "margin": -0.9807687972761017, "pass": False},
+        {"name": "left-tilt-window", "margin": -1, "pass": False},
+        {"name": "right-tilt-window", "margin": -1, "pass": False},
+    ],
+}
+
+
+@pytest.mark.parametrize("regime, report", [
+    ("entrance", ENTRANCE_REPORT),
+    ("K-constant", K_CONSTANT_REPORT),
+])
+def test_check_criterion_reports_are_pinned(tmp_path, capsys, regime,
+                                            report):
+    cfg = _write(tmp_path, CANONICAL.replace(
+        "regime = pseudo-entrance", f"regime = {regime}"))
+    code, out, _ = _run(capsys, "check", "--config", cfg, "--out",
+                        str(tmp_path))
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    assert payload["report"] == report
+    assert payload["checks"] == report["checks"]
+    assert (tmp_path / "check.json").read_text() == out
+
+
 # -- config validation ---------------------------------------------------------
 
 def test_unknown_key_rejected(tmp_path, capsys):
@@ -203,6 +255,38 @@ def test_simulate_runs_and_reports(tmp_path, capsys):
     assert payload["estimate"] > 0.0
     assert payload["n_paths"] == 60
     assert (tmp_path / "path.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_nonfinite_result_exits_2_without_traceback(tmp_path, capsys):
+    # exp(b t) overflows at t_end = 300, so the estimate is nan
+    cfg = _write(tmp_path, CANONICAL.replace("t_end = 0.5", "t_end = 300")
+                 .replace("n_paths = 60", "n_paths = 2"))
+    out_dir = tmp_path / "out"
+    code, out, err = _run(capsys, "simulate", "--config", cfg, "--seed", "1",
+                          "--out", str(out_dir))
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert json.loads(err)["error"] == "config"
+    assert not (out_dir / "simulate.json").exists()
+
+
+@pytest.mark.parametrize("seed, warns", [(1, True), (3, True), (5, False)])
+def test_simulate_warns_when_few_paths_contribute(tmp_path, capsys, seed,
+                                                  warns):
+    # with 8 paths to t = 1, seed 1 keeps one surviving path (std_error
+    # equals the estimate), seed 3 none (0 +- 0) and seed 5 several
+    cfg = _write(tmp_path, CANONICAL.replace("t_end = 0.5", "t_end = 1.0")
+                 .replace("n_paths = 60", "n_paths = 8")
+                 .replace("f = id", "f = one"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, _ = _run(capsys, "simulate", "--config", cfg, "--seed",
+                          str(seed), "--out", str(tmp_path))
+    assert code == 0
+    blowups = [w for w in caught if issubclass(w.category, VarianceBlowup)]
+    assert bool(blowups) == warns
 
 
 def test_pde_runs_and_reports(tmp_path, capsys):

