@@ -22,7 +22,9 @@ from typing import Optional
 import numpy as np
 
 from . import lyapunov, pde, qsd, spectral
-from .errors import ConfigError, CriterionViolated, GrowfragError
+from .errors import (ConfigError, CriterionViolated, DomainError,
+                     GrowfragError, MomentDivergence, QuadratureDivergence,
+                     UnboundedAbove)
 from .model import (DoeblinDeclaration, FragmentationKernel, GrowthSpec,
                     ModelSpec, constant_weight, mitosis_ratio, power_ratio,
                     uniform_ratio)
@@ -127,10 +129,8 @@ def _get(parser, section, key, cast, default=None, positive=False,
         return default
     raw = parser.get(section, key)
     try:
-        if cast is bool:
-            val = raw.strip().lower() in ("1", "true", "yes", "on")
-        else:
-            val = cast(raw)
+        # booleans follow configparser: 1/yes/true/on or 0/no/false/off
+        val = parser.getboolean(section, key) if cast is bool else cast(raw)
     except ValueError:
         raise ConfigError(
             f"cannot parse [{section}] {key} = {raw!r}", key=key)
@@ -168,7 +168,11 @@ def _build_kernel(parser) -> FragmentationKernel:
         ratio = mitosis_ratio()
     elif kind == "power":
         theta = _get(parser, "model", "kernel_theta", float, 1.0)
-        ratio = power_ratio(theta)
+        try:
+            ratio = power_ratio(theta)
+        except DomainError as exc:
+            raise ConfigError(f"[model] kernel_theta = {theta}: {exc}",
+                              key="kernel_theta") from exc
     else:
         raise ConfigError(f"unknown kernel kind {kind!r}", key="kernel")
     rate_kind = _get(parser, "model", "rate", str, "constant").strip()
@@ -183,8 +187,12 @@ def _build_kernel(parser) -> FragmentationKernel:
     else:
         raise ConfigError(f"unknown rate kind {rate_kind!r}", key="rate")
     conserving = _get(parser, "model", "mass_conserving", bool, False)
-    return FragmentationKernel.relative(rate, ratio,
-                                        mass_conserving=conserving)
+    try:
+        return FragmentationKernel.relative(rate, ratio,
+                                            mass_conserving=conserving)
+    except (DomainError, MomentDivergence, QuadratureDivergence) as exc:
+        raise ConfigError(f"[model] mass_conserving = true: {exc}",
+                          key="mass_conserving") from exc
 
 
 def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
@@ -215,6 +223,8 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
     grid_n = _get(parser, "numerics", "grid_n", int, 256, positive=True)
     dt = _get(parser, "numerics", "dt", float, None, positive=True)
     method = _get(parser, "numerics", "method", str, "euler").strip()
+    if method not in ("euler", "heun"):
+        raise ConfigError(f"unknown time stepper {method!r}", key="method")
 
     doeblin = DoeblinDeclaration()
     doeblin.irreducible = _get(parser, "model", "irreducible", bool, True)
@@ -314,9 +324,15 @@ def cmd_check(cfg: RunConfig, out_dir: str) -> dict:
         report_json = report.to_json()
         checks.extend(report_json["checks"])
     else:
-        _, report = _build_weight(cfg)
-        report_json = report.to_json()
-        checks.extend(report_json["checks"])
+        try:
+            _, report = _build_weight(cfg)
+        except UnboundedAbove as exc:
+            report_json = None
+            checks.append({"name": "generator-ratio-bounded-above",
+                           "margin": -exc.rise, "pass": False})
+        else:
+            report_json = report.to_json()
+            checks.extend(report_json["checks"])
 
     passed = all(c["pass"] for c in checks)
     return {

@@ -34,7 +34,12 @@ class EntranceBoundaryAbsent(GrowfragError):
 
 
 class UnboundedAbove(GrowfragError):
-    """A h(x)/h(x) keeps increasing over the last probe decade."""
+    """A h(x)/h(x) keeps increasing over the last probe decade; rise is
+    its increase across that decade."""
+
+    def __init__(self, message, rise=None):
+        super().__init__(message)
+        self.rise = rise
 
 
 class RangeExtensionFailure(GrowfragError):

@@ -87,12 +87,6 @@ def _tail_extreme(probes, vals, side, extreme):
     return float(extreme(vals[_tail_mask(probes, side)]))
 
 
-def _monotone_increasing_tail(probes, vals, decades=1.0):
-    """True when vals increases strictly over the last probe decade."""
-    tail = vals[_tail_mask(probes, "inf", decades)]
-    return len(tail) >= 3 and bool(np.all(np.diff(tail) > 0.0))
-
-
 # -- cumulative rate integral G(x) = int_1^x K(y) s(dy) -----------------
 
 class CumulativeRateIntegral:
@@ -650,9 +644,11 @@ def verify_assumption1(model: ModelSpec, h: WeightFunction) -> AssumptionReport:
     probes = model.probe_grid()
     h_pass = _probe_pass(model, h)
     _, tilted, ahh = h_pass
-    if _monotone_increasing_tail(probes, ahh):
+    tail = ahh[_tail_mask(probes, "inf", 1.0)]
+    if len(tail) >= 3 and np.all(np.diff(tail) > 0.0):
         raise UnboundedAbove(
-            "A h/h increases monotonically over the last probe decade")
+            "A h/h increases monotonically over the last probe decade",
+            rise=float(tail[-1] - tail[0]))
     b = _sup_generator_ratio(model, h, probes, ahh)
 
     checks = [("generator-ratio-finite", b if np.isfinite(b) else -1.0,

@@ -99,6 +99,7 @@ class RatioMeasure:
         self.density = density
         self.density_singular_at_zero = density_singular_at_zero
         self._cdf_table = None
+        self._sample_mass = None
 
     def integral(self, g, rtol=QUAD_RTOL):
         """int_(0,1) g(u) p(du); atoms exactly, density by quadrature."""
@@ -143,12 +144,13 @@ class RatioMeasure:
 
         rng_uniform is a callable returning U(0,1) variates.
         """
-        atom_mass = sum(w for _, w in self.atoms)
-        dens_mass = 0.0
-        if self.density is not None:
-            dens_mass = self.mass() - atom_mass
-        total = atom_mass + dens_mass
-        pick = rng_uniform() * total
+        if self._sample_mass is None:
+            atom_mass = sum(w for _, w in self.atoms)
+            dens_mass = 0.0
+            if self.density is not None:
+                dens_mass = self.mass() - atom_mass
+            self._sample_mass = atom_mass + dens_mass
+        pick = rng_uniform() * self._sample_mass
         for u, w in self.atoms:
             pick -= w
             if pick <= 0.0:
@@ -254,11 +256,14 @@ class WeightFunction:
     def __call__(self, x):
         return self.value(x)
 
-    def ratio(self, y, x):
-        """f(y) / f(x), via log differences when available."""
+    def tilt(self, x):
+        """The map y -> f(y) / f(x), with f(x) evaluated once; via log
+        differences when available."""
         if self.log_value is not None:
-            return float(np.exp(self.log_value(y) - self.log_value(x)))
-        return self.value(y) / self.value(x)
+            log_value, log_x = self.log_value, self.log_value(x)
+            return lambda y: float(np.exp(log_value(y) - log_x))
+        value, value_x = self.value, self.value(x)
+        return lambda y: value(y) / value_x
 
 
 def identity_weight(flow):

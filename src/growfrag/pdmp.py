@@ -27,7 +27,7 @@ import numpy as np
 from .errors import (DomainError, ExplosionGuard, MajorantOverflow,
                      RejectionStall)
 from .flow import FlowEngine
-from .model import ModelSpec, WeightFunction, _quad
+from .model import ModelSpec, WeightFunction
 
 
 class _Sentinel:
@@ -85,7 +85,7 @@ class PdmpState:
 
 
 class TiltedJumpLaw:
-    """Jump mechanism of X: tilted kernel mass, killing rate, total rate."""
+    """Jump mechanism of X: tilted kernel mass and total jump rate."""
 
     def __init__(self, model: ModelSpec, h: WeightFunction, b: float,
                  flow: Optional[FlowEngine] = None):
@@ -97,13 +97,7 @@ class TiltedJumpLaw:
 
     def kh_mass(self, x: float) -> float:
         """k_h(x,(0,x)) = int h(y)/h(x) k(x,dy)."""
-        frag = self.model.frag
-        if frag.kind == "relative":
-            val = frag.rate(x) * frag.ratio_measure.integral(
-                lambda u: self.h.ratio(u * x, x))
-        else:
-            val = _quad(lambda y: self.h.ratio(y, x)
-                        * frag.general_density(x, y), 0.0, x)
+        val = self.model.frag.integrate(x, self.h.tilt(x))
         if not np.isfinite(val):
             raise DomainError(f"tilted kernel mass diverges at x={x:g}")
         return val
@@ -116,21 +110,13 @@ class TiltedJumpLaw:
             raise DomainError(f"jump rate not finite at x={x:g}")
         return val
 
-    def q(self, x: float) -> float:
-        """Killing rate q(x) = b - A h(x)/h(x) = r(x) - k_h(x,(0,x))."""
-        val = self.r(x) - self.kh_mass(x)
-        if val < -1e-9:
-            raise DomainError(
-                f"negative killing rate q({x:g}) = {val:g}; the supplied b "
-                "is not an upper bound of A h/h")
-        return max(val, 0.0)
-
     def sup_tilt_ratio(self, x: float) -> float:
         """Upper bound for h(ux)/h(x) over u in (0,1), with safety margin."""
         us = np.concatenate([np.geomspace(1e-6, 0.999999, 48),
                              [u for u, _ in getattr(
                                  self.model.frag.ratio_measure, "atoms", ())]])
-        peak = max(self.h.ratio(u * x, x) for u in us)
+        tilt = self.h.tilt(x)
+        peak = max(tilt(u * x) for u in us)
         return 1.2 * max(peak, 1e-300)
 
 
@@ -188,24 +174,30 @@ def next_jump_time(state: PdmpState, law: TiltedJumpLaw, horizon: float):
 def post_jump_sample(state: PdmpState, law: TiltedJumpLaw):
     """Outcome of an accepted jump at the current position.
 
-    Returns CEMETERY with probability q(x)/r(x); otherwise a child drawn
+    Returns CEMETERY with probability q(x)/r(x), where the killing rate
+    q(x) = b - A h(x)/h(x) = r(x) - k_h(x,(0,x)); otherwise a child drawn
     from the normalized tilted kernel k_h(x,.)/k_h(x,(0,x)).
     """
     x, rng = state.position, state.rng
     if x is CEMETERY:
         raise DomainError("jump sampled from the cemetery")
     r = law.r(x)
-    q = law.q(x)
+    q = r - law.kh_mass(x)
+    if q < -1e-9:
+        raise DomainError(
+            f"negative killing rate q({x:g}) = {q:g}; the supplied b "
+            "is not an upper bound of A h/h")
     if r <= 0.0:
         raise DomainError(f"jump accepted at x={x:g} where r <= 0")
-    if rng.random() * r < q:
+    if rng.random() * r < max(q, 0.0):
         return CEMETERY
     frag = law.model.frag
+    tilt = law.h.tilt(x)
     if frag.kind == "relative":
         measure = frag.ratio_measure
         if measure.density is None:
             # atomic measure: exact categorical over tilted weights
-            weights = np.array([w * law.h.ratio(u * x, x)
+            weights = np.array([w * tilt(u * x)
                                 for u, w in measure.atoms])
             pick = rng.random() * weights.sum()
             for (u, _), w in zip(measure.atoms, np.cumsum(weights)):
@@ -215,7 +207,7 @@ def post_jump_sample(state: PdmpState, law: TiltedJumpLaw):
         bound = law.sup_tilt_ratio(x)
         for _ in range(_REJECTION_CAP):
             u = measure.sample(rng.random)
-            ratio = law.h.ratio(u * x, x)
+            ratio = tilt(u * x)
             if ratio > bound:
                 bound = 1.2 * ratio
                 continue
@@ -226,7 +218,7 @@ def post_jump_sample(state: PdmpState, law: TiltedJumpLaw):
             f"at x={x:g}")
     # general kernel: inverse-CDF on a tilted-density table
     ys = np.linspace(x * 1e-6, x * (1.0 - 1e-9), 513)
-    dens = np.array([law.h.ratio(y, x) * frag.general_density(x, y)
+    dens = np.array([tilt(y) * frag.general_density(x, y)
                      for y in ys])
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1])
                                            * np.diff(ys))])

@@ -174,6 +174,29 @@ def test_check_criterion_reports_are_pinned(tmp_path, capsys, regime,
     assert (tmp_path / "check.json").read_text() == out
 
 
+def test_check_constant_regime_reports_unbounded_ratio(tmp_path, capsys):
+    # with h = 1, A h/h = x on CANONICAL, so it rises from about 4 to 40
+    # over the last probe decade; the failed check is written, not raised
+    cfg = _write(tmp_path, CANONICAL.replace(
+        "regime = pseudo-entrance", "regime = constant"))
+    code, out, _ = _run(capsys, "check", "--config", cfg, "--out",
+                        str(tmp_path))
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    assert payload["report"] is None
+    [check] = payload["checks"]
+    assert check["name"] == "generator-ratio-bounded-above"
+    assert check["pass"] is False
+    assert -40.0 < check["margin"] < -35.0
+    assert (tmp_path / "check.json").read_text() == out
+    code, out, err = _run(capsys, "simulate", "--config", cfg, "--out",
+                          str(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "UnboundedAbove"
+
+
 # -- config validation ---------------------------------------------------------
 
 def test_unknown_key_rejected(tmp_path, capsys):
@@ -206,6 +229,10 @@ def test_nonpositive_path_count_rejected(tmp_path, capsys):
      "checkpoints"),
     ("simulate", "n_paths = 60", "n_paths = 1", (), "n_paths"),
     ("qsd", "n_particles = 120", "n_particles = 1", (), "n_particles"),
+    ("qsd", "irreducible = true", "irreducible = ture", (), "irreducible"),
+    ("check", "irreducible = true",
+     "irreducible = true\nmass_conserving = yse", (), "mass_conserving"),
+    ("pde", "x_max = 40.0", "x_max = 40.0\nmethod = eulr", (), "method"),
 ])
 def test_bad_value_exits_2_naming_key(tmp_path, capsys, command, old, new,
                                       argv, key):
@@ -287,6 +314,28 @@ def test_simulate_warns_when_few_paths_contribute(tmp_path, capsys, seed,
     assert code == 0
     blowups = [w for w in caught if issubclass(w.category, VarianceBlowup)]
     assert bool(blowups) == warns
+
+
+# outputs on CANONICAL and MITOSIS, pinned to the values the Monte Carlo
+# gave before the tilt h(y)/h(x) was built once per jump position
+@pytest.mark.parametrize("config, command, pinned", [
+    (CANONICAL, "simulate", {"estimate": 1.9697313925731164,
+                             "std_error": 0.34783459893161478}),
+    (CANONICAL, "qsd", {"lambda0X": 1.6904761904761905,
+                        "ci": [1.2192332924539704, 2.1617190884984105],
+                        "kills": 84}),
+    (MITOSIS, "qsd", {"lambda0X": 0.0, "ci": [0.0, 0.0], "kills": 0}),
+])
+def test_monte_carlo_outputs_are_pinned(tmp_path, capsys, config, command,
+                                        pinned):
+    cfg = _write(tmp_path, config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code, out, _ = _run(capsys, command, "--config", cfg, "--out",
+                            str(tmp_path))
+    assert code == 0
+    payload = json.loads(out)
+    assert {key: payload[key] for key in pinned} == pinned
 
 
 def test_pde_runs_and_reports(tmp_path, capsys):

@@ -58,6 +58,23 @@ def test_ratio_measure_sampling_matches_cdf():
     assert stat.pvalue > 0.01
 
 
+def test_ratio_measure_sampling_integrates_mass_once():
+    p = uniform_ratio()
+    integral, calls = p.integral, []
+
+    def counting_integral(g, **kwargs):
+        calls.append(g)
+        return integral(g, **kwargs)
+
+    p.integral = counting_integral
+    rng = np.random.default_rng(3)
+    p.sample(rng.random)
+    assert len(calls) == 1
+    for _ in range(100):
+        p.sample(rng.random)
+    assert len(calls) == 1
+
+
 def test_atomic_sampling():
     p = mitosis_ratio()
     rng = np.random.default_rng(1)
@@ -194,7 +211,7 @@ def test_weight_ratio_uses_log_values():
                        s_derivative=lambda x: np.exp(x),
                        log_value=lambda x: x)
     # plain values overflow at x=2000 but the ratio stays finite
-    assert w.ratio(2000.0, 1999.0) == pytest.approx(np.e, rel=1e-12)
+    assert w.tilt(1999.0)(2000.0) == pytest.approx(np.e, rel=1e-12)
 
 
 def test_s_derivative_fd_matches_declared():

@@ -1,6 +1,7 @@
 """Jump-process simulation: thinning, child sampling, semigroup MC."""
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.stats import kstest
 
 from growfrag.errors import DomainError
 from growfrag.flow import FlowEngine
+from growfrag.lyapunov import build_h_pseudo_entrance, verify_assumption1
 from growfrag.model import constant_weight, identity_weight
 from growfrag.pdmp import (
     CEMETERY,
@@ -121,6 +123,25 @@ def test_identity_tilted_child_ratio():
         draws.append(child)
     assert kstest(np.array(draws),
                   lambda u: np.clip(u, 0, 1) ** 2).pvalue > 0.01
+
+
+def test_post_jump_sample_evaluates_h_at_x_at_most_three_times():
+    # kh_mass, sup_tilt_ratio and the child draw each build one tilt
+    # y -> h(y)/h(x); none re-evaluates h(x) per quadrature node or draw
+    model = make_canonical()
+    h = build_h_pseudo_entrance(model, 2.0)
+    at = []
+
+    def log_value(y):
+        at.append(y)
+        return h.log_value(y)
+
+    law = _law(model, h=dataclasses.replace(h, log_value=log_value),
+               b=verify_assumption1(model, h).b)
+    for stream, x in enumerate((0.5, 1.5, 3.0)):
+        at.clear()
+        post_jump_sample(PdmpState.fresh(x, seed=7, stream_id=stream), law)
+        assert at.count(x) <= 3
 
 
 # -- whole paths --------------------------------------------------------------
