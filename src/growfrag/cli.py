@@ -202,7 +202,8 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     sha = hashlib.sha256(raw).hexdigest()
-    parser = configparser.ConfigParser()
+    # no interpolation: a '%' in a value is literal
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(raw.decode("utf-8"))
     except (UnicodeDecodeError, configparser.Error) as exc:
@@ -249,7 +250,7 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
         if not np.all(np.isfinite(checkpoints)):
             raise ConfigError(f"non-finite checkpoint in {raw_cp!r}",
                               key="checkpoints")
-    return RunConfig(
+    cfg = RunConfig(
         model=model,
         kernel_name=_get(parser, "model", "kernel", str, "uniform").strip(),
         sha256=sha, grid_n=grid_n, x_min=x_min, x_max=x_max,
@@ -267,6 +268,8 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
         lambda0_estimate=_get(parser, "run", "lambda0_estimate", float, 0.0),
         spectral_json=_get(parser, "run", "spectral_json", str, None),
     )
+    cfg.functional()   # raises ConfigError naming f for an unknown name
+    return cfg
 
 
 def _build_weight(cfg: RunConfig):

@@ -283,10 +283,6 @@ class DoeblinDeclaration:
     """User declarations of the mixing assumptions (spot-checked only)."""
 
     irreducible: bool = False
-    interval: Optional[tuple] = None            # Doeblin minorization interval
-    minorization_constant: float = 0.0
-    map_function: Optional[Callable] = None     # deterministic jump map T(x)
-    map_constant: float = 0.0
 
 
 @dataclass
@@ -339,19 +335,6 @@ class ModelSpec:
             if self.frag.mass_conserving:
                 checks.append(("mass_conserving",
                                abs(pm.mean() - 1.0) <= 1e-8))
-        if self.doeblin.map_function is not None and flow is not None:
-            # derivative condition d(s o T)/ds != 1 at probes inside I
-            lo, hi = self.doeblin.interval or self.domain_hint
-            ok = True
-            for x in np.geomspace(max(lo, probes[0]), min(hi, probes[-1]), 16):
-                t_x = self.doeblin.map_function(x)
-                eps = 1e-6 * x
-                num = flow.s_of(self.doeblin.map_function(x + eps)) - flow.s_of(t_x)
-                den = flow.s_of(x + eps) - flow.s_of(x)
-                if abs(num / den - 1.0) < 1e-6:
-                    ok = False
-                    break
-            checks.append(("doeblin_map_derivative", ok))
         return checks
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -24,7 +24,8 @@ from scipy import sparse
 
 from .errors import (CFLUnsatisfiable, CFLViolation, DomainError,
                      NegativeMass)
-from .model import ModelSpec
+from .flow import FlowEngine
+from .model import ModelSpec, _quad
 
 _CFL_FACTOR = 0.9
 _MIN_DT = 1e-12
@@ -106,24 +107,27 @@ def pairing(state: DensityState, f: Callable) -> float:
     return float(sum(f(x) * m for x, m in zip(centers, state.masses)))
 
 
-def _density_cell_masses(measure, n_fine=8192):
-    """Cumulative P(u) = p((0,u]) of the density part on a fine grid.
+def _gauss8(f, a, b):
+    """8-point Gauss-Legendre integral of f over (a, b), elementwise."""
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    total = 0
+    for g, w in zip(*np.polynomial.legendre.leggauss(8)):
+        total = total + w * f(mid + half * g)
+    return half * total
 
-    Returns (grid, cumulative) for vectorized interval masses by interp.
-    """
+
+def _density_cell_masses(measure, n_fine=8192):
+    """Cumulative P(u) = p((0,u]) of the density part on a fine grid,
+    returned as (grid, cumulative) for interval masses by interp."""
     # geometric refinement near 0 to absorb integrable singularities
     left = np.geomspace(1e-12, 1e-2, n_fine // 4)
     right = np.linspace(1e-2, 1.0, n_fine)[1:]
     grid = np.concatenate([[0.0], left, right])
-    nodes, wts = np.polynomial.legendre.leggauss(8)
-    a, b = grid[:-1], grid[1:]
-    half = 0.5 * (b - a)
-    mids = 0.5 * (a + b)
-    dens = np.vectorize(measure.density, otypes=[float])
-    panel = np.zeros_like(a)
-    for g, w in zip(nodes, wts):
-        panel += w * dens(mids + half * g)
-    panel *= half
+    panel = _gauss8(np.vectorize(measure.density, otypes=[float]),
+                    grid[:-1], grid[1:])
+    if measure.density_singular_at_zero:
+        # Gauss nodes miss most of the mass of a singularity at 0
+        panel[0] = _quad(measure.density, 0.0, grid[1])
     return grid, np.concatenate([[0.0], np.cumsum(panel)])
 
 
@@ -135,7 +139,6 @@ class DiscreteOperator:
     matrix: sparse.csr_matrix
     below_inflow: np.ndarray   # rate of mass landing below x_min, per source
     cfl_dt: float
-    model: ModelSpec = field(repr=False, default=None)
 
 
 def build_discrete_operator(model: ModelSpec,
@@ -147,41 +150,39 @@ def build_discrete_operator(model: ModelSpec,
     assembly verifies this within 1e-8.
     """
     n = grid.n_cells
-    edges, centers, widths = grid.edges, grid.centers, grid.widths
-    if model.growth.kind == "speed-c":
-        c_edge = np.array([model.growth.c(e) for e in edges])
-    else:
-        from .flow import FlowEngine
-        flow = FlowEngine(model.growth, *model.domain_hint)
-        c_edge = np.array([flow.speed_at(e) for e in edges])
+    edges, centers = grid.edges, grid.centers
+    speed = (model.growth.c if model.growth.kind == "speed-c" else
+             FlowEngine(model.growth, *model.domain_hint).speed_at)
+    c_edge = np.array([speed(e) for e in edges])
     if np.any(c_edge <= 0.0):
         raise DomainError("upwind assembly requires positive speed at edges")
 
-    rows, cols, vals = [], [], []
-
     # transport: donor-cell flux through each interior edge, outflow at the
-    # last edge (c > 0, so the left boundary needs no condition)
-    for i in range(n):
-        out = c_edge[i + 1] / widths[i]
-        rows.append(i), cols.append(i), vals.append(-out)
-        if i + 1 < n:
-            rows.append(i + 1), cols.append(i), vals.append(out)
-
+    # last edge (c > 0, so the left boundary needs no condition).  Entries
+    # are listed transport first, then column by column, each column's
+    # inflow before its diagonal: that order fixes how CSR sums duplicates
+    out = c_edge[1:] / grid.widths
+    pairs = np.repeat(np.arange(n), 2)
+    rows, cols = [pairs[1:]], [pairs[:-1]]
+    vals = [np.stack([-out, out], axis=1).ravel()[:-1]]
     rate = np.array([model.frag.loss_rate(x) for x in centers])
     below = np.zeros(n)
-    frag_colsum = np.zeros(n)
+
+    def emit(i, inflow):
+        nz = np.nonzero(inflow)[0]
+        rows.extend((nz, [i]))
+        cols.append(np.full(len(nz) + 1, i))
+        vals.extend((inflow[nz], [-rate[i]]))
+        return inflow.sum() - rate[i]
 
     if model.frag.kind == "relative":
         measure = model.frag.ratio_measure
         p_mass = measure.mass()
-        cdf_grid = cdf_vals = None
         if measure.density is not None:
             cdf_grid, cdf_vals = _density_cell_masses(measure)
-        for i in range(n):
-            if rate[i] == 0.0:
-                continue
-            x = centers[i]
-            inflow = np.zeros(n)
+        frag_colsum = np.zeros(n)
+        for i in np.flatnonzero(rate):
+            x, inflow = centers[i], np.zeros(n)
             for u, w in measure.atoms:
                 y = u * x
                 if y < edges[0]:
@@ -189,59 +190,40 @@ def build_discrete_operator(model: ModelSpec,
                     inflow[0] += w
                 else:
                     inflow[grid.locate(y)] += w
-            if cdf_grid is not None:
-                uu = np.clip(edges / x, 0.0, 1.0)
-                cell = np.interp(uu[1:], cdf_grid, cdf_vals) \
-                    - np.interp(uu[:-1], cdf_grid, cdf_vals)
-                below_mass = float(np.interp(uu[0], cdf_grid, cdf_vals))
-                inflow += cell
-                inflow[0] += below_mass
-                below[i] += rate[i] * below_mass
-            inflow *= rate[i]
-            frag_colsum[i] = inflow.sum() - rate[i]
-            for j in np.nonzero(inflow)[0]:
-                rows.append(int(j)), cols.append(i), vals.append(inflow[j])
-            rows.append(i), cols.append(i), vals.append(-rate[i])
+            if measure.density is not None:
+                cum = np.interp(np.clip(edges / x, 0.0, 1.0), cdf_grid,
+                                cdf_vals)
+                inflow += np.diff(cum)
+                inflow[0] += cum[0]
+                below[i] += rate[i] * cum[0]
+            frag_colsum[i] = emit(i, inflow * rate[i])
         expected = rate * (p_mass - 1.0)
         if np.max(np.abs(frag_colsum - expected)) > 1e-8 * (1.0 + np.max(
                 np.abs(expected))):
             raise DomainError(
                 "fragmentation column sums disagree with K(x)(p((0,1))-1)")
     else:
-        nodes, wts = np.polynomial.legendre.leggauss(8)
-        for i in range(n):
-            x = centers[i]
+        density = model.frag.general_density
+        for i, x in enumerate(centers):
+            m = int(np.searchsorted(edges, x))   # cells starting below x
+            k_x = np.vectorize(lambda y: density(x, y), otypes=[float])
+            mass = _gauss8(k_x, np.concatenate([[0.0], edges[:m]]),
+                           np.minimum(edges[:m + 1], x))
             inflow = np.zeros(n)
-            for j in range(n):
-                a, b = edges[j], min(edges[j + 1], x)
-                if a >= b:
-                    break
-                half, mid = 0.5 * (b - a), 0.5 * (a + b)
-                inflow[j] = half * sum(
-                    w * model.frag.general_density(x, mid + half * g)
-                    for g, w in zip(nodes, wts))
-            # below-domain inflow: integrate (0, x_min)
-            a, b = 0.0, min(edges[0], x)
-            if b > a:
-                half, mid = 0.5 * (b - a), 0.5 * (a + b)
-                below_mass = half * sum(
-                    w * model.frag.general_density(x, mid + half * g)
-                    for g, w in zip(nodes, wts))
-                inflow[0] += below_mass
-                below[i] = below_mass
-            for j in np.nonzero(inflow)[0]:
-                rows.append(int(j)), cols.append(i), vals.append(inflow[j])
-            rows.append(i), cols.append(i), vals.append(-rate[i])
+            inflow[:m] = mass[1:]
+            inflow[0] += mass[0]   # (0, x_min) folded into the first cell
+            below[i] = mass[0]
+            emit(i, inflow)
 
-    matrix = sparse.csr_matrix(
-        sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)))
-    diag_drain = c_edge[1:] / widths + rate
-    cfl_dt = _CFL_FACTOR / float(np.max(diag_drain))
+    matrix = sparse.csr_matrix(sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n)))
+    cfl_dt = _CFL_FACTOR / float(np.max(out + rate))
     if cfl_dt < _MIN_DT:
         raise CFLUnsatisfiable(
             f"stable time step {cfl_dt:g} below {_MIN_DT:g}")
     return DiscreteOperator(grid=grid, matrix=matrix, below_inflow=below,
-                            cfl_dt=cfl_dt, model=model)
+                            cfl_dt=cfl_dt)
 
 
 @dataclass

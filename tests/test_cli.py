@@ -233,6 +233,9 @@ def test_nonpositive_path_count_rejected(tmp_path, capsys):
     ("check", "irreducible = true",
      "irreducible = true\nmass_conserving = yse", (), "mass_conserving"),
     ("pde", "x_max = 40.0", "x_max = 40.0\nmethod = eulr", (), "method"),
+    ("check", "f = id", "f = id%", (), "f"),
+    ("simulate", "regime = pseudo-entrance", "regime = pseudo-entrance%", (),
+     "regime"),
 ])
 def test_bad_value_exits_2_naming_key(tmp_path, capsys, command, old, new,
                                       argv, key):
@@ -271,6 +274,17 @@ def test_spectral_reports_negative_lambda0(tmp_path, capsys):
     assert payload["lambda0"] < 0.0
     assert payload["residuals"]["right"] <= 1e-8
     assert (tmp_path / "triple.csv").exists()
+
+
+def test_spectral_assembles_singular_power_kernel(tmp_path, capsys):
+    # p(du) = 1.5 u^-0.5 du conserves mass, so with c = 1 and K(x) = x the
+    # moments obey N' = (p0 - 1) M1, M1' = N: the rate is sqrt(1/(theta+1))
+    cfg = _write(tmp_path, CANONICAL.replace(
+        "kernel = uniform", "kernel = power\nkernel_theta = -0.5"))
+    code, out, _ = _run(capsys, "spectral", "--config", cfg, "--out",
+                        str(tmp_path))
+    assert code == 0
+    assert json.loads(out)["lambda0"] == pytest.approx(-2.0 ** 0.5, abs=0.05)
 
 
 def test_simulate_runs_and_reports(tmp_path, capsys):

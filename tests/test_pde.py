@@ -11,6 +11,7 @@ from growfrag.model import (
     FragmentationKernel,
     GrowthSpec,
     ModelSpec,
+    RatioMeasure,
     mitosis_ratio,
     uniform_ratio,
 )
@@ -125,6 +126,26 @@ def test_column_sums_match_branching_rate():
     interior = slice(1, -1)   # top cell loses transport outflow
     assert np.allclose(sums[interior], centers[interior], rtol=1e-6,
                        atol=1e-8)
+
+
+def test_general_kernel_matches_its_relative_form():
+    # k(x, y) = 2 on (0, x) is K(x) = 2x with p(du) = du: the Gauss-rule
+    # columns of the general branch must agree with the cumulative table
+    grid = SizeGrid.log_uniform(0.01, 40.0, 96)
+
+    def operator(frag):
+        return build_discrete_operator(ModelSpec(
+            growth=GrowthSpec.from_speed(lambda x: 1.0), frag=frag,
+            domain_hint=(1e-2, 40.0)), grid)
+
+    general = operator(FragmentationKernel.general(lambda x, y: 2.0))
+    relative = operator(FragmentationKernel.relative(
+        lambda x: 2.0 * x, RatioMeasure(density=lambda u: 1.0)))
+    a, b = general.matrix.toarray(), relative.matrix.toarray()
+    assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
+    assert np.allclose(general.below_inflow, relative.below_inflow,
+                       rtol=1e-14, atol=0.0)
+    assert general.cfl_dt == relative.cfl_dt
 
 
 # -- time marching -----------------------------------------------------------

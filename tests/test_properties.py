@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -9,6 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from growfrag.cli import _KNOWN_KEYS, dumps_stable, load_config
 from growfrag.errors import ConfigError
+from growfrag.model import (FragmentationKernel, GrowthSpec, ModelSpec,
+                            RatioMeasure, power_ratio, uniform_ratio)
+from growfrag.pde import SizeGrid, build_discrete_operator
 
 _SCALARS = (st.none() | st.booleans() | st.integers() | st.text()
             | st.floats(allow_nan=False, allow_infinity=False))
@@ -68,3 +72,50 @@ def test_model_config_loads_or_names_a_model_key(tmp_path_factory, model):
         load_config(str(path))
     except ConfigError as exc:
         assert exc.key in _KNOWN_KEYS["model"]
+
+
+# relative kernels: 0-2 atoms plus no density, the uniform one, or
+# (theta + 2) u^theta with theta in (-0.95, 3), singular at 0 for theta < 0
+_ATOMS = st.lists(st.tuples(st.floats(0.01, 0.99), st.floats(0.0, 3.0)),
+                  max_size=2)
+_DENSITIES = st.one_of(st.none(), st.just("uniform"),
+                       st.floats(-0.95, 3.0, exclude_min=True,
+                                 exclude_max=True))
+_COEFFICIENTS = st.tuples(st.floats(0.1, 10.0), st.floats(-1.0, 2.0))
+
+
+# the singular density whose first table panel Gauss-8 once under-counted,
+# so that the assembly's own column-sum check raised DomainError
+@settings(max_examples=100, deadline=None)
+@given(atoms=_ATOMS, density=_DENSITIES, rate=_COEFFICIENTS,
+       speed=_COEFFICIENTS, n=st.integers(8, 48),
+       x_min=st.floats(1e-3, 0.5), x_max=st.floats(2.0, 100.0))
+@example(atoms=[], density=-0.5, rate=(1.0, 1.0), speed=(1.0, 0.0), n=32,
+         x_min=0.01, x_max=40.0)
+def test_operator_columns_sum_to_branching_rate(atoms, density, rate, speed,
+                                                n, x_min, x_max):
+    if density is None:
+        measure = RatioMeasure(atoms=atoms)
+    else:
+        base = uniform_ratio() if density == "uniform" else power_ratio(
+            density)
+        measure = RatioMeasure(
+            atoms=atoms, density=base.density,
+            density_singular_at_zero=base.density_singular_at_zero)
+    (k0, k_exp), (c0, c_exp) = rate, speed
+    model = ModelSpec(
+        growth=GrowthSpec.from_speed(lambda x: c0 * x ** c_exp),
+        frag=FragmentationKernel.relative(lambda x: k0 * x ** k_exp,
+                                          measure),
+        domain_hint=(x_min, x_max))
+    grid = SizeGrid.log_uniform(x_min, x_max, n)
+    op = build_discrete_operator(model, grid)
+    m = op.matrix.toarray()
+    assert np.min(m - np.diag(np.diag(m))) >= 0.0
+    assert np.min(op.below_inflow) >= 0.0
+    # transport columns sum to 0, except the outflow at the last edge
+    transport = np.zeros(n)
+    transport[-1] = -c0 * grid.edges[-1] ** c_exp / grid.widths[-1]
+    branching = k0 * grid.centers ** k_exp * (measure.mass() - 1.0)
+    assert np.all(np.abs(m.sum(axis=0) - transport - branching)
+                  <= 1e-8 * np.abs(m).sum(axis=0))

@@ -25,7 +25,7 @@ def _toy_operator(matrix):
     grid = SizeGrid.log_uniform(0.5, 2.0, matrix.shape[0])
     return DiscreteOperator(grid=grid, matrix=sparse.csr_matrix(matrix),
                             below_inflow=np.zeros(matrix.shape[0]),
-                            cfl_dt=0.1, model=None)
+                            cfl_dt=0.1)
 
 
 # -- eigenpair -------------------------------------------------------------
