@@ -382,6 +382,9 @@ def cmd_pde(cfg: RunConfig, out_dir: str) -> dict:
         "command": "pde",
         "summary": traj.summary(),
         "below_domain_mass": traj.below_domain_mass,
+        "steps": traj.steps,
+        "floored_mass": traj.floored_mass,
+        "stencil_error": traj.stencil_error,
         "grid_n": cfg.grid_n,
         "config_sha256": cfg.sha256,
         "seed": cfg.seed,
@@ -445,12 +448,21 @@ def cmd_converge(cfg: RunConfig, out_dir: str) -> dict:
                 f"(hash {prior.get('config_sha256')} != {cfg.sha256})",
                 key="spectral_json")
         lambda0 = prior["lambda0"]
-    grid, op, triple = _spectral_triple(cfg)
-    if lambda0 is not None:
-        triple.lambda0 = float(lambda0)
     horizon = cfg.t_end
     marks = cfg.checkpoints or list(np.linspace(
         0.25 * horizon, horizon, 12))
+    # the states that solve records past the burn-in, t_end included
+    kept = {t for t in marks
+            if spectral.BURN_IN_FRACTION * horizon < t <= horizon}
+    kept.add(horizon)
+    if len(kept) < 8:
+        raise ConfigError(
+            f"converge needs >= 8 checkpoints past the "
+            f"{spectral.BURN_IN_FRACTION:.0%} burn-in of t_end, got "
+            f"{len(kept)}", key="checkpoints")
+    grid, op, triple = _spectral_triple(cfg)
+    if lambda0 is not None:
+        triple.lambda0 = float(lambda0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", pde.BoundaryLeak)
         traj = pde.solve(cfg.model, grid, cfg.x0, horizon, dt=cfg.dt,

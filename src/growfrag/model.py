@@ -86,10 +86,12 @@ class RatioMeasure:
 
     Densities may be sigma-finite near 0 as long as the moments actually
     requested converge; divergent moment integrals raise MomentDivergence.
+    density_inverse_cdf, when given, maps U(0,1) to an exact draw from the
+    normalized density part; otherwise draws invert a 4096-cell table.
     """
 
     def __init__(self, atoms: Sequence[tuple] = (), density=None,
-                 density_singular_at_zero=False):
+                 density_singular_at_zero=False, density_inverse_cdf=None):
         self.atoms = tuple((float(u), float(w)) for u, w in atoms)
         for u, w in self.atoms:
             if not 0.0 < u < 1.0:
@@ -98,6 +100,7 @@ class RatioMeasure:
                 raise DomainError("ratio atom weights must be non-negative")
         self.density = density
         self.density_singular_at_zero = density_singular_at_zero
+        self.density_inverse_cdf = density_inverse_cdf
         self._cdf_table = None
         self._sample_mass = None
 
@@ -155,6 +158,8 @@ class RatioMeasure:
             pick -= w
             if pick <= 0.0:
                 return u
+        if self.density_inverse_cdf is not None:
+            return float(self.density_inverse_cdf(rng_uniform()))
         grid, cdf = self._density_cdf()
         return float(np.interp(rng_uniform(), cdf, grid))
 
@@ -234,9 +239,11 @@ def power_ratio(theta):
     """p(du) = (theta+2) u^theta du, mass-conserving for theta > -1."""
     if theta <= -1.0:
         raise DomainError("power ratio needs theta > -1")
-    coef = theta + 2.0
+    coef, expo = theta + 2.0, 1.0 / (theta + 1.0)
+    # the normalized density (theta+1) u^theta has CDF u^(theta+1)
     return RatioMeasure(density=lambda u: coef * u ** theta,
-                        density_singular_at_zero=theta < 0.0)
+                        density_singular_at_zero=theta < 0.0,
+                        density_inverse_cdf=lambda v: v ** expo)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,12 @@ obtained by integrating the child kernel over destination cells.
 Atomic ratio kernels land in cells exactly; densities are integrated
 through a high-resolution cumulative table.
 
+On a log-uniform grid edges_j / x_i = r^(j-i-1/2), so a relative
+kernel's unit inflow from cell i into cell j >= 1 depends on i - j
+only.  The march then applies the exchange as one Toeplitz correlation
+of non-negative terms (each entry keeps its relative accuracy, unlike an
+FFT) instead of the ~n^2/2-entry sparse product.
+
 Starting from a point mass at x0, pairing the solution against f gives
 the deterministic oracle for T_t f(x0).
 """
@@ -30,6 +36,8 @@ from .model import ModelSpec, _quad
 _CFL_FACTOR = 0.9
 _MIN_DT = 1e-12
 _LEAK_WARN_FRACTION = 1e-3
+_STENCIL_RTOL = 1e-10     # largest column deviation the stencil accepts
+_MASS_FLOOR = 1e-250      # cell masses below this fraction of the total
 
 
 class BoundaryLeak(UserWarning):
@@ -107,6 +115,12 @@ def pairing(state: DensityState, f: Callable) -> float:
     return float(sum(f(x) * m for x, m in zip(centers, state.masses)))
 
 
+def _elementwise(f):
+    """f applied to each entry of a 1-d array, called on Python floats
+    (as np.vectorize calls it, without its per-element overhead)."""
+    return lambda x: np.fromiter(map(f, x.tolist()), float, len(x))
+
+
 def _gauss8(f, a, b):
     """8-point Gauss-Legendre integral of f over (a, b), elementwise."""
     half, mid = 0.5 * (b - a), 0.5 * (a + b)
@@ -123,7 +137,7 @@ def _density_cell_masses(measure, n_fine=8192):
     left = np.geomspace(1e-12, 1e-2, n_fine // 4)
     right = np.linspace(1e-2, 1.0, n_fine)[1:]
     grid = np.concatenate([[0.0], left, right])
-    panel = _gauss8(np.vectorize(measure.density, otypes=[float]),
+    panel = _gauss8(_elementwise(measure.density),
                     grid[:-1], grid[1:])
     if measure.density_singular_at_zero:
         # Gauss nodes miss most of the mass of a singularity at 0
@@ -131,14 +145,51 @@ def _density_cell_masses(measure, n_fine=8192):
     return grid, np.concatenate([[0.0], np.cumsum(panel)])
 
 
+@dataclass(frozen=True)
+class ExchangeStencil:
+    """M m as transport plus a Toeplitz fragmentation exchange.
+
+    Row 0 receives head @ (K m); row j >= 1 receives
+    sum_k g[k] (K m)[j + k], where taps = g reversed.
+    """
+
+    rate: np.ndarray
+    out: np.ndarray    # c(edge_{i+1}) / width_i: upwind outflow of cell i
+    head: np.ndarray   # unit inflow of each column into the first cell
+    taps: np.ndarray
+
+    def apply(self, m):
+        v = self.rate * m
+        flux = self.out * m
+        dm = np.empty_like(m)
+        dm[0] = self.head @ v
+        dm[1:] = np.convolve(v, self.taps)[len(m) - 1:]
+        dm[1:] += flux[:-1]
+        dm -= v
+        dm -= flux
+        return dm
+
+
 @dataclass
 class DiscreteOperator:
-    """Sparse generator M of dm/dt = M m, plus solver metadata."""
+    """Sparse generator M of dm/dt = M m, plus solver metadata.
+
+    stencil_error is the largest entrywise relative deviation of the
+    unit fragmentation columns from the Toeplitz stencil, |a/g - 1|
+    (None when the kernel has no density part); the march uses the
+    stencil when it is at most 1e-10.
+    """
 
     grid: SizeGrid
     matrix: sparse.csr_matrix
     below_inflow: np.ndarray   # rate of mass landing below x_min, per source
     cfl_dt: float
+    stencil: Optional[ExchangeStencil] = None
+    stencil_error: Optional[float] = None
+
+    @property
+    def uses_stencil(self):
+        return self.stencil is not None and self.stencil_error <= _STENCIL_RTOL
 
 
 def build_discrete_operator(model: ModelSpec,
@@ -175,38 +226,76 @@ def build_discrete_operator(model: ModelSpec,
         vals.extend((inflow[nz], [-rate[i]]))
         return inflow.sum() - rate[i]
 
+    stencil = stencil_error = None
     if model.frag.kind == "relative":
         measure = model.frag.ratio_measure
         p_mass = measure.mass()
-        if measure.density is not None:
+        has_density = measure.density is not None
+        if has_density:
             cdf_grid, cdf_vals = _density_cell_masses(measure)
-        frag_colsum = np.zeros(n)
-        for i in np.flatnonzero(rate):
-            x, inflow = centers[i], np.zeros(n)
+
+        def unit_inflow(i):
+            """Column i's inflow per unit rate, and the parts of it that
+            land below x_min."""
+            x, inflow, lost = centers[i], np.zeros(n), []
             for u, w in measure.atoms:
                 y = u * x
                 if y < edges[0]:
-                    below[i] += rate[i] * w
+                    lost.append(w)
                     inflow[0] += w
                 else:
                     inflow[grid.locate(y)] += w
-            if measure.density is not None:
-                cum = np.interp(np.clip(edges / x, 0.0, 1.0), cdf_grid,
+            if has_density:
+                # edges / x > 0, so capping at 1 is the clip to [0, 1]
+                cum = np.interp(np.minimum(edges / x, 1.0), cdf_grid,
                                 cdf_vals)
-                inflow += np.diff(cum)
+                inflow += cum[1:] - cum[:-1]
                 inflow[0] += cum[0]
-                below[i] += rate[i] * cum[0]
-            frag_colsum[i] = emit(i, inflow * rate[i])
+                lost.append(cum[0])
+            return inflow, lost
+
+        sources = np.flatnonzero(rate)
+        if has_density:
+            # g[k] is the last source's inflow into the cell k below it,
+            # kept reversed in taps; column i's rows 1..i should read
+            # g[i - j] (children are smaller, so rows above i get nothing)
+            head, taps, stencil_error = np.zeros(n), np.zeros(n - 1), 0.0
+            if len(sources):
+                last = sources[-1]
+                taps[n - 1 - last:] = unit_inflow(last)[0][1:last + 1]
+            # one work buffer: per-column temporaries would fragment the
+            # heap between the arrays the columns keep, raising peak memory
+            dev_buf = np.empty(n - 1)
+        frag_colsum = np.zeros(n)
+        # 0/0 where column and stencil are both empty gives nan, which
+        # fmax skips; a nonzero entry against a zero tap gives inf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for i in sources:
+                inflow, lost = unit_inflow(i)
+                for w in lost:
+                    below[i] += rate[i] * w
+                if has_density:
+                    head[i] = inflow[0]
+                    dev = dev_buf[:i]
+                    np.divide(inflow[1:i + 1], taps[n - 1 - i:], out=dev)
+                    dev -= 1.0
+                    np.abs(dev, out=dev)
+                    stencil_error = max(stencil_error, float(
+                        np.fmax.reduce(dev, initial=0.0)))
+                frag_colsum[i] = emit(i, inflow * rate[i])
         expected = rate * (p_mass - 1.0)
         if np.max(np.abs(frag_colsum - expected)) > 1e-8 * (1.0 + np.max(
                 np.abs(expected))):
             raise DomainError(
                 "fragmentation column sums disagree with K(x)(p((0,1))-1)")
+        if has_density:
+            stencil = ExchangeStencil(rate=rate, out=out, head=head,
+                                      taps=taps)
     else:
         density = model.frag.general_density
         for i, x in enumerate(centers):
             m = int(np.searchsorted(edges, x))   # cells starting below x
-            k_x = np.vectorize(lambda y: density(x, y), otypes=[float])
+            k_x = _elementwise(lambda y: density(x, y))
             mass = _gauss8(k_x, np.concatenate([[0.0], edges[:m]]),
                            np.minimum(edges[:m + 1], x))
             inflow = np.zeros(n)
@@ -223,15 +312,24 @@ def build_discrete_operator(model: ModelSpec,
         raise CFLUnsatisfiable(
             f"stable time step {cfl_dt:g} below {_MIN_DT:g}")
     return DiscreteOperator(grid=grid, matrix=matrix, below_inflow=below,
-                            cfl_dt=cfl_dt)
+                            cfl_dt=cfl_dt, stencil=stencil,
+                            stencil_error=stencil_error)
 
 
 @dataclass
 class Trajectory:
-    """Checkpointed solver output."""
+    """Checkpointed solver output.
+
+    steps counts the time steps taken; floored_mass is the total of the
+    cell masses the floor set to 0; stencil_error is the operator's when
+    the march used the Toeplitz stencil and None on the sparse path.
+    """
 
     states: List[DensityState]
     below_domain_mass: float = 0.0
+    steps: int = 0
+    floored_mass: float = 0.0
+    stencil_error: Optional[float] = None
 
     @property
     def final(self):
@@ -261,7 +359,9 @@ def solve(model: ModelSpec, grid: SizeGrid, u0, t_end: float,
 
     u0 is a DensityState or a point-mass location x0.  Checkpoints are
     hit exactly by shortening the step; the trajectory records them plus
-    the final state.
+    the final state.  After each step, cell masses below 1e-250 of the
+    total (negative ones included) are set to 0, which keeps subnormal
+    numbers out of the products.
     """
     if operator is None:
         operator = build_discrete_operator(model, grid)
@@ -282,33 +382,42 @@ def solve(model: ModelSpec, grid: SizeGrid, u0, t_end: float,
                    | {float(t_end)})
     if any(t < state.time or t > t_end for t in marks):
         raise DomainError("checkpoints must lie in [t0, t_end]")
-    matrix = operator.matrix
+    product = (operator.stencil.apply if operator.uses_stencil
+               else operator.matrix.__matmul__)
     below = operator.below_inflow
     m = state.masses
     t = state.time
-    leak = 0.0
+    leak = floored = 0.0
+    steps = 0
     out = []
     for mark in marks:
         while t < mark - 1e-15:
             step = min(dt, mark - t)
-            rate0 = matrix @ m
+            rate0 = product(m)
             if method == "euler":
                 m_new = m + step * rate0
             else:
                 pred = m + step * rate0
-                m_new = m + 0.5 * step * (rate0 + matrix @ pred)
-            floor = -1e-9 * max(m.sum(), 1e-300)
-            if np.min(m_new) < floor:
+                m_new = m + 0.5 * step * (rate0 + product(pred))
+            total = m.sum()
+            if np.min(m_new) < -1e-9 * max(total, 1e-300):
                 raise NegativeMass(
                     f"negative cell mass {np.min(m_new):g} at t={t + step:g}")
-            np.clip(m_new, 0.0, None, out=m_new)
+            tiny = m_new < _MASS_FLOOR * total
+            if tiny.any():
+                floored += float(m_new[tiny].sum())
+                m_new[tiny] = 0.0
             leak += step * float(below @ m)
             m = m_new
             t += step
+            steps += 1
         out.append(DensityState(grid=grid, masses=m.copy(), time=mark))
     total = max(out[-1].total_mass(), 1e-300)
     if leak > _LEAK_WARN_FRACTION * total:
         warnings.warn(
             f"fragmentation inflow below x_min reached {leak:g} "
             f"({leak / total:.2%} of final mass)", BoundaryLeak)
-    return Trajectory(states=out, below_domain_mass=leak)
+    return Trajectory(states=out, below_domain_mass=leak, steps=steps,
+                      floored_mass=floored,
+                      stencil_error=(operator.stencil_error
+                                     if operator.uses_stencil else None))

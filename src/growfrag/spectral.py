@@ -28,7 +28,7 @@ from .pde import DensityState, DiscreteOperator, SizeGrid, pairing
 _RAYLEIGH_TOL = 1e-10
 _RESIDUAL_TOL = 1e-9
 _MAX_ITER = 100_000
-_BURN_IN_FRACTION = 0.2
+BURN_IN_FRACTION = 0.2
 
 
 @dataclass
@@ -231,7 +231,7 @@ def loglinear_fit(ts: np.ndarray, values: np.ndarray
 
 def fit_gap_rate(checkpoints: Sequence[DensityState], triple: SpectralTriple,
                  f: Callable, psi: WeightFunction,
-                 burn_in: float = _BURN_IN_FRACTION
+                 burn_in: float = BURN_IN_FRACTION
                  ) -> Tuple[float, float]:
     """Spectral-gap rate from the decay of the projected residual.
 

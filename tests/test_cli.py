@@ -236,6 +236,8 @@ def test_nonpositive_path_count_rejected(tmp_path, capsys):
     ("check", "f = id", "f = id%", (), "f"),
     ("simulate", "regime = pseudo-entrance", "regime = pseudo-entrance%", (),
      "regime"),
+    ("converge", "t_end = 0.5", "t_end = 2.0\ncheckpoints = 0.5, 1.0, 1.5",
+     (), "checkpoints"),
 ])
 def test_bad_value_exits_2_naming_key(tmp_path, capsys, command, old, new,
                                       argv, key):

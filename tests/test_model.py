@@ -58,6 +58,18 @@ def test_ratio_measure_sampling_matches_cdf():
     assert stat.pvalue > 0.01
 
 
+@pytest.mark.parametrize("theta", [-0.9, -0.5, 0.5, 2.0])
+def test_power_ratio_draws_follow_exact_cdf(theta):
+    # (theta + 2) u^theta du normalizes to the law with CDF u^(theta + 1);
+    # a midpoint CDF table once gave mean 0.140 at theta = -0.9, not 1/11
+    p = power_ratio(theta)
+    rng = np.random.default_rng(7)
+    draws = np.array([p.sample(rng.random) for _ in range(20000)])
+    from scipy.stats import kstest
+    stat = kstest(draws, lambda u: np.clip(u, 0, 1) ** (theta + 1.0))
+    assert stat.pvalue > 1e-3
+
+
 def test_ratio_measure_sampling_integrates_mass_once():
     p = uniform_ratio()
     integral, calls = p.integral, []

@@ -226,6 +226,32 @@ def test_solution_support_bound():
     assert tails_at_3[1] < 0.5 * tails_at_3[0]
 
 
+@pytest.mark.filterwarnings("ignore::growfrag.pde.BoundaryLeak")
+def test_march_reports_its_product_and_steps():
+    grid = SizeGrid.log_uniform(0.01, 40.0, 64)
+    op = build_discrete_operator(make_canonical(), grid)
+    traj = solve(make_canonical(), grid, 1.0, t_end=0.5, operator=op)
+    # a density kernel on a log grid runs the Toeplitz stencil
+    assert op.uses_stencil
+    assert traj.stencil_error == op.stencil_error <= 1e-10
+    assert traj.steps == int(np.ceil(0.5 / op.cfl_dt))
+    # atoms only: the sparse matrix
+    traj = solve(make_mitosis(), grid, 1.0, t_end=0.5)
+    assert traj.stencil_error is None and traj.steps > 0
+
+
+def test_floor_zeroes_denormal_range_masses():
+    grid = SizeGrid.log_uniform(0.01, 40.0, 64)
+    m0 = np.zeros(64)
+    m0[10], m0[40] = 1.0, 1e-280
+    traj = solve(make_canonical(), grid,
+                 DensityState(grid=grid, masses=m0), t_end=0.05)
+    # the 1e-280 cell and what it sends on fall below 1e-250 of the total
+    assert 0.0 < traj.floored_mass < 2e-280
+    m = traj.final.masses
+    assert np.all((m == 0.0) | (m >= 1e-250 * m.sum()))
+
+
 def test_boundary_leak_warning():
     model = make_canonical()
     grid = SizeGrid.log_uniform(0.01, 40.0, 128)

@@ -12,7 +12,8 @@ from growfrag.cli import _KNOWN_KEYS, dumps_stable, load_config
 from growfrag.errors import ConfigError
 from growfrag.model import (FragmentationKernel, GrowthSpec, ModelSpec,
                             RatioMeasure, power_ratio, uniform_ratio)
-from growfrag.pde import SizeGrid, build_discrete_operator
+from growfrag.pde import (DensityState, SizeGrid,
+                          build_discrete_operator, solve)
 
 _SCALARS = (st.none() | st.booleans() | st.integers() | st.text()
             | st.floats(allow_nan=False, allow_infinity=False))
@@ -84,6 +85,23 @@ _DENSITIES = st.one_of(st.none(), st.just("uniform"),
 _COEFFICIENTS = st.tuples(st.floats(0.1, 10.0), st.floats(-1.0, 2.0))
 
 
+def _relative_model(atoms, density, rate, speed, x_min, x_max):
+    if density is None:
+        measure = RatioMeasure(atoms=atoms)
+    else:
+        base = uniform_ratio() if density == "uniform" else power_ratio(
+            density)
+        measure = RatioMeasure(
+            atoms=atoms, density=base.density,
+            density_singular_at_zero=base.density_singular_at_zero)
+    (k0, k_exp), (c0, c_exp) = rate, speed
+    return ModelSpec(
+        growth=GrowthSpec.from_speed(lambda x: c0 * x ** c_exp),
+        frag=FragmentationKernel.relative(lambda x: k0 * x ** k_exp,
+                                          measure),
+        domain_hint=(x_min, x_max))
+
+
 # the singular density whose first table panel Gauss-8 once under-counted,
 # so that the assembly's own column-sum check raised DomainError
 @settings(max_examples=100, deadline=None)
@@ -94,20 +112,9 @@ _COEFFICIENTS = st.tuples(st.floats(0.1, 10.0), st.floats(-1.0, 2.0))
          x_min=0.01, x_max=40.0)
 def test_operator_columns_sum_to_branching_rate(atoms, density, rate, speed,
                                                 n, x_min, x_max):
-    if density is None:
-        measure = RatioMeasure(atoms=atoms)
-    else:
-        base = uniform_ratio() if density == "uniform" else power_ratio(
-            density)
-        measure = RatioMeasure(
-            atoms=atoms, density=base.density,
-            density_singular_at_zero=base.density_singular_at_zero)
+    model = _relative_model(atoms, density, rate, speed, x_min, x_max)
+    measure = model.frag.ratio_measure
     (k0, k_exp), (c0, c_exp) = rate, speed
-    model = ModelSpec(
-        growth=GrowthSpec.from_speed(lambda x: c0 * x ** c_exp),
-        frag=FragmentationKernel.relative(lambda x: k0 * x ** k_exp,
-                                          measure),
-        domain_hint=(x_min, x_max))
     grid = SizeGrid.log_uniform(x_min, x_max, n)
     op = build_discrete_operator(model, grid)
     m = op.matrix.toarray()
@@ -119,3 +126,98 @@ def test_operator_columns_sum_to_branching_rate(atoms, density, rate, speed,
     branching = k0 * grid.centers ** k_exp * (measure.mass() - 1.0)
     assert np.all(np.abs(m.sum(axis=0) - transport - branching)
                   <= 1e-8 * np.abs(m).sum(axis=0))
+
+
+def _masses(seed, n):
+    """Random non-negative cell masses spanning 300 decades, with zeros."""
+    rng = np.random.default_rng(seed)
+    m = rng.random(n) * 10.0 ** rng.uniform(-300.0, 0.0, n)
+    m[rng.random(n) < 0.2] = 0.0
+    return m
+
+
+@settings(max_examples=100, deadline=None)
+@given(atoms=_ATOMS, density=_DENSITIES, rate=_COEFFICIENTS,
+       speed=_COEFFICIENTS, n=st.integers(8, 48),
+       x_min=st.floats(1e-3, 0.5), x_max=st.floats(2.0, 100.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stencil_product_matches_matrix(atoms, density, rate, speed, n,
+                                        x_min, x_max, seed):
+    model = _relative_model(atoms, density, rate, speed, x_min, x_max)
+    grid = SizeGrid.log_uniform(x_min, x_max, n)
+    op = build_discrete_operator(model, grid)
+    if density is None:
+        # atoms only: no stencil, the march uses the matrix
+        assert op.stencil is None and op.stencil_error is None
+        assert not op.uses_stencil
+        return
+    # an atom may land on either side of a cell edge from column to
+    # column; a density alone is Toeplitz on a log grid
+    assert op.uses_stencil or atoms
+    if op.uses_stencil:
+        m = _masses(seed, n)
+        got, want = op.stencil.apply(m), op.matrix @ m
+        assert np.all(np.abs(got - want) <= 1e-10 * (abs(op.matrix) @ m))
+    # interior edges moved by 1e-6 break the Toeplitz structure
+    edges = grid.edges.copy()
+    edges[1:-1] *= 1.0 + 1e-6 * np.where(np.arange(n - 1) % 2, 1.0, -1.0)
+    bent = build_discrete_operator(model, SizeGrid(edges))
+    assert bent.stencil_error > 1e-10 and not bent.uses_stencil
+
+
+@pytest.mark.filterwarnings("ignore::growfrag.pde.BoundaryLeak")
+def test_general_kernel_takes_the_matrix_path():
+    model = ModelSpec(
+        growth=GrowthSpec.from_speed(lambda x: 1.0),
+        frag=FragmentationKernel.general(lambda x, y: 2.0 / x),
+        domain_hint=(0.01, 40.0))
+    grid = SizeGrid.log_uniform(0.01, 40.0, 24)
+    op = build_discrete_operator(model, grid)
+    assert op.stencil is None and not op.uses_stencil
+    traj = solve(model, grid, 1.0, 0.1, operator=op)
+    assert traj.stencil_error is None and traj.steps > 0
+
+
+# total(t) + floored_mass + outflow through x_max equals total(0) plus the
+# branching integral of sum_i K_i (p((0,1)) - 1) m_i.  Mass landing below
+# x_min (below_domain_mass) stays in the first cell, so it is no loss.
+@pytest.mark.filterwarnings("ignore::growfrag.pde.BoundaryLeak")
+@settings(max_examples=60, deadline=None)
+@given(atoms=_ATOMS, density=_DENSITIES, rate=_COEFFICIENTS,
+       speed=_COEFFICIENTS, n=st.integers(8, 48),
+       x_min=st.floats(1e-3, 0.5), x_max=st.floats(2.0, 100.0),
+       seed=st.integers(0, 2 ** 32 - 1),
+       method=st.sampled_from(["euler", "heun"]))
+def test_march_balances_mass(atoms, density, rate, speed, n, x_min, x_max,
+                             seed, method):
+    model = _relative_model(atoms, density, rate, speed, x_min, x_max)
+    grid = SizeGrid.log_uniform(x_min, x_max, n)
+    op = build_discrete_operator(model, grid)
+    (k0, k_exp), (c0, c_exp) = rate, speed
+    branching = k0 * grid.centers ** k_exp * (
+        model.frag.ratio_measure.mass() - 1.0)
+    outflow = np.zeros(n)
+    outflow[-1] = c0 * grid.edges[-1] ** c_exp / grid.widths[-1]
+    m0 = _masses(seed, n)
+    # a power-of-two step makes every mark a sum of whole steps, exactly
+    dt = 2.0 ** np.floor(np.log2(op.cfl_dt))
+    marks = [dt * k for k in range(1, 21)]
+    traj = solve(model, grid, DensityState(grid=grid, masses=m0), marks[-1],
+                 dt=dt, method=method, checkpoints=marks, operator=op)
+    assert traj.steps == 20
+    assert traj.stencil_error == (op.stencil_error if op.uses_stencil
+                                  else None)
+    states = [m0] + [s.masses for s in traj.states]
+    gained = lost = scale = 0.0
+    for m in states[:-1]:
+        # the rates a step of the method integrates
+        nodes = [m] if method == "euler" else [
+            m, m + dt * (op.matrix @ m)]
+        for node in nodes:
+            w = dt / len(nodes)
+            gained += w * float(branching @ node)
+            lost += w * float(outflow @ node)
+            scale += w * float((np.abs(branching) + outflow) @ node)
+    balance = (traj.final.total_mass() + traj.floored_mass + lost
+               - m0.sum() - gained)
+    assert abs(balance) <= 1e-9 * (m0.sum() + scale)
