@@ -28,7 +28,7 @@ from .errors import (ConfigError, CriterionViolated, DomainError,
 from .model import (DoeblinDeclaration, FragmentationKernel, GrowthSpec,
                     ModelSpec, constant_weight, mitosis_ratio, power_ratio,
                     uniform_ratio)
-from .pdmp import TiltedJumpLaw, mc_semigroup, simulate_path
+from .pdmp import TiltedJumpLaw, mc_semigroup
 
 EXIT_OK = 0
 EXIT_FAILED_CHECK = 1
@@ -291,6 +291,15 @@ def _grid(cfg: RunConfig) -> pde.SizeGrid:
     return pde.SizeGrid.log_uniform(cfg.x_min, cfg.x_max, cfg.grid_n)
 
 
+def _check_marks(marks, t_end):
+    """Reject checkpoints outside [0, t_end] before any assembly."""
+    outside = [t for t in marks if not 0.0 <= t <= t_end]
+    if outside:
+        raise ConfigError(
+            f"checkpoints {', '.join(f'{t:g}' for t in outside)} lie "
+            f"outside [0, t_end = {t_end:g}]", key="checkpoints")
+
+
 # -- subcommands ----------------------------------------------------------
 
 def cmd_check(cfg: RunConfig, out_dir: str) -> dict:
@@ -353,11 +362,9 @@ def cmd_check(cfg: RunConfig, out_dir: str) -> dict:
 def cmd_simulate(cfg: RunConfig, out_dir: str) -> dict:
     h, report = _build_weight(cfg)
     law = TiltedJumpLaw(cfg.model, h, b=report.b)
-    estimate, std_error = mc_semigroup(cfg.model, law, cfg.functional(),
-                                       cfg.x0, cfg.t_end, cfg.n_paths,
-                                       seed=cfg.seed)
-    trace = simulate_path(cfg.model, law, cfg.x0, cfg.t_end,
-                          seed=cfg.seed, stream_id=0)
+    estimate, std_error, trace = mc_semigroup(
+        cfg.model, law, cfg.functional(), cfg.x0, cfg.t_end, cfg.n_paths,
+        seed=cfg.seed)
     trace.to_csv(os.path.join(out_dir, "path.csv"))
     return {
         "command": "simulate",
@@ -374,6 +381,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> dict:
 
 
 def cmd_pde(cfg: RunConfig, out_dir: str) -> dict:
+    _check_marks(cfg.checkpoints, cfg.t_end)
     grid = _grid(cfg)
     traj = pde.solve(cfg.model, grid, cfg.x0, cfg.t_end, dt=cfg.dt,
                      method=cfg.method, checkpoints=cfg.checkpoints or None)
@@ -451,6 +459,7 @@ def cmd_converge(cfg: RunConfig, out_dir: str) -> dict:
     horizon = cfg.t_end
     marks = cfg.checkpoints or list(np.linspace(
         0.25 * horizon, horizon, 12))
+    _check_marks(marks, horizon)
     # the states that solve records past the burn-in, t_end included
     kept = {t for t in marks
             if spectral.BURN_IN_FRACTION * horizon < t <= horizon}

@@ -6,12 +6,15 @@ cumulative-quadrature table with exact node derivatives 1/c and cubic
 Hermite interpolation; inversion goes through the inverse Hermite table
 (derivative c) followed by one Newton polish, so the round trip
 s(phi(x,t)) = s(x) + t holds to near machine precision by construction.
+Queries read the splines through HermiteTable, a plain-Python evaluator
+that returns scipy's bits without its per-call overhead.
 """
 
 from __future__ import annotations
 
-import threading
 import warnings
+from array import array
+from bisect import bisect_right
 
 import numpy as np
 from scipy import integrate, optimize
@@ -62,6 +65,42 @@ def _panel_integral(c, a, b):
         f"scale integral on ({a:.6g},{b:.6g}) diverged")
 
 
+class HermiteTable:
+    """Scalar evaluator of a piecewise quadratic or cubic scipy ``PPoly``.
+
+    Returns the same bits as ``ppoly(x)`` (extrapolation included): the
+    interval is scipy's, half-open except the closed last one and clamped
+    to the end pieces outside the knots, and the local polynomial is
+    summed in the order of scipy's ``evaluate_poly1``.  A NaN query
+    gives NaN.
+    """
+
+    __slots__ = ("_x", "_c0", "_c1", "_c2", "_c3", "_top")
+
+    def __init__(self, ppoly):
+        rows = [array("d", row) for row in ppoly.c[::-1]]  # constant first
+        if len(rows) not in (3, 4):
+            raise DomainError("HermiteTable needs a quadratic or cubic PPoly")
+        self._x = array("d", ppoly.x)
+        self._c0, self._c1, self._c2 = rows[:3]
+        self._c3 = rows[3] if len(rows) == 4 else None
+        self._top = len(self._x) - 2
+
+    def __call__(self, x):
+        xs = self._x
+        i = bisect_right(xs, x) - 1
+        if i < 0:
+            i = 0
+        elif i > self._top:
+            i = self._top
+        s = x - xs[i]
+        z = s * s
+        res = 0.0 + self._c0[i] + self._c1[i] * s + self._c2[i] * z
+        if self._c3 is not None:
+            res += self._c3[i] * (z * s)
+        return res
+
+
 class FlowEngine:
     """Scale table, semi-flow and arc integrals for one growth law."""
 
@@ -70,7 +109,6 @@ class FlowEngine:
         self.growth = growth
         self.x_hard_max = x_max * _EXTENSION_CEILING
         self.nodes_per_decade = nodes_per_decade
-        self._lock = threading.Lock()
         if growth.kind == "speed-c":
             self._build_table(x_min, x_max)
         else:
@@ -123,25 +161,27 @@ class FlowEngine:
         if np.any(bad):
             sec = np.gradient(svals, xs)
             deriv[bad] = sec[bad]
-        self._xs, self._svals = xs, svals
-        self._fwd = CubicHermiteSpline(xs, svals, deriv)
+        fwd = CubicHermiteSpline(xs, svals, deriv)
+        self._fwd = HermiteTable(fwd)
+        self._fwd_slope = HermiteTable(fwd.derivative())
         inv_deriv = np.array([c(x) for x in xs])
         inv_deriv[~np.isfinite(inv_deriv)] = 0.0
-        self._inv = CubicHermiteSpline(svals, xs, inv_deriv)
-        self._x_lo, self._x_hi = xs[0], xs[-1]
+        self._inv = HermiteTable(CubicHermiteSpline(svals, xs, inv_deriv))
+        # plain floats: numpy scalars cost more per comparison
+        self._x_lo, self._x_hi = float(xs[0]), float(xs[-1])
+        self._s_hi = float(svals[-1])
 
     def _extend(self, x_needed):
         """Grow the table so that x_needed is covered."""
-        with self._lock:
-            if self._x_lo <= x_needed <= self._x_hi:
-                return
-            if x_needed > self.x_hard_max:
-                raise RangeExtensionFailure(
-                    f"flow query at x={x_needed:g} beyond hard ceiling "
-                    f"{self.x_hard_max:g}")
-            new_lo = min(self._x_lo, x_needed / 2.0)
-            new_hi = max(self._x_hi, x_needed * 2.0)
-            self._build_table(new_lo, new_hi)
+        if self._x_lo <= x_needed <= self._x_hi:
+            return
+        if x_needed > self.x_hard_max:
+            raise RangeExtensionFailure(
+                f"flow query at x={x_needed:g} beyond hard ceiling "
+                f"{self.x_hard_max:g}")
+        new_lo = min(self._x_lo, x_needed / 2.0)
+        new_hi = max(self._x_hi, x_needed * 2.0)
+        self._build_table(new_lo, new_hi)
 
     # -- queries ----------------------------------------------------------
 
@@ -196,7 +236,7 @@ class FlowEngine:
             if self._s_inv is not None:
                 return float(self._s_inv(target))
             return self._invert_explicit(target)
-        while target > self._svals[-1]:
+        while target > self._s_hi:
             self._extend(self._x_hi * 4.0)
         y = float(self._inv(target))
         y = min(max(y, self._x_lo), self._x_hi)
@@ -205,7 +245,7 @@ class FlowEngine:
             resid = float(self._fwd(y)) - target
             if abs(resid) <= _INV_TOL:
                 break
-            slope = float(self._fwd.derivative()(y))
+            slope = float(self._fwd_slope(y))
             if slope <= 0.0:
                 break
             step = resid / slope

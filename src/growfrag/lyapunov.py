@@ -22,7 +22,7 @@ from scipy.interpolate import CubicHermiteSpline
 from .errors import (CriterionViolated, DomainError, EntranceBoundaryAbsent,
                      GrowfragError, MomentDivergence, QuadratureDivergence,
                      UnboundedAbove)
-from .flow import FlowEngine, _panel_integral
+from .flow import FlowEngine, HermiteTable, _panel_integral
 from .model import (FragmentationKernel, ModelSpec, WeightFunction,
                     constant_weight, generator_apply, identity_weight, _quad)
 
@@ -121,16 +121,17 @@ class CumulativeRateIntegral:
         vals = np.concatenate([[0.0], np.cumsum(panels)])
         vals -= vals[int(np.searchsorted(xs, 1.0))]
         deriv = np.array([integrand(x) for x in xs])
-        self._xs, self._vals = xs, vals
-        self._spline = CubicHermiteSpline(xs, vals, deriv)
-        self._hi_slope = deriv[-1]
+        self._table = HermiteTable(CubicHermiteSpline(xs, vals, deriv))
+        self._x_first, self._x_last = float(xs[0]), float(xs[-1])
+        self._g_first, self._g_last = float(vals[0]), float(vals[-1])
+        self._hi_slope = float(deriv[-1])
 
     def __call__(self, x):
-        if x <= self._xs[0]:
-            return float(self._vals[0])
-        if x >= self._xs[-1]:
-            return float(self._vals[-1] + self._hi_slope * (x - self._xs[-1]))
-        return float(self._spline(x))
+        if x <= self._x_first:
+            return self._g_first
+        if x >= self._x_last:
+            return float(self._g_last + self._hi_slope * (x - self._x_last))
+        return float(self._table(x))
 
 
 # -- report type --------------------------------------------------------

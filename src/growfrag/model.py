@@ -227,7 +227,9 @@ class FragmentationKernel:
 
 def uniform_ratio():
     """p(du) = 2 du: mass-conserving uniform repartition."""
-    return RatioMeasure(density=lambda u: 2.0)
+    # the normalized density is uniform, so U(0,1) is already a draw
+    return RatioMeasure(density=lambda u: 2.0,
+                        density_inverse_cdf=lambda v: v)
 
 
 def mitosis_ratio():

@@ -391,7 +391,9 @@ def solve(model: ModelSpec, grid: SizeGrid, u0, t_end: float,
     steps = 0
     out = []
     for mark in marks:
-        while t < mark - 1e-15:
+        # a relative tolerance: the accumulated t may fall short of a
+        # late mark by a few ulps, which must not cost one more step
+        while t < mark - 1e-12 * max(mark, dt):
             step = min(dt, mark - t)
             rate0 = product(m)
             if method == "euler":

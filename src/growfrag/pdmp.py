@@ -304,12 +304,12 @@ def _jackknife_se(vals: np.ndarray) -> float:
 
 def mc_semigroup(model: ModelSpec, law: TiltedJumpLaw, f: Callable,
                  x0: float, t: float, n_paths: int, seed: int = 0
-                 ) -> Tuple[float, float]:
+                 ) -> Tuple[float, float, PathTrace]:
     """Monte Carlo estimate of T_t f(x0) = e^{bt} h(x0) E[f/h(X_t); alive].
 
-    Returns (estimate, jackknife standard error).  Paths use independent
-    streams (seed, path-index), so the result is reproducible and
-    independent of evaluation order.
+    Returns (estimate, jackknife standard error, trace of path 0).  Paths
+    use independent streams (seed, path-index), so the result is
+    reproducible and independent of evaluation order.
     """
     if n_paths < 2:
         raise DomainError("mc_semigroup needs at least two paths")
@@ -317,6 +317,8 @@ def mc_semigroup(model: ModelSpec, law: TiltedJumpLaw, f: Callable,
     vals = np.empty(n_paths)
     for i in range(n_paths):
         trace = simulate_path(model, law, x0, t, seed=seed, stream_id=i)
+        if i == 0:
+            first = trace
         if trace.alive:
             y = trace.endpoint
             vals[i] = f(y) / h(y)
@@ -335,4 +337,4 @@ def mc_semigroup(model: ModelSpec, law: TiltedJumpLaw, f: Callable,
         warnings.warn(
             f"standard error {std_error:g} exceeds estimate {estimate:g}",
             VarianceBlowup)
-    return estimate, std_error
+    return estimate, std_error, first

@@ -79,12 +79,12 @@ def test_acceptance_exact_identities():
     flow_c = FlowEngine(conserving.growth, *conserving.domain_hint)
     law_c = TiltedJumpLaw(conserving, identity_weight(flow_c), 1.0, flow_c)
     for t in (0.5, 1.0, 2.0):
-        est, se = mc_semigroup(mitosis, law_m, lambda y: 1.0, 1.0, t,
-                               n_paths=64, seed=1)
+        est, se, _ = mc_semigroup(mitosis, law_m, lambda y: 1.0, 1.0, t,
+                                  n_paths=64, seed=1)
         assert est == pytest.approx(np.exp(t), rel=1e-12)
         assert se == 0.0
-        est, se = mc_semigroup(conserving, law_c, lambda y: y, 1.0, t,
-                               n_paths=64, seed=1)
+        est, se, _ = mc_semigroup(conserving, law_c, lambda y: y, 1.0, t,
+                                  n_paths=64, seed=1)
         assert est == pytest.approx(np.exp(t), rel=1e-12)
         assert se == 0.0
 
@@ -274,13 +274,13 @@ def test_acceptance_h_independence(canonical_model, canonical_weight):
     h2 = build_h_pseudo_entrance(canonical_model, 2.0)
     b2 = verify_assumption1(canonical_model, h2).b
     law_entrance = TiltedJumpLaw(canonical_model, h2, b2, flow)
-    est_a, se_a = mc_semigroup(canonical_model, law_eigen, lambda y: y,
-                               1.0, 1.0, n_paths=800, seed=37)
+    est_a, se_a, _ = mc_semigroup(canonical_model, law_eigen, lambda y: y,
+                                  1.0, 1.0, n_paths=800, seed=37)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        est_b, se_b = mc_semigroup(canonical_model, law_entrance,
-                                   lambda y: y, 1.0, 1.0, n_paths=2500,
-                                   seed=37)
+        est_b, se_b, _ = mc_semigroup(canonical_model, law_entrance,
+                                      lambda y: y, 1.0, 1.0, n_paths=2500,
+                                      seed=37)
     assert abs(est_a - est_b) <= 3.0 * float(np.hypot(se_a, se_b))
 
 

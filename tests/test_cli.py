@@ -238,6 +238,10 @@ def test_nonpositive_path_count_rejected(tmp_path, capsys):
      "regime"),
     ("converge", "t_end = 0.5", "t_end = 2.0\ncheckpoints = 0.5, 1.0, 1.5",
      (), "checkpoints"),
+    ("pde", "t_end = 0.5", "t_end = 0.5\ncheckpoints = 0.25, 1.0", (),
+     "checkpoints"),
+    ("converge", "t_end = 0.5", "t_end = 2.0\ncheckpoints = -0.1, 0.6, 0.8, "
+     "1.0, 1.2, 1.4, 1.6, 1.8", (), "checkpoints"),
 ])
 def test_bad_value_exits_2_naming_key(tmp_path, capsys, command, old, new,
                                       argv, key):

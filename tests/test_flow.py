@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicHermiteSpline
 
 from growfrag.errors import DomainError
-from growfrag.flow import FlowEngine
+from growfrag.flow import FlowEngine, HermiteTable
 from growfrag.model import GrowthSpec
 
 
@@ -109,3 +110,44 @@ def test_flow_rejects_nonpositive_start():
     flow = FlowEngine(GrowthSpec.from_speed(lambda x: 1.0), 1e-3, 1e3)
     with pytest.raises(DomainError):
         flow.flow_at(0.0, 1.0)
+
+
+def _table_queries(knots, rng):
+    lo, hi = knots[0], knots[-1]
+    span = hi - lo
+    beyond = span * np.exp(rng.uniform(np.log(1e-12), np.log(1e3), 2000))
+    queries = [rng.uniform(lo, hi, 20000), knots,
+               np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
+               lo - beyond, hi + beyond]
+    if lo > 0.0:
+        queries.append(np.exp(rng.uniform(np.log(lo), np.log(hi), 20000)))
+    return np.concatenate(queries + [[np.nan]])
+
+
+@pytest.mark.parametrize("speed", [lambda x: 1.0, lambda x: np.sqrt(x),
+                                   lambda x: x / (1.0 + x)],
+                         ids=["unit", "sqrt", "saturating"])
+def test_hermite_table_returns_scipy_bits(speed):
+    # the same knots, values and slopes a scale table is built from; any
+    # change of scipy's interval search or summation order fails here
+    knots = np.unique(np.append(np.geomspace(1e-3, 1e3, 1920), 1.0))
+    slopes = np.array([1.0 / speed(x) for x in knots])
+    mids = 0.5 * (knots[:-1] + knots[1:])
+    panels = np.diff(knots) / np.array([speed(x) for x in mids])
+    values = np.concatenate([[0.0], np.cumsum(panels)])
+    spline = CubicHermiteSpline(knots, values, slopes)
+    inverse = CubicHermiteSpline(values, knots, 1.0 / slopes)
+    rng = np.random.default_rng(7)
+    for ppoly in (spline, spline.derivative(), inverse):
+        table = HermiteTable(ppoly)
+        queries = _table_queries(ppoly.x, rng)
+        got = np.array([table(float(q)) for q in queries])
+        want = ppoly(queries)
+        assert np.isnan(got[-1]) and np.isnan(want[-1])
+        assert got[:-1].tobytes() == want[:-1].tobytes()
+
+
+def test_hermite_table_rejects_other_degrees():
+    line = CubicHermiteSpline([0.0, 1.0], [0.0, 1.0], [1.0, 1.0])
+    with pytest.raises(DomainError):
+        HermiteTable(line.derivative(2))

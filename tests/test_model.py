@@ -58,6 +58,18 @@ def test_ratio_measure_sampling_matches_cdf():
     assert stat.pvalue > 0.01
 
 
+def test_uniform_ratio_draw_is_the_uniform_itself():
+    # the exact inverse CDF u = U returns the bits the 4096-cell table
+    # returned, so Monte Carlo outputs do not move
+    p = uniform_ratio()
+    grid, cdf = p._density_cdf()
+    for v in np.random.default_rng(9).random(100000):
+        v = float(v)
+        draws = iter((0.5, v))
+        assert p.sample(lambda: next(draws)) == v
+        assert float(np.interp(v, cdf, grid)) == v
+
+
 @pytest.mark.parametrize("theta", [-0.9, -0.5, 0.5, 2.0])
 def test_power_ratio_draws_follow_exact_cdf(theta):
     # (theta + 2) u^theta du normalizes to the law with CDF u^(theta + 1);

@@ -269,3 +269,21 @@ def test_trajectory_csv_and_summary(tmp_path):
     summary = traj.summary()
     assert [row["t"] for row in summary] == [0.25, 0.5]
     assert summary[-1]["total_mass"] > 1.0   # splitting raises counts
+
+
+@pytest.mark.filterwarnings("ignore::growfrag.pde.BoundaryLeak")
+def test_marks_end_without_a_rounding_step():
+    # t accumulates k * dt with rounding, so it can fall a few ulps short
+    # of the mark k * dt; the march must not add a ~1e-15 step for that
+    model = ModelSpec(
+        growth=GrowthSpec.from_speed(lambda x: 0.5),
+        frag=FragmentationKernel.relative(lambda x: 0.5 * x ** 0.5,
+                                          uniform_ratio()),
+        domain_hint=(0.5, 2.0))
+    grid = SizeGrid.log_uniform(0.5, 2.0, 8)
+    op = build_discrete_operator(model, grid)
+    marks = [k * op.cfl_dt for k in range(1, 21)]
+    traj = solve(model, grid, 1.0, marks[-1], checkpoints=marks,
+                 operator=op)
+    assert traj.steps == 20
+    assert [s.time for s in traj.states] == marks

@@ -226,8 +226,8 @@ def test_semigroup_identity_number_growth():
     model = make_mitosis()
     law = _law(model, b=1.0)
     for t in (0.5, 1.0, 2.0):
-        est, se = mc_semigroup(model, law, lambda y: 1.0, 1.0, t,
-                               n_paths=64, seed=5)
+        est, se, _ = mc_semigroup(model, law, lambda y: 1.0, 1.0, t,
+                                  n_paths=64, seed=5)
         assert est == pytest.approx(np.exp(t), rel=1e-12)
         assert se == 0.0
 
@@ -239,8 +239,8 @@ def test_semigroup_identity_mass_growth():
     flow = FlowEngine(model.growth, *model.domain_hint)
     law = TiltedJumpLaw(model, identity_weight(flow), 1.0, flow)
     for t in (0.5, 1.0, 2.0):
-        est, se = mc_semigroup(model, law, lambda y: y, 1.0, t,
-                               n_paths=64, seed=5)
+        est, se, _ = mc_semigroup(model, law, lambda y: y, 1.0, t,
+                                  n_paths=64, seed=5)
         assert est == pytest.approx(np.exp(t), rel=1e-12)
         assert se == 0.0
 
@@ -251,10 +251,10 @@ def test_semigroup_estimate_independent_of_weight():
     flow = FlowEngine(model.growth, *model.domain_hint)
     exact_law = TiltedJumpLaw(model, identity_weight(flow), 1.0, flow)
     flat_law = TiltedJumpLaw(model, constant_weight(1.0), 1.0, flow)
-    est_a, se_a = mc_semigroup(model, exact_law, lambda y: y, 1.0, 1.0,
-                               n_paths=64, seed=7)
-    est_b, se_b = mc_semigroup(model, flat_law, lambda y: y, 1.0, 1.0,
-                               n_paths=600, seed=7)
+    est_a, se_a, _ = mc_semigroup(model, exact_law, lambda y: y, 1.0, 1.0,
+                                  n_paths=64, seed=7)
+    est_b, se_b, _ = mc_semigroup(model, flat_law, lambda y: y, 1.0, 1.0,
+                                  n_paths=600, seed=7)
     combined = np.hypot(se_a, se_b)
     assert abs(est_a - est_b) <= 3.0 * combined
 
@@ -265,3 +265,5 @@ def test_semigroup_bitwise_reproducible():
     a = mc_semigroup(model, law, lambda y: y, 1.0, 1.0, n_paths=50, seed=13)
     b = mc_semigroup(model, law, lambda y: y, 1.0, 1.0, n_paths=50, seed=13)
     assert a == b
+    # the returned trace is path 0's, so callers need not simulate it again
+    assert a[2] == simulate_path(model, law, 1.0, 1.0, seed=13, stream_id=0)

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from growfrag.cli import _KNOWN_KEYS, dumps_stable, load_config
 from growfrag.errors import ConfigError
+from growfrag.flow import FlowEngine
 from growfrag.model import (FragmentationKernel, GrowthSpec, ModelSpec,
                             RatioMeasure, power_ratio, uniform_ratio)
 from growfrag.pde import (DensityState, SizeGrid,
@@ -221,3 +222,19 @@ def test_march_balances_mass(atoms, density, rate, speed, n, x_min, x_max,
     balance = (traj.final.total_mass() + traj.floored_mass + lost
                - m0.sum() - gained)
     assert abs(balance) <= 1e-9 * (m0.sum() + scale)
+
+
+# speed c0 x^g on a table over (0.1, 10): queries start below and above
+# it and flow past its top, so the round trip covers extended tables
+@settings(max_examples=100, deadline=None)
+@given(c0=st.floats(0.1, 10.0), g=st.floats(-1.0, 0.5),
+       xs=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4),
+       ts=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=4))
+def test_flow_round_trip_on_power_speeds(c0, g, xs, ts):
+    flow = FlowEngine(GrowthSpec.from_speed(lambda x: c0 * x ** g),
+                      0.1, 10.0)
+    for x in xs:
+        for t in ts:
+            s_x = flow.s_of(x)
+            s_end = flow.s_of(flow.flow_at(x, t))
+            assert abs(s_end - (s_x + t)) <= 1e-9 * (1.0 + abs(s_x + t))
