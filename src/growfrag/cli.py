@@ -425,7 +425,8 @@ def cmd_qsd(cfg: RunConfig, out_dir: str) -> dict:
     law = TiltedJumpLaw(cfg.model, h, b=report.b)
     res = qsd.fv_run(cfg.model, law, cfg.n_particles, cfg.t_end,
                      burn_in=cfg.burn_in, x0=cfg.x0, seed=cfg.seed)
-    res.snapshots[-1].to_csv(os.path.join(out_dir, "ensemble.csv"))
+    qsd.ParticleEnsemble(res.snapshots[-1]).to_csv(
+        os.path.join(out_dir, "ensemble.csv"))
     return {
         "command": "qsd",
         "lambda0X": res.lambda0X,

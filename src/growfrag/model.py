@@ -81,13 +81,28 @@ class GrowthSpec:
                           kinks=tuple(kinks))
 
 
+def _elementwise(f):
+    """f applied to each entry of a 1-d array, called on Python floats
+    (as np.vectorize calls it, without its per-element overhead)."""
+    return lambda x: np.fromiter(map(f, x.tolist()), float, len(x))
+
+
+def _gauss8(f, a, b):
+    """8-point Gauss-Legendre integral of f over (a, b), elementwise."""
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    total = 0
+    for g, w in zip(*np.polynomial.legendre.leggauss(8)):
+        total = total + w * f(mid + half * g)
+    return half * total
+
+
 class RatioMeasure:
     """Measure p on (0,1): atoms plus an absolutely continuous part.
 
     Densities may be sigma-finite near 0 as long as the moments actually
     requested converge; divergent moment integrals raise MomentDivergence.
     density_inverse_cdf, when given, maps U(0,1) to an exact draw from the
-    normalized density part; otherwise draws invert a 4096-cell table.
+    normalized density part; otherwise draws invert cdf_table().
     """
 
     def __init__(self, atoms: Sequence[tuple] = (), density=None,
@@ -102,7 +117,7 @@ class RatioMeasure:
         self.density_singular_at_zero = density_singular_at_zero
         self.density_inverse_cdf = density_inverse_cdf
         self._cdf_table = None
-        self._sample_mass = None
+        self._mass = None
 
     def integral(self, g, rtol=QUAD_RTOL):
         """int_(0,1) g(u) p(du); atoms exactly, density by quadrature."""
@@ -128,18 +143,36 @@ class RatioMeasure:
         return val
 
     def mass(self):
-        return self.moment(0.0)
+        """p((0,1)), integrated once per measure."""
+        if self._mass is None:
+            self._mass = self.moment(0.0)
+        return self._mass
 
     def mean(self):
         return self.moment(1.0)
 
-    def _density_cdf(self, n=4096):
+    def cdf_table(self):
+        """Cumulative P(u) = p((0,u]) of the density part, as (grid, P).
+
+        Built once per measure: 8-point Gauss panels on (0, 1e-12], on
+        2047 geometric cells up to 1e-2 and on 8191 uniform cells up
+        to 1; interval masses follow by interpolating P.  For a density
+        singular at 0 the Gauss nodes miss most of the first panel's
+        mass, so that panel is integrated adaptively.  Draws invert
+        the table linearly inside each panel, which is not the law in
+        the first one: for (theta+2) u^theta at theta = -0.9 it holds
+        about 6% of the mass (1e-12^0.1).
+        """
         if self._cdf_table is None:
-            u = np.linspace(0.0, 1.0, n + 1)
-            mid = 0.5 * (u[:-1] + u[1:])
-            dens = np.array([self.density(v) for v in mid])
-            cum = np.concatenate([[0.0], np.cumsum(dens) * (1.0 / n)])
-            self._cdf_table = (u, cum / cum[-1])
+            # geometric refinement near 0 to absorb integrable singularities
+            left = np.geomspace(1e-12, 1e-2, 2048)
+            right = np.linspace(1e-2, 1.0, 8192)[1:]
+            grid = np.concatenate([[0.0], left, right])
+            panel = _gauss8(_elementwise(self.density), grid[:-1], grid[1:])
+            if self.density_singular_at_zero:
+                panel[0] = _quad(self.density, 0.0, grid[1])
+            self._cdf_table = (grid,
+                               np.concatenate([[0.0], np.cumsum(panel)]))
         return self._cdf_table
 
     def sample(self, rng_uniform):
@@ -147,21 +180,15 @@ class RatioMeasure:
 
         rng_uniform is a callable returning U(0,1) variates.
         """
-        if self._sample_mass is None:
-            atom_mass = sum(w for _, w in self.atoms)
-            dens_mass = 0.0
-            if self.density is not None:
-                dens_mass = self.mass() - atom_mass
-            self._sample_mass = atom_mass + dens_mass
-        pick = rng_uniform() * self._sample_mass
+        pick = rng_uniform() * self.mass()
         for u, w in self.atoms:
             pick -= w
             if pick <= 0.0:
                 return u
         if self.density_inverse_cdf is not None:
             return float(self.density_inverse_cdf(rng_uniform()))
-        grid, cdf = self._density_cdf()
-        return float(np.interp(rng_uniform(), cdf, grid))
+        grid, cum = self.cdf_table()
+        return float(np.interp(rng_uniform() * cum[-1], cum, grid))
 
 
 @dataclass
@@ -313,12 +340,6 @@ class ModelSpec:
         """Log-uniform probe points used for all spot checks."""
         lo, hi = self.domain_hint
         return np.geomspace(lo, hi, self.n_probe)
-
-    def speed(self, x):
-        """c(x) when available (speed-c growth)."""
-        if self.growth.kind != "speed-c":
-            raise DomainError("speed only defined for speed-c growth")
-        return self.growth.c(x)
 
     def validate(self, flow=None):
         """Spot-check the structural invariants on the probe grid.

@@ -6,7 +6,7 @@ generator A: first-order donor-cell upwind transport (c > 0 moves mass
 rightward), fragmentation outflow at rate K(x_i), and inflow rows
 obtained by integrating the child kernel over destination cells.
 Atomic ratio kernels land in cells exactly; densities are integrated
-through a high-resolution cumulative table.
+through the ratio measure's cumulative table, the one its draws invert.
 
 On a log-uniform grid edges_j / x_i = r^(j-i-1/2), so a relative
 kernel's unit inflow from cell i into cell j >= 1 depends on i - j
@@ -31,7 +31,7 @@ from scipy import sparse
 from .errors import (CFLUnsatisfiable, CFLViolation, DomainError,
                      NegativeMass)
 from .flow import FlowEngine
-from .model import ModelSpec, _quad
+from .model import ModelSpec, _elementwise, _gauss8
 
 _CFL_FACTOR = 0.9
 _MIN_DT = 1e-12
@@ -113,36 +113,6 @@ def pairing(state: DensityState, f: Callable) -> float:
     """<u_t, f> ~ sum_i f(x_i) m_i with midpoint (geometric-center) nodes."""
     centers = state.grid.centers
     return float(sum(f(x) * m for x, m in zip(centers, state.masses)))
-
-
-def _elementwise(f):
-    """f applied to each entry of a 1-d array, called on Python floats
-    (as np.vectorize calls it, without its per-element overhead)."""
-    return lambda x: np.fromiter(map(f, x.tolist()), float, len(x))
-
-
-def _gauss8(f, a, b):
-    """8-point Gauss-Legendre integral of f over (a, b), elementwise."""
-    half, mid = 0.5 * (b - a), 0.5 * (a + b)
-    total = 0
-    for g, w in zip(*np.polynomial.legendre.leggauss(8)):
-        total = total + w * f(mid + half * g)
-    return half * total
-
-
-def _density_cell_masses(measure, n_fine=8192):
-    """Cumulative P(u) = p((0,u]) of the density part on a fine grid,
-    returned as (grid, cumulative) for interval masses by interp."""
-    # geometric refinement near 0 to absorb integrable singularities
-    left = np.geomspace(1e-12, 1e-2, n_fine // 4)
-    right = np.linspace(1e-2, 1.0, n_fine)[1:]
-    grid = np.concatenate([[0.0], left, right])
-    panel = _gauss8(_elementwise(measure.density),
-                    grid[:-1], grid[1:])
-    if measure.density_singular_at_zero:
-        # Gauss nodes miss most of the mass of a singularity at 0
-        panel[0] = _quad(measure.density, 0.0, grid[1])
-    return grid, np.concatenate([[0.0], np.cumsum(panel)])
 
 
 @dataclass(frozen=True)
@@ -232,7 +202,7 @@ def build_discrete_operator(model: ModelSpec,
         p_mass = measure.mass()
         has_density = measure.density is not None
         if has_density:
-            cdf_grid, cdf_vals = _density_cell_masses(measure)
+            cdf_grid, cdf_vals = measure.cdf_table()
 
         def unit_inflow(i):
             """Column i's inflow per unit rate, and the parts of it that

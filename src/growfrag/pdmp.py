@@ -113,8 +113,8 @@ class TiltedJumpLaw:
     def sup_tilt_ratio(self, x: float) -> float:
         """Upper bound for h(ux)/h(x) over u in (0,1), with safety margin."""
         us = np.concatenate([np.geomspace(1e-6, 0.999999, 48),
-                             [u for u, _ in getattr(
-                                 self.model.frag.ratio_measure, "atoms", ())]])
+                             [u for u, _ in
+                              self.model.frag.ratio_measure.atoms]])
         tilt = self.h.tilt(x)
         peak = max(tilt(u * x) for u in us)
         return 1.2 * max(peak, 1e-300)

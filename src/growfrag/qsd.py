@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import csv
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy import stats
@@ -46,20 +47,19 @@ class UnsupportedModel(UserWarning):
 class _Particle:
     """One FV particle: its PDMP state plus flow anchors for replay.
 
-    anchors[(t_k, x_k)] are the post-jump (or respawn) positions; the
-    position at any t >= t_k before the next anchor is the flow from
-    (t_k, x_k), so other particles can be queried at kill times.
+    times[k], positions[k] are the post-jump (or respawn) anchors; the
+    position at any t >= times[k] before the next anchor is the flow
+    from it, so other particles can be queried at kill times.
     """
 
     state: PdmpState
-    anchors: list
+    times: list
+    positions: list
     next_kill: float   # pending kill time, inf if the path survives t_end
 
     def position_at(self, t: float, flow) -> float:
-        times = [a[0] for a in self.anchors]
-        k = int(np.searchsorted(times, t, side="right")) - 1
-        t_k, x_k = self.anchors[k]
-        return flow.flow_at(x_k, t - t_k)
+        k = bisect_right(self.times, t) - 1
+        return flow.flow_at(self.positions[k], t - self.times[k])
 
     def run(self, model: ModelSpec, law: TiltedJumpLaw, t_end: float):
         """Simulate until the particle is killed or reaches t_end.
@@ -69,23 +69,18 @@ class _Particle:
         """
         trace = simulate_path(model, law, self.state.position, t_end,
                               state=self.state)
-        self.anchors.extend((t, x) for t, x, event in trace.points
-                            if event == "jump")
+        for t, x, event in trace.points:
+            if event == "jump":
+                self.times.append(t)
+                self.positions.append(x)
         self.next_kill = np.inf if trace.alive else trace.points[-1][0]
 
 
 @dataclass
 class ParticleEnsemble:
-    """Snapshot of the FV system: alive positions, time, kill counter."""
+    """Positions of the FV particles at one instant."""
 
     positions: np.ndarray
-    time: float
-    kills: int
-
-    def __post_init__(self):
-        self.positions = np.asarray(self.positions, dtype=float)
-        if np.any(self.positions <= 0.0):
-            raise DomainError("all ensemble positions must be positive")
 
     @property
     def n(self):
@@ -111,7 +106,7 @@ class FVResult:
     burn_in: float
     t_end: float
     supported: bool
-    snapshots: Sequence[ParticleEnsemble]
+    snapshots: np.ndarray       # (200, N) positions at the snapshot times
     kill_times: np.ndarray
 
 
@@ -149,8 +144,8 @@ def fv_run(model: ModelSpec, law: TiltedJumpLaw, n_particles: int,
     particles = []
     for i in range(n_particles):
         state = PdmpState.fresh(x0, seed=seed, stream_id=i)
-        particles.append(_Particle(state=state, anchors=[(0.0, float(x0))],
-                                   next_kill=np.inf))
+        particles.append(_Particle(state=state, times=[0.0],
+                                   positions=[float(x0)], next_kill=np.inf))
         particles[-1].run(model, law, t_end)
 
     kill_times = []
@@ -172,7 +167,8 @@ def fv_run(model: ModelSpec, law: TiltedJumpLaw, n_particles: int,
         victim = particles[i_star]
         victim.state.position = float(x_new)
         victim.state.clock = t_kill
-        victim.anchors.append((t_kill, float(x_new)))
+        victim.times.append(t_kill)
+        victim.positions.append(float(x_new))
         victim.run(model, law, t_end)
 
     kill_times = np.array(kill_times)
@@ -194,16 +190,14 @@ def fv_run(model: ModelSpec, law: TiltedJumpLaw, n_particles: int,
     ci = (float(lambda0X - half), float(lambda0X + half))
 
     obs_times = np.linspace(burn_in, t_end, _N_SNAPSHOTS + 1)[1:]
-    snapshots = []
-    total_kills = len(kill_times)
-    for t in obs_times:
-        pos = np.array([p.position_at(t, law.flow) for p in particles])
-        snapshots.append(ParticleEnsemble(
-            positions=pos, time=float(t),
-            kills=int(np.sum(kill_times <= t))))
-    nu_hat = np.concatenate([s.positions for s in snapshots])
-    return FVResult(nu_hat=nu_hat, lambda0X=float(lambda0X), ci=ci,
-                    kills=total_kills, n_particles=n_particles,
+    # filled row by row: one nested list would hold N * 200 float objects
+    snapshots = np.empty((_N_SNAPSHOTS, n_particles))
+    for row, t in zip(snapshots, obs_times):
+        row[:] = [p.position_at(t, law.flow) for p in particles]
+    if np.any(snapshots <= 0.0):
+        raise DomainError("all ensemble positions must be positive")
+    return FVResult(nu_hat=snapshots.ravel(), lambda0X=float(lambda0X),
+                    ci=ci, kills=len(kill_times), n_particles=n_particles,
                     burn_in=float(burn_in), t_end=float(t_end),
                     supported=supported, snapshots=snapshots,
                     kill_times=kill_times)

@@ -18,9 +18,13 @@ from growfrag.lyapunov import (
 )
 from growfrag.model import (
     FragmentationKernel,
+    GrowthSpec,
+    ModelSpec,
+    WeightFunction,
     constant_weight,
     identity_weight,
     mitosis_ratio,
+    power_ratio,
     uniform_ratio,
 )
 from growfrag.pde import SizeGrid, build_discrete_operator, pairing, solve
@@ -142,6 +146,42 @@ def test_acceptance_duality(canonical_model, canonical_weight):
         assert abs(est - extrapolated) <= 3.0 * se + scheme, (
             f"functional {k}: mc {est} +- {se}, pde {extrapolated}, "
             f"scheme budget {scheme}")
+
+
+@pytest.mark.filterwarnings("ignore::growfrag.pde.BoundaryLeak")
+def test_acceptance_duality_singular_power_kernel():
+    # c = 1, K(x) = x, p(du) = 1.5 u^-0.5 du: A h = sqrt(2) h exactly for
+    # h = 1 + sqrt(2) x, so with b = sqrt(2) no path is killed, and
+    # <u_t, id> = cosh(sqrt(2) t) + sinh(sqrt(2) t) / sqrt(2) from x0 = 1
+    model = ModelSpec(
+        growth=GrowthSpec.from_speed(lambda x: 1.0),
+        frag=FragmentationKernel.relative(lambda x: x, power_ratio(-0.5),
+                                          mass_conserving=True),
+        domain_hint=(0.01, 40.0))
+    root2 = np.sqrt(2.0)
+    h = WeightFunction(value=lambda x: 1.0 + root2 * x,
+                       s_derivative=lambda x: root2)
+    law = TiltedJumpLaw(model, h, root2)
+    t = 0.5
+    exact = np.cosh(root2 * t) + np.sinh(root2 * t) / root2
+    est, se, _ = mc_semigroup(model, law, lambda y: y, 1.0, t,
+                              n_paths=2000, seed=21)
+    assert abs(est - exact) <= 3.0 * se
+
+    pde_vals = {}
+    for n in (256, 512):
+        grid = SizeGrid.log_uniform(0.01, 40.0, n)
+        traj = solve(model, grid, 1.0, t_end=t)
+        pde_vals[n] = pairing(traj.final, lambda x: x)
+    coarse, fine = pde_vals[256], pde_vals[512]
+    extrapolated = 2.0 * fine - coarse
+    # mass landing below x_min is folded into the first cell, whose
+    # center exceeds every y in (0, x_min) by at most that center
+    scheme = 2.0 * abs(fine - coarse) \
+        + traj.below_domain_mass * grid.centers[0]
+    assert abs(est - extrapolated) <= 3.0 * se + scheme, (
+        f"mc {est} +- {se}, pde {extrapolated}, scheme budget {scheme}")
+    assert abs(extrapolated - exact) <= scheme
 
 
 # -- 4: principal eigenvalue --------------------------------------------------------

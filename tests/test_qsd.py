@@ -16,6 +16,7 @@ from growfrag.pdmp import TiltedJumpLaw
 from growfrag.pde import SizeGrid
 from growfrag.qsd import (
     EtaEstimate,
+    ParticleEnsemble,
     StallWarning,
     UnsupportedModel,
     eta_estimate,
@@ -197,7 +198,9 @@ def test_result_artifacts(tmp_path):
     assert payload["lambda0X"] == res.lambda0X
     assert payload["ci"] == [res.ci[0], res.ci[1]]
     assert payload["kills"] == res.kills
-    snap = res.snapshots[-1]
+    assert res.snapshots.shape == (200, 120)
+    assert np.array_equal(res.nu_hat, res.snapshots.ravel())
+    snap = ParticleEnsemble(res.snapshots[-1])
     out = tmp_path / "ensemble.csv"
     snap.to_csv(out)
     lines = out.read_text().strip().splitlines()
