@@ -25,8 +25,8 @@ from . import lyapunov, pde, qsd, spectral
 from .errors import (ConfigError, CriterionViolated, DomainError,
                      GrowfragError, MomentDivergence, QuadratureDivergence,
                      UnboundedAbove)
-from .model import (DoeblinDeclaration, FragmentationKernel, GrowthSpec,
-                    ModelSpec, constant_weight, mitosis_ratio, power_ratio,
+from .model import (FragmentationKernel, GrowthSpec, ModelSpec,
+                    constant_weight, mitosis_ratio, power_ratio,
                     uniform_ratio)
 from .pdmp import TiltedJumpLaw, mc_semigroup
 
@@ -221,17 +221,16 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
         raise ConfigError(
             f"domain must satisfy x_min < 1 < x_max, got ({x_min}, {x_max})",
             key="x_min")
-    grid_n = _get(parser, "numerics", "grid_n", int, 256, positive=True)
+    grid_n = _get(parser, "numerics", "grid_n", int, 256, minimum=2)
     dt = _get(parser, "numerics", "dt", float, None, positive=True)
     method = _get(parser, "numerics", "method", str, "euler").strip()
     if method not in ("euler", "heun"):
         raise ConfigError(f"unknown time stepper {method!r}", key="method")
 
-    doeblin = DoeblinDeclaration()
-    doeblin.irreducible = _get(parser, "model", "irreducible", bool, True)
+    irreducible = _get(parser, "model", "irreducible", bool, True)
     model = ModelSpec(growth=_build_growth(parser),
                       frag=_build_kernel(parser),
-                      domain_hint=(x_min, x_max), doeblin=doeblin)
+                      domain_hint=(x_min, x_max), irreducible=irreducible)
 
     seed = _get(parser, "run", "seed", int, 0)
     if seed_override is not None:
@@ -269,6 +268,12 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
         spectral_json=_get(parser, "run", "spectral_json", str, None),
     )
     cfg.functional()   # raises ConfigError naming f for an unknown name
+    if cfg.burn_in is not None and cfg.burn_in >= cfg.t_end:
+        raise ConfigError(f"[run] burn_in = {cfg.burn_in} must lie below "
+                          f"t_end = {cfg.t_end}", key="burn_in")
+    if cfg.regime == "pseudo-entrance" and cfg.alpha <= 1.0:
+        raise ConfigError(f"[run] alpha = {cfg.alpha}: the pseudo-entrance "
+                          "construction needs alpha > 1", key="alpha")
     return cfg
 
 
@@ -298,6 +303,14 @@ def _check_marks(marks, t_end):
         raise ConfigError(
             f"checkpoints {', '.join(f'{t:g}' for t in outside)} lie "
             f"outside [0, t_end = {t_end:g}]", key="checkpoints")
+
+
+def _check_start(cfg: RunConfig):
+    """Reject a point-mass start outside the size grid."""
+    if not cfg.x_min <= cfg.x0 <= cfg.x_max:
+        raise ConfigError(
+            f"x0 = {cfg.x0:g} lies outside the grid [x_min, x_max] = "
+            f"[{cfg.x_min:g}, {cfg.x_max:g}]", key="x0")
 
 
 # -- subcommands ----------------------------------------------------------
@@ -382,6 +395,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> dict:
 
 def cmd_pde(cfg: RunConfig, out_dir: str) -> dict:
     _check_marks(cfg.checkpoints, cfg.t_end)
+    _check_start(cfg)
     grid = _grid(cfg)
     traj = pde.solve(cfg.model, grid, cfg.x0, cfg.t_end, dt=cfg.dt,
                      method=cfg.method, checkpoints=cfg.checkpoints or None)
@@ -461,6 +475,7 @@ def cmd_converge(cfg: RunConfig, out_dir: str) -> dict:
     marks = cfg.checkpoints or list(np.linspace(
         0.25 * horizon, horizon, 12))
     _check_marks(marks, horizon)
+    _check_start(cfg)
     # the states that solve records past the burn-in, t_end included
     kept = {t for t in marks
             if spectral.BURN_IN_FRACTION * horizon < t <= horizon}

@@ -1,7 +1,7 @@
 """Deterministic transport between jumps.
 
 The scale s is strictly increasing with s(1) = 0, and the semi-flow is
-phi(x, t) = s^{-1}(s(x) + t).  For speed-c growth, s is built once as a
+phi(x, t) = s^{-1}(s(x) + t).  s is built once as a
 cumulative-quadrature table with exact node derivatives 1/c and cubic
 Hermite interpolation; inversion goes through the inverse Hermite table
 (derivative c) followed by one Newton polish, so the round trip
@@ -17,16 +17,18 @@ from array import array
 from bisect import bisect_right
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import integrate
 from scipy.interpolate import CubicHermiteSpline
 
 from .errors import DomainError, QuadratureDivergence, RangeExtensionFailure
-from .model import GrowthSpec, _quad
+from .model import GrowthSpec
 
 _EXTENSION_CEILING = 1e6   # table never extends past x_max * ceiling
 _INV_TOL = 1e-12           # inversion tolerance, in s-units
 _KINK_RATIO = 1.025        # node clustering ratio around declared kinks
 _KINK_INNER = 1e-7         # innermost node offset at a kink
+_NODES_PER_DECADE = 320    # geometric table nodes per decade of x
+_S0_PROBES = (1e-6, 1e-9, 1e-12)   # probes of the trend of s at 0+
 
 
 def _panel_integral(c, a, b):
@@ -104,22 +106,15 @@ class HermiteTable:
 class FlowEngine:
     """Scale table, semi-flow and arc integrals for one growth law."""
 
-    def __init__(self, growth: GrowthSpec, x_min=1e-4, x_max=1e4,
-                 nodes_per_decade=320):
+    def __init__(self, growth: GrowthSpec, x_min=1e-4, x_max=1e4):
         self.growth = growth
         self.x_hard_max = x_max * _EXTENSION_CEILING
-        self.nodes_per_decade = nodes_per_decade
-        if growth.kind == "speed-c":
-            self._build_table(x_min, x_max)
-        else:
-            self._s = growth.s
-            self._s_inv = growth.s_inverse
-            self._x_lo, self._x_hi = x_min, x_max
+        self._build_table(x_min, x_max)
 
-    # -- table construction (speed-c) -----------------------------------
+    # -- table construction -----------------------------------------------
 
     def _node_set(self, x_lo, x_hi):
-        n = max(int(np.log10(x_hi / x_lo) * self.nodes_per_decade), 16)
+        n = max(int(np.log10(x_hi / x_lo) * _NODES_PER_DECADE), 16)
         nodes = set(np.geomspace(x_lo, x_hi, n))
         nodes.add(1.0)
         for kink in self.growth.kinks:
@@ -189,27 +184,22 @@ class FlowEngine:
         """s(x); strictly increasing, s(1) = 0 exactly."""
         if x <= 0.0:
             raise DomainError(f"s queried at x={x} <= 0")
-        if self.growth.kind == "explicit-s":
-            return float(self._s(x))
         if x == 1.0:
             return 0.0
         if not self._x_lo <= x <= self._x_hi:
             self._extend(x)
         return float(self._fwd(x))
 
-    def s_lower_limit(self, probe_eps=(1e-6, 1e-9, 1e-12)):
+    def s_lower_limit(self):
         """s(0+): finite value if the integral converges, else -inf.
 
         Convergence is judged from the trend of s at shrinking probes.
         """
         vals = []
-        for eps in probe_eps:
-            if self.growth.kind == "explicit-s":
-                vals.append(float(self._s(eps)))
-            else:
-                if eps < self._x_lo:
-                    self._extend(eps)
-                vals.append(self.s_of(max(eps, self._x_lo)))
+        for eps in _S0_PROBES:
+            if eps < self._x_lo:
+                self._extend(eps)
+            vals.append(self.s_of(max(eps, self._x_lo)))
         d1 = vals[-2] - vals[-3]
         d2 = vals[-1] - vals[-2]
         if abs(d2) < 1e-9 * (1.0 + abs(vals[-1])):
@@ -232,10 +222,6 @@ class FlowEngine:
         return self._invert(target)
 
     def _invert(self, target):
-        if self.growth.kind == "explicit-s":
-            if self._s_inv is not None:
-                return float(self._s_inv(target))
-            return self._invert_explicit(target)
         while target > self._s_hi:
             self._extend(self._x_hi * 4.0)
         y = float(self._inv(target))
@@ -255,37 +241,6 @@ class FlowEngine:
             y = y_new
         return y
 
-    def _invert_explicit(self, target):
-        lo, hi = self._x_lo, self._x_hi
-        while self._s(hi) < target:
-            hi *= 4.0
-            if hi > self.x_hard_max:
-                raise RangeExtensionFailure(
-                    f"scale inversion bracket beyond {self.x_hard_max:g}")
-        while self._s(lo) > target:
-            lo /= 4.0
-            if lo < 1.0 / self.x_hard_max:
-                raise RangeExtensionFailure("scale inversion bracket underflow")
-        return float(optimize.brentq(lambda y: self._s(y) - target, lo, hi,
-                                     xtol=1e-300, rtol=4e-16))
-
     def speed_at(self, x):
-        """dx/ds at x (equals c(x) for speed-c growth)."""
-        if self.growth.kind == "speed-c":
-            return float(self.growth.c(x))
-        eps = 1e-7 * max(x, 1.0)
-        return eps / (self._s(x + eps) - self._s(x))
-
-    def integrate_along_flow(self, g, x, t, rtol=1e-8):
-        """int_0^t g(phi(x, u)) du by adaptive quadrature."""
-        if t == 0.0:
-            return 0.0
-        if self.growth.kind == "speed-c":
-            # substitute y = phi(x,u): du = dy / c(y)
-            y_end = self.flow_at(x, t)
-            c = self.growth.c
-            pts = [k for k in self.growth.kinks if x < k < y_end] or None
-            return _quad(lambda y: g(y) / c(y), x, y_end, rtol=rtol,
-                         limit=200, points=pts)
-        return _quad(lambda u: g(self.flow_at(x, u)), 0.0, t, rtol=rtol,
-                     limit=200)
+        """dx/ds at x, the speed c(x)."""
+        return float(self.growth.c(x))

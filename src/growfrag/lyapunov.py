@@ -33,31 +33,26 @@ _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 # -- optimizer ----------------------------------------------------------
 
-def golden_minimize(f, lo, hi, tol=GOLDEN_TOL, max_iter=GOLDEN_MAX_ITER,
-                    expand_lo=None, expand_hi=None):
+def golden_minimize(f, lo, hi, tol=GOLDEN_TOL, expand_hi=None):
     """Golden-section minimum of f on [lo, hi] with bracket auto-expansion.
 
-    When the minimum sits on an expandable boundary the bracket is doubled
-    (up to expand_lo/expand_hi) before the section search starts.  Returns
+    When the minimum sits on the upper boundary the bracket is doubled
+    (up to expand_hi) before the section search starts.  Returns
     (argmin, minimum).
     """
     if not lo < hi:
         raise DomainError(f"empty optimizer bracket ({lo}, {hi})")
     for _ in range(64):
         width = hi - lo
-        if expand_hi is not None and hi < expand_hi and \
-                f(hi) < f(hi - 1e-3 * width):
-            hi = min(hi + width, expand_hi)
-        elif expand_lo is not None and lo > expand_lo and \
-                f(lo) < f(lo + 1e-3 * width):
-            lo = max(lo - width, expand_lo)
-        else:
+        if expand_hi is None or hi >= expand_hi or \
+                not f(hi) < f(hi - 1e-3 * width):
             break
+        hi = min(hi + width, expand_hi)
     a, b = lo, hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(max_iter):
+    for _ in range(GOLDEN_MAX_ITER):
         if b - a <= tol:
             break
         if fc < fd:
@@ -92,23 +87,22 @@ def _tail_extreme(probes, vals, side, extreme):
 class CumulativeRateIntegral:
     """Spline table for G(x) = int_1^x K(y) s(dy), anchored at G(1) = 0.
 
-    Below the table the value is held flat (used when the integral
-    converges at 0); above it, linear continuation with the end slope.
+    The table spans (min(1e-7, x_min/100), 10 x_max) at 100 geometric
+    nodes per decade.  Below it the value is held flat (used when the
+    integral converges at 0); above it, linear continuation with the end
+    slope.
     """
 
-    def __init__(self, model: ModelSpec, flow: FlowEngine,
-                 x_lo=None, x_hi=None, nodes_per_decade=100):
+    def __init__(self, model: ModelSpec, flow: FlowEngine):
         lo, hi = model.domain_hint
-        self.x_lo = x_lo if x_lo is not None else min(1e-7, lo / 100.0)
-        self.x_hi = x_hi if x_hi is not None else hi * 10.0
+        x_lo, x_hi = min(1e-7, lo / 100.0), hi * 10.0
         rate = model.frag.loss_rate
 
         def integrand(y):
             return rate(y) / flow.speed_at(y)
 
-        n = max(int(np.log10(self.x_hi / self.x_lo) * nodes_per_decade), 16)
-        xs = np.array(sorted(set(np.geomspace(self.x_lo, self.x_hi, n))
-                             | {1.0}))
+        n = max(int(np.log10(x_hi / x_lo) * 100), 16)
+        xs = np.array(sorted(set(np.geomspace(x_lo, x_hi, n)) | {1.0}))
         def panel(a, b):
             try:
                 return _quad(integrand, a, b, rtol=1e-11, limit=200)
@@ -271,15 +265,6 @@ def _report(model, regime, h, h_pass, b, checks, psi_prime,
 
 # -- weight constructions ------------------------------------------------
 
-def _require_relative(model_or_kernel):
-    frag = model_or_kernel.frag if isinstance(model_or_kernel, ModelSpec) \
-        else model_or_kernel
-    if frag.kind != "relative" or frag.ratio_measure is None:
-        raise DomainError("this construction needs a relative kernel "
-                          "K(x) p(m_x^{-1} du)")
-    return frag
-
-
 def _two_sided_exp(left, right, scale, label, slope=lambda x: 1.0):
     """w(x) = exp(coef scale(x)), coef = left for x < 1 and right from 1 on.
 
@@ -310,7 +295,7 @@ def build_h_pseudo_entrance(model: ModelSpec, alpha: float) -> WeightFunction:
     """
     if alpha <= 1.0:
         raise DomainError("pseudo-entrance construction needs alpha > 1")
-    frag = _require_relative(model)
+    frag = model.frag
     measure = frag.ratio_measure
     flow = FlowEngine(model.growth, *model.domain_hint)
     cum = CumulativeRateIntegral(model, flow)
@@ -378,7 +363,7 @@ def build_h_powerlaw(model: ModelSpec, alpha: float,
     """
     if alpha < 0.0 or beta < 0.0:
         raise DomainError("power-law exponents must be non-negative")
-    frag = _require_relative(model)
+    frag = model.frag
     measure = frag.ratio_measure
     flow = FlowEngine(model.growth, *model.domain_hint)
     probes = model.probe_grid()
@@ -445,8 +430,7 @@ def criterion_lnx(p: FragmentationKernel):
     limsup_{x->0} K(x) < low and liminf_{x->inf} K(x) > high, with
     low = sup_{a<1} (1-a)/(p_a - 1) and high = inf_{b>1} (b-1)/(1-p_b).
     """
-    frag = _require_relative(p)
-    measure = frag.ratio_measure
+    measure = p.ratio_measure
 
     def low_objective(a):
         pa = measure.integral(lambda u: u ** a, rtol=1e-12)
@@ -522,7 +506,7 @@ def criterion_K_constant(model: ModelSpec) -> AssumptionReport:
     c(x)/x, a finite u^{-delta} moment, s(0+) = -infinity, and the rate
     pinched in (0, 1].
     """
-    frag = _require_relative(model)
+    frag = model.frag
     measure = frag.ratio_measure
     threshold = measure.integral(lambda u: -np.log(u))
 

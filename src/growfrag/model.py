@@ -1,19 +1,17 @@
 """Coefficient declarations for growth-fragmentation models.
 
-A model is a growth law (either the monotone scale s directly or a speed
-c > 0 with s(x) = int_1^x dy/c(y)), a fragmentation rate K and a
-fragmentation kernel k.  The generator acts on weight functions as
+A model is a growth speed c > 0, with scale s(x) = int_1^x dy/c(y), and a
+relative fragmentation kernel k(x,.) = K(x) * p o m_x^{-1}: a rate K and
+a measure p on the child/parent ratio u in (0,1), with m_x(u) = x*u.
+The generator acts on weight functions as
 
     A f(x) = df/ds(x) + int_(0,x) f(y) k(x,dy) - K(x) f(x).
-
-Relative kernels factor as k(x,.) = K(x) * p o m_x^{-1} with m_x(u) = x*u
-and p a measure on the child/parent ratio u in (0,1).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -23,15 +21,16 @@ from .errors import DomainError, MomentDivergence, QuadratureDivergence
 
 QUAD_RTOL = 1e-8
 QUAD_LIMIT = 50
+_N_PROBE = 256    # log-uniform probe points of every spot check
 
 
-def _quad(func, a, b, rtol=QUAD_RTOL, limit=QUAD_LIMIT, points=None):
+def _quad(func, a, b, rtol=QUAD_RTOL, limit=QUAD_LIMIT):
     """scipy quad wrapper that raises QuadratureDivergence on failure."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", integrate.IntegrationWarning)
         try:
             val, err = integrate.quad(
-                func, a, b, epsabs=0.0, epsrel=rtol, limit=limit, points=points
+                func, a, b, epsabs=0.0, epsrel=rtol, limit=limit
             )
         except integrate.IntegrationWarning as exc:
             raise QuadratureDivergence(
@@ -48,37 +47,18 @@ def _quad(func, a, b, rtol=QUAD_RTOL, limit=QUAD_LIMIT, points=None):
 
 @dataclass(frozen=True)
 class GrowthSpec:
-    """Growth law, as an explicit scale s or a positive speed c.
+    """Growth law given by a positive speed c.
 
-    kinks lists x-locations where c (or ds/dx) is discontinuous or
-    singular; the flow table is densified there and evaluation is from
-    the right.
+    kinks lists x-locations where c is discontinuous or singular; the
+    flow table is densified there and evaluation is from the right.
     """
 
-    kind: str  # "speed-c" or "explicit-s"
-    c: Optional[Callable[[float], float]] = None
-    s: Optional[Callable[[float], float]] = None
-    s_inverse: Optional[Callable[[float], float]] = None
+    c: Callable[[float], float]
     kinks: tuple = ()
-
-    def __post_init__(self):
-        if self.kind == "speed-c":
-            if self.c is None:
-                raise DomainError("speed-c growth needs a speed callable")
-        elif self.kind == "explicit-s":
-            if self.s is None:
-                raise DomainError("explicit-s growth needs a scale callable")
-        else:
-            raise DomainError(f"unknown growth kind {self.kind!r}")
 
     @staticmethod
     def from_speed(c, kinks=()):
-        return GrowthSpec(kind="speed-c", c=c, kinks=tuple(kinks))
-
-    @staticmethod
-    def from_scale(s, s_inverse=None, kinks=()):
-        return GrowthSpec(kind="explicit-s", s=s, s_inverse=s_inverse,
-                          kinks=tuple(kinks))
+        return GrowthSpec(c=c, kinks=tuple(kinks))
 
 
 def _elementwise(f):
@@ -158,10 +138,7 @@ class RatioMeasure:
         2047 geometric cells up to 1e-2 and on 8191 uniform cells up
         to 1; interval masses follow by interpolating P.  For a density
         singular at 0 the Gauss nodes miss most of the first panel's
-        mass, so that panel is integrated adaptively.  Draws invert
-        the table linearly inside each panel, which is not the law in
-        the first one: for (theta+2) u^theta at theta = -0.9 it holds
-        about 6% of the mass (1e-12^0.1).
+        mass, so that panel is integrated adaptively.
         """
         if self._cdf_table is None:
             # geometric refinement near 0 to absorb integrable singularities
@@ -188,66 +165,46 @@ class RatioMeasure:
         if self.density_inverse_cdf is not None:
             return float(self.density_inverse_cdf(rng_uniform()))
         grid, cum = self.cdf_table()
-        return float(np.interp(rng_uniform() * cum[-1], cum, grid))
+        v = rng_uniform() * cum[-1]
+        if v < cum[1]:
+            # the first panel (0, g1] has no inner nodes: invert the local
+            # power law P(u) = P(g1) (u/g1)^a, a read off the first two
+            # panels, which is exact for a power density
+            a = np.log(cum[2] / cum[1]) / np.log(grid[2] / grid[1])
+            return float(grid[1] * (v / cum[1]) ** (1.0 / a))
+        return float(np.interp(v, cum, grid))
 
 
 @dataclass
 class FragmentationKernel:
-    """Child-size kernel, either relative (rate K times ratio measure p)
-    or general (an explicit density k(x, y) on (0, x))."""
+    """Relative child-size kernel: rate K times the ratio measure p."""
 
-    kind: str  # "relative" or "general"
-    rate: Optional[Callable[[float], float]] = None  # K(x), relative only
-    ratio_measure: Optional[RatioMeasure] = None
-    general_density: Optional[Callable[[float, float], float]] = None
+    rate: Callable[[float], float]
+    ratio_measure: RatioMeasure
     mass_conserving: bool = False
 
     def __post_init__(self):
-        if self.kind == "relative":
-            if self.rate is None or self.ratio_measure is None:
-                raise DomainError("relative kernel needs rate and ratio measure")
-            if self.mass_conserving:
-                mean = self.ratio_measure.mean()
-                if abs(mean - 1.0) > 1e-8:
-                    raise DomainError(
-                        f"kernel declared mass-conserving but int u p(du)={mean!r}"
-                    )
-        elif self.kind == "general":
-            if self.general_density is None:
-                raise DomainError("general kernel needs a density k(x, y)")
-        else:
-            raise DomainError(f"unknown kernel kind {self.kind!r}")
+        if self.mass_conserving:
+            mean = self.ratio_measure.mean()
+            if abs(mean - 1.0) > 1e-8:
+                raise DomainError(
+                    f"kernel declared mass-conserving but int u p(du)={mean!r}"
+                )
 
     @staticmethod
     def relative(rate, ratio_measure, mass_conserving=False):
-        return FragmentationKernel(kind="relative", rate=rate,
-                                   ratio_measure=ratio_measure,
+        return FragmentationKernel(rate=rate, ratio_measure=ratio_measure,
                                    mass_conserving=mass_conserving)
 
-    @staticmethod
-    def general(density):
-        return FragmentationKernel(kind="general", general_density=density)
-
-    def integrate(self, x, f, rtol=QUAD_RTOL):
-        """int_(0,x) f(y) k(x, dy)."""
+    def integrate(self, x, f):
+        """int_(0,x) f(y) k(x, dy) = K(x) int f(u x) p(du)."""
         if x <= 0.0:
             raise DomainError(f"kernel queried at x={x} <= 0")
-        if self.kind == "relative":
-            return self.rate(x) * self.ratio_measure.integral(
-                lambda u: f(u * x), rtol=rtol)
-        return _quad(lambda y: f(y) * self.general_density(x, y), 0.0, x,
-                     rtol=rtol)
-
-    def total_mass(self, x):
-        """k(x, (0, x))."""
-        return self.integrate(x, lambda y: 1.0)
+        return self.rate(x) * self.ratio_measure.integral(lambda u: f(u * x))
 
     def loss_rate(self, x):
         """K(x): the fragmentation event rate entering the generator."""
-        if self.kind == "relative":
-            return self.rate(x)
-        # general kernels are used with K equal to the kernel mass
-        return self.total_mass(x)
+        return self.rate(x)
 
 
 # Common ratio measures -------------------------------------------------
@@ -315,21 +272,14 @@ def constant_weight(c=1.0):
 
 
 @dataclass
-class DoeblinDeclaration:
-    """User declarations of the mixing assumptions (spot-checked only)."""
-
-    irreducible: bool = False
-
-
-@dataclass
 class ModelSpec:
-    """Full coefficient set plus declared structural assumptions."""
+    """Full coefficient set plus the declared irreducibility that backs
+    the Fleming-Viot estimator (spot-checked only)."""
 
     growth: GrowthSpec
     frag: FragmentationKernel
     domain_hint: tuple = (1e-3, 1e3)
-    doeblin: DoeblinDeclaration = field(default_factory=DoeblinDeclaration)
-    n_probe: int = 256
+    irreducible: bool = False
 
     def __post_init__(self):
         lo, hi = self.domain_hint
@@ -339,56 +289,12 @@ class ModelSpec:
     def probe_grid(self):
         """Log-uniform probe points used for all spot checks."""
         lo, hi = self.domain_hint
-        return np.geomspace(lo, hi, self.n_probe)
-
-    def validate(self, flow=None):
-        """Spot-check the structural invariants on the probe grid.
-
-        Returns a list of (name, ok) pairs; raises DomainError for hard
-        violations (non-positive speed, non-monotone scale).
-        """
-        checks = []
-        probes = self.probe_grid()
-        if self.growth.kind == "speed-c":
-            cvals = np.array([self.growth.c(x) for x in probes])
-            if np.any(cvals <= 0.0):
-                raise DomainError("speed c must be positive on the probe grid")
-            checks.append(("speed_positive", True))
-        if flow is not None:
-            svals = np.array([flow.s_of(x) for x in probes])
-            if np.any(np.diff(svals) <= 0.0):
-                raise DomainError("scale s is not strictly increasing")
-            checks.append(("scale_monotone", True))
-            checks.append(("scale_anchor", abs(flow.s_of(1.0)) < 1e-9))
-        if self.frag.kind == "relative":
-            pm = self.frag.ratio_measure
-            if self.frag.mass_conserving:
-                checks.append(("mass_conserving",
-                               abs(pm.mean() - 1.0) <= 1e-8))
-        return checks
+        return np.geomspace(lo, hi, _N_PROBE)
 
 
-def s_derivative_fd(flow, f, x, delta=None):
-    """One-sided finite-difference df/ds used by validation checks."""
-    if delta is None:
-        delta = 1e-6 * max(x, 1.0)
-    return (f(x + delta) - f(x)) / (flow.s_of(x + delta) - flow.s_of(x))
-
-
-def generator_apply(model: ModelSpec, f: WeightFunction, x: float,
-                    rtol=QUAD_RTOL):
+def generator_apply(model: ModelSpec, f: WeightFunction, x: float):
     """A f(x) = df/ds(x) + int f(y) k(x,dy) - K(x) f(x)."""
     if x <= 0.0:
         raise DomainError(f"generator queried at x={x} <= 0")
-    jump = model.frag.integrate(x, f.value, rtol=rtol)
+    jump = model.frag.integrate(x, f.value)
     return f.s_derivative(x) + jump - model.frag.loss_rate(x) * f.value(x)
-
-
-def mass_conservation_defect(model: ModelSpec, x: float):
-    """int (y/x) k(x,dy) - K(x); 0 for conservative kernels.
-
-    Positive values report size creation at splits, negative destruction.
-    """
-    if x <= 0.0:
-        raise DomainError(f"defect queried at x={x} <= 0")
-    return model.frag.integrate(x, lambda y: y / x) - model.frag.loss_rate(x)

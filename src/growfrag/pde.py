@@ -8,10 +8,10 @@ obtained by integrating the child kernel over destination cells.
 Atomic ratio kernels land in cells exactly; densities are integrated
 through the ratio measure's cumulative table, the one its draws invert.
 
-On a log-uniform grid edges_j / x_i = r^(j-i-1/2), so a relative
-kernel's unit inflow from cell i into cell j >= 1 depends on i - j
-only.  The march then applies the exchange as one Toeplitz correlation
-of non-negative terms (each entry keeps its relative accuracy, unlike an
+On a log-uniform grid edges_j / x_i = r^(j-i-1/2), so the kernel's
+unit inflow from cell i into cell j >= 1 depends on i - j only.  The
+march then applies the exchange as one Toeplitz correlation of
+non-negative terms (each entry keeps its relative accuracy, unlike an
 FFT) instead of the ~n^2/2-entry sparse product.
 
 Starting from a point mass at x0, pairing the solution against f gives
@@ -30,8 +30,7 @@ from scipy import sparse
 
 from .errors import (CFLUnsatisfiable, CFLViolation, DomainError,
                      NegativeMass)
-from .flow import FlowEngine
-from .model import ModelSpec, _elementwise, _gauss8
+from .model import ModelSpec
 
 _CFL_FACTOR = 0.9
 _MIN_DT = 1e-12
@@ -166,15 +165,13 @@ def build_discrete_operator(model: ModelSpec,
                             grid: SizeGrid) -> DiscreteOperator:
     """Assemble upwind transport + fragmentation exchange on the grid.
 
-    For relative kernels the fragmentation columns (with the below-domain
-    part folded into the first cell) sum to K(x_i)(p((0,1)) - 1); the
-    assembly verifies this within 1e-8.
+    The fragmentation columns (with the below-domain part folded into
+    the first cell) sum to K(x_i)(p((0,1)) - 1); the assembly verifies
+    this within 1e-8.
     """
     n = grid.n_cells
     edges, centers = grid.edges, grid.centers
-    speed = (model.growth.c if model.growth.kind == "speed-c" else
-             FlowEngine(model.growth, *model.domain_hint).speed_at)
-    c_edge = np.array([speed(e) for e in edges])
+    c_edge = np.array([model.growth.c(e) for e in edges])
     if np.any(c_edge <= 0.0):
         raise DomainError("upwind assembly requires positive speed at edges")
 
@@ -197,82 +194,69 @@ def build_discrete_operator(model: ModelSpec,
         return inflow.sum() - rate[i]
 
     stencil = stencil_error = None
-    if model.frag.kind == "relative":
-        measure = model.frag.ratio_measure
-        p_mass = measure.mass()
-        has_density = measure.density is not None
-        if has_density:
-            cdf_grid, cdf_vals = measure.cdf_table()
+    measure = model.frag.ratio_measure
+    p_mass = measure.mass()
+    has_density = measure.density is not None
+    if has_density:
+        cdf_grid, cdf_vals = measure.cdf_table()
 
-        def unit_inflow(i):
-            """Column i's inflow per unit rate, and the parts of it that
-            land below x_min."""
-            x, inflow, lost = centers[i], np.zeros(n), []
-            for u, w in measure.atoms:
-                y = u * x
-                if y < edges[0]:
-                    lost.append(w)
-                    inflow[0] += w
-                else:
-                    inflow[grid.locate(y)] += w
+    def unit_inflow(i):
+        """Column i's inflow per unit rate, and the parts of it that
+        land below x_min."""
+        x, inflow, lost = centers[i], np.zeros(n), []
+        for u, w in measure.atoms:
+            y = u * x
+            if y < edges[0]:
+                lost.append(w)
+                inflow[0] += w
+            else:
+                inflow[grid.locate(y)] += w
+        if has_density:
+            # edges / x > 0, so capping at 1 is the clip to [0, 1]
+            cum = np.interp(np.minimum(edges / x, 1.0), cdf_grid,
+                            cdf_vals)
+            inflow += cum[1:] - cum[:-1]
+            inflow[0] += cum[0]
+            lost.append(cum[0])
+        return inflow, lost
+
+    sources = np.flatnonzero(rate)
+    if has_density:
+        # g[k] is the last source's inflow into the cell k below it,
+        # kept reversed in taps; column i's rows 1..i should read
+        # g[i - j] (children are smaller, so rows above i get nothing)
+        head, taps, stencil_error = np.zeros(n), np.zeros(n - 1), 0.0
+        if len(sources):
+            last = sources[-1]
+            taps[n - 1 - last:] = unit_inflow(last)[0][1:last + 1]
+        # one work buffer: per-column temporaries would fragment the
+        # heap between the arrays the columns keep, raising peak memory
+        dev_buf = np.empty(n - 1)
+    frag_colsum = np.zeros(n)
+    # 0/0 where column and stencil are both empty gives nan, which
+    # fmax skips; a nonzero entry against a zero tap gives inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in sources:
+            inflow, lost = unit_inflow(i)
+            for w in lost:
+                below[i] += rate[i] * w
             if has_density:
-                # edges / x > 0, so capping at 1 is the clip to [0, 1]
-                cum = np.interp(np.minimum(edges / x, 1.0), cdf_grid,
-                                cdf_vals)
-                inflow += cum[1:] - cum[:-1]
-                inflow[0] += cum[0]
-                lost.append(cum[0])
-            return inflow, lost
-
-        sources = np.flatnonzero(rate)
-        if has_density:
-            # g[k] is the last source's inflow into the cell k below it,
-            # kept reversed in taps; column i's rows 1..i should read
-            # g[i - j] (children are smaller, so rows above i get nothing)
-            head, taps, stencil_error = np.zeros(n), np.zeros(n - 1), 0.0
-            if len(sources):
-                last = sources[-1]
-                taps[n - 1 - last:] = unit_inflow(last)[0][1:last + 1]
-            # one work buffer: per-column temporaries would fragment the
-            # heap between the arrays the columns keep, raising peak memory
-            dev_buf = np.empty(n - 1)
-        frag_colsum = np.zeros(n)
-        # 0/0 where column and stencil are both empty gives nan, which
-        # fmax skips; a nonzero entry against a zero tap gives inf
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for i in sources:
-                inflow, lost = unit_inflow(i)
-                for w in lost:
-                    below[i] += rate[i] * w
-                if has_density:
-                    head[i] = inflow[0]
-                    dev = dev_buf[:i]
-                    np.divide(inflow[1:i + 1], taps[n - 1 - i:], out=dev)
-                    dev -= 1.0
-                    np.abs(dev, out=dev)
-                    stencil_error = max(stencil_error, float(
-                        np.fmax.reduce(dev, initial=0.0)))
-                frag_colsum[i] = emit(i, inflow * rate[i])
-        expected = rate * (p_mass - 1.0)
-        if np.max(np.abs(frag_colsum - expected)) > 1e-8 * (1.0 + np.max(
-                np.abs(expected))):
-            raise DomainError(
-                "fragmentation column sums disagree with K(x)(p((0,1))-1)")
-        if has_density:
-            stencil = ExchangeStencil(rate=rate, out=out, head=head,
-                                      taps=taps)
-    else:
-        density = model.frag.general_density
-        for i, x in enumerate(centers):
-            m = int(np.searchsorted(edges, x))   # cells starting below x
-            k_x = _elementwise(lambda y: density(x, y))
-            mass = _gauss8(k_x, np.concatenate([[0.0], edges[:m]]),
-                           np.minimum(edges[:m + 1], x))
-            inflow = np.zeros(n)
-            inflow[:m] = mass[1:]
-            inflow[0] += mass[0]   # (0, x_min) folded into the first cell
-            below[i] = mass[0]
-            emit(i, inflow)
+                head[i] = inflow[0]
+                dev = dev_buf[:i]
+                np.divide(inflow[1:i + 1], taps[n - 1 - i:], out=dev)
+                dev -= 1.0
+                np.abs(dev, out=dev)
+                stencil_error = max(stencil_error, float(
+                    np.fmax.reduce(dev, initial=0.0)))
+            frag_colsum[i] = emit(i, inflow * rate[i])
+    expected = rate * (p_mass - 1.0)
+    if np.max(np.abs(frag_colsum - expected)) > 1e-8 * (1.0 + np.max(
+            np.abs(expected))):
+        raise DomainError(
+            "fragmentation column sums disagree with K(x)(p((0,1))-1)")
+    if has_density:
+        stencil = ExchangeStencil(rate=rate, out=out, head=head,
+                                  taps=taps)
 
     matrix = sparse.csr_matrix(sparse.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),

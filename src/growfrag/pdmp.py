@@ -191,40 +191,28 @@ def post_jump_sample(state: PdmpState, law: TiltedJumpLaw):
         raise DomainError(f"jump accepted at x={x:g} where r <= 0")
     if rng.random() * r < max(q, 0.0):
         return CEMETERY
-    frag = law.model.frag
+    measure = law.model.frag.ratio_measure
     tilt = law.h.tilt(x)
-    if frag.kind == "relative":
-        measure = frag.ratio_measure
-        if measure.density is None:
-            # atomic measure: exact categorical over tilted weights
-            weights = np.array([w * tilt(u * x)
-                                for u, w in measure.atoms])
-            pick = rng.random() * weights.sum()
-            for (u, _), w in zip(measure.atoms, np.cumsum(weights)):
-                if pick <= w:
-                    return u * x
-            return measure.atoms[-1][0] * x
-        bound = law.sup_tilt_ratio(x)
-        for _ in range(_REJECTION_CAP):
-            u = measure.sample(rng.random)
-            ratio = tilt(u * x)
-            if ratio > bound:
-                bound = 1.2 * ratio
-                continue
-            if rng.random() * bound <= ratio:
+    if measure.density is None:
+        # atomic measure: exact categorical over tilted weights
+        weights = np.array([w * tilt(u * x) for u, w in measure.atoms])
+        pick = rng.random() * weights.sum()
+        for (u, _), w in zip(measure.atoms, np.cumsum(weights)):
+            if pick <= w:
                 return u * x
-        raise RejectionStall(
-            f"tilted child sampler acceptance below {1.0 / _REJECTION_CAP:g} "
-            f"at x={x:g}")
-    # general kernel: inverse-CDF on a tilted-density table
-    ys = np.linspace(x * 1e-6, x * (1.0 - 1e-9), 513)
-    dens = np.array([tilt(y) * frag.general_density(x, y)
-                     for y in ys])
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1])
-                                           * np.diff(ys))])
-    if cdf[-1] <= 0.0:
-        raise RejectionStall(f"tilted kernel has no mass at x={x:g}")
-    return float(np.interp(rng.random() * cdf[-1], cdf, ys))
+        return measure.atoms[-1][0] * x
+    bound = law.sup_tilt_ratio(x)
+    for _ in range(_REJECTION_CAP):
+        u = measure.sample(rng.random)
+        ratio = tilt(u * x)
+        if ratio > bound:
+            bound = 1.2 * ratio
+            continue
+        if rng.random() * bound <= ratio:
+            return u * x
+    raise RejectionStall(
+        f"tilted child sampler acceptance below {1.0 / _REJECTION_CAP:g} "
+        f"at x={x:g}")
 
 
 @dataclass

@@ -129,8 +129,7 @@ def fv_run(model: ModelSpec, law: TiltedJumpLaw, n_particles: int,
         burn_in = _BURN_IN_FRACTION * t_end
     if not 0.0 <= burn_in < t_end:
         raise DomainError("burn_in must lie in [0, t_end)")
-    decl = model.doeblin
-    supported = decl is not None and decl.irreducible
+    supported = model.irreducible
     if not supported:
         warnings.warn(
             "model carries no mixing declaration; Fleming-Viot results "

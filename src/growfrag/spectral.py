@@ -77,8 +77,8 @@ def _converged(matrix, matrix_t, u, v, rayleigh, scale):
             and left <= _RESIDUAL_TOL * scale * np.max(np.abs(v)))
 
 
-def principal_eigen(op: DiscreteOperator, psi: WeightFunction,
-                    max_iter: int = _MAX_ITER) -> SpectralTriple:
+def principal_eigen(op: DiscreteOperator, psi: WeightFunction
+                    ) -> SpectralTriple:
     """Dominant eigenpair of the cell-mass generator by power iteration.
 
     Runs resolvent power iteration v <- (I - tau*M)^{-1} v (and the
@@ -114,7 +114,7 @@ def principal_eigen(op: DiscreteOperator, psi: WeightFunction,
     done = False
     iters = 0
     block = max(40, 2 * int(np.sqrt(n)))
-    while iters < max_iter and not done:
+    while iters < _MAX_ITER and not done:
         for _ in range(block):
             iters += 1
             v_new = lu.solve(v)
@@ -148,7 +148,7 @@ def principal_eigen(op: DiscreteOperator, psi: WeightFunction,
                 lu = factor(tau)
     if not done:
         raise NoConvergence(
-            f"power iteration did not converge in {max_iter} iterations")
+            f"power iteration did not converge in {_MAX_ITER} iterations")
 
     if np.any(u <= 0.0) or np.any(v < 0.0):
         raise Reducible("dominant eigenvectors are not positive")

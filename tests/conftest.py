@@ -5,7 +5,6 @@ import pytest
 
 from growfrag.flow import FlowEngine
 from growfrag.model import (
-    DoeblinDeclaration,
     FragmentationKernel,
     GrowthSpec,
     ModelSpec,
@@ -20,19 +19,13 @@ from growfrag import spectral
 DOMAIN = (1e-2, 40.0)
 
 
-def _irreducible():
-    decl = DoeblinDeclaration()
-    decl.irreducible = True
-    return decl
-
-
 def make_canonical():
     """Unit growth speed, linear fragmentation rate, uniform repartition."""
     return ModelSpec(
         growth=GrowthSpec.from_speed(lambda x: 1.0),
         frag=FragmentationKernel.relative(lambda x: x, uniform_ratio()),
         domain_hint=DOMAIN,
-        doeblin=_irreducible(),
+        irreducible=True,
     )
 
 
@@ -42,7 +35,7 @@ def make_mitosis():
         growth=GrowthSpec.from_speed(lambda x: 1.0),
         frag=FragmentationKernel.relative(lambda x: 1.0, mitosis_ratio()),
         domain_hint=DOMAIN,
-        doeblin=_irreducible(),
+        irreducible=True,
     )
 
 
@@ -53,7 +46,7 @@ def make_conserving_linear():
         frag=FragmentationKernel.relative(lambda x: 1.0, uniform_ratio(),
                                           mass_conserving=True),
         domain_hint=DOMAIN,
-        doeblin=_irreducible(),
+        irreducible=True,
     )
 
 
@@ -64,7 +57,7 @@ def make_critical():
         growth=GrowthSpec.from_speed(lambda x: x),
         frag=FragmentationKernel.relative(lambda x: 1.0, uniform_ratio()),
         domain_hint=DOMAIN,
-        doeblin=_irreducible(),
+        irreducible=True,
     )
 
 

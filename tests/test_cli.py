@@ -242,6 +242,12 @@ def test_nonpositive_path_count_rejected(tmp_path, capsys):
      "checkpoints"),
     ("converge", "t_end = 0.5", "t_end = 2.0\ncheckpoints = -0.1, 0.6, 0.8, "
      "1.0, 1.2, 1.4, 1.6, 1.8", (), "checkpoints"),
+    ("spectral", "grid_n = 128", "grid_n = 1", (), "grid_n"),
+    ("qsd", "t_end = 0.5", "t_end = 0.5\nburn_in = 0.5", (), "burn_in"),
+    ("simulate", "alpha = 2.0", "alpha = 1.0", (), "alpha"),
+    ("check", "alpha = 2.0", "alpha = -3", (), "alpha"),
+    ("pde", "x0 = 1.0", "x0 = 100", (), "x0"),
+    ("converge", "x0 = 1.0", "x0 = 0.005", (), "x0"),
 ])
 def test_bad_value_exits_2_naming_key(tmp_path, capsys, command, old, new,
                                       argv, key):

@@ -40,13 +40,6 @@ def test_flow_through_degenerate_point():
                                                      rel=1e-6)
 
 
-def test_integrate_along_flow():
-    # c == 1 from x=1: int_0^2 g(1+u) du = int_1^3 y dy = 4
-    flow = FlowEngine(GrowthSpec.from_speed(lambda x: 1.0), 1e-3, 1e3)
-    assert flow.integrate_along_flow(lambda y: y, 1.0, 2.0) == \
-        pytest.approx(4.0, rel=1e-8)
-
-
 def test_flow_scale_identity_on_lattice():
     # s(phi(x, t)) = s(x) + t on a 64 x 64 lattice, to 1e-10
     flow = FlowEngine(GrowthSpec.from_speed(lambda x: np.sqrt(x)),
@@ -89,13 +82,6 @@ def test_speed_at_matches_declared():
                       1e-3, 1e3)
     for x in (0.1, 1.0, 30.0):
         assert flow.speed_at(x) == pytest.approx(1.0 + x ** 2, rel=1e-9)
-
-
-def test_scale_from_explicit_form():
-    growth = GrowthSpec.from_scale(lambda x: np.log(x),
-                                   s_inverse=lambda s: np.exp(s))
-    flow = FlowEngine(growth, 1e-3, 1e3)
-    assert flow.flow_at(2.0, 1.0) == pytest.approx(2.0 * np.e, rel=1e-10)
 
 
 def test_lower_scale_limit():

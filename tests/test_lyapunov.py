@@ -181,7 +181,7 @@ def test_verify_assumption1_integrates_each_probe_once(monkeypatch):
 
     monkeypatch.setattr(RatioMeasure, "integral", counted)
     verify_assumption1(model, h)
-    assert len(calls) <= 2 * model.n_probe + 128
+    assert len(calls) <= 2 * len(model.probe_grid()) + 128
 
 
 def test_verify_assumption1_bounds_ratio():

@@ -7,21 +7,17 @@ from growfrag.errors import DomainError
 from growfrag.flow import FlowEngine
 from growfrag.model import (
     FragmentationKernel,
-    GrowthSpec,
-    ModelSpec,
     RatioMeasure,
     WeightFunction,
     constant_weight,
     generator_apply,
     identity_weight,
-    mass_conservation_defect,
     mitosis_ratio,
     power_ratio,
-    s_derivative_fd,
     uniform_ratio,
 )
 
-from conftest import make_canonical, make_conserving_linear, make_mitosis
+from conftest import make_canonical, make_conserving_linear
 
 
 # -- ratio measures ------------------------------------------------------
@@ -93,11 +89,18 @@ def test_fallback_draw_inverts_the_cdf_table():
     rng = np.random.default_rng(11)
     draws = np.array([p.sample(rng.random) for _ in range(200000)])
     assert kstest(draws, lambda u: np.clip(u, 0, 1) ** 0.5).pvalue > 1e-3
-    # about 6% of the theta = -0.9 law sits in the table's first panel
-    # (0, 1e-12], which is inverted linearly, so only the mean is checked
+
+
+def test_fallback_draw_follows_the_law_in_the_first_panel():
+    # 1e-12^0.1, about 6%, of the theta = -0.9 law sits in the table's
+    # first panel (0, 1e-12]; a linear inversion there put 0.6% of the
+    # draws below 1e-13 instead of 5%, and the KS test failed at p ~ 1e-84
+    from scipy.stats import kstest
     p = _power_density_without_inverse(-0.9)
+    rng = np.random.default_rng(13)
     draws = np.array([p.sample(rng.random) for _ in range(200000)])
-    assert abs(draws.mean() - 1.0 / 11.0) < 0.002
+    assert kstest(draws, lambda u: np.clip(u, 0, 1) ** 0.1).pvalue > 0.01
+    assert np.mean(draws < 1e-13) == pytest.approx(1e-13 ** 0.1, abs=0.003)
 
 
 def test_ratio_measure_sampling_integrates_mass_once():
@@ -132,17 +135,7 @@ def test_relative_kernel_integrate_and_mass():
     # int f(y) k(x,dy) = K(x) int f(ux) 2 du
     assert frag.integrate(x, lambda y: 1.0) == pytest.approx(2.0 * x)
     assert frag.integrate(x, lambda y: y) == pytest.approx(x * x, rel=1e-9)
-    assert frag.total_mass(x) == pytest.approx(2.0 * x)
     assert frag.loss_rate(x) == pytest.approx(x)
-
-
-def test_general_kernel_matches_relative():
-    rel = FragmentationKernel.relative(lambda x: x, uniform_ratio())
-    gen = FragmentationKernel.general(lambda x, y: 2.0)  # x * (2/x) dy
-    for x in (0.5, 1.0, 7.0):
-        assert gen.integrate(x, lambda y: y ** 2) == pytest.approx(
-            rel.integrate(x, lambda y: y ** 2), rel=1e-8)
-        assert gen.loss_rate(x) == pytest.approx(rel.total_mass(x), rel=1e-8)
 
 
 def test_mass_conserving_flag_validated():
@@ -213,32 +206,13 @@ def test_generator_jump_integral_vs_simpson_oracle():
     assert jump == pytest.approx(oracle, rel=1e-6)
 
 
-def test_mass_conservation_defect():
-    model = make_conserving_linear()
-    for x in (0.3, 1.0, 4.0):
-        assert mass_conservation_defect(model, x) == pytest.approx(
-            0.0, abs=1e-10)
-    # p(du) = 3 du has mean 1.5: creation defect K(x) * 0.5
-    lossy = ModelSpec(
-        growth=GrowthSpec.from_speed(lambda x: 1.0),
-        frag=FragmentationKernel.relative(
-            lambda x: 1.0, RatioMeasure(density=lambda u: 3.0)))
-    assert mass_conservation_defect(lossy, 1.0) == pytest.approx(0.5,
-                                                                 rel=1e-8)
-
-
 def test_generator_rejects_nonpositive_x():
     model = make_canonical()
     with pytest.raises(DomainError):
         generator_apply(model, constant_weight(1.0), -1.0)
 
 
-# -- model validation and weights ----------------------------------------
-
-def test_validate_passes_for_reference_models():
-    for factory in (make_canonical, make_mitosis, make_conserving_linear):
-        factory().validate()
-
+# -- probe grid and weights ----------------------------------------------
 
 def test_probe_grid_spans_domain():
     model = make_canonical()
@@ -255,11 +229,3 @@ def test_weight_ratio_uses_log_values():
     # plain values overflow at x=2000 but the ratio stays finite
     assert w.tilt(1999.0)(2000.0) == pytest.approx(np.e, rel=1e-12)
 
-
-def test_s_derivative_fd_matches_declared():
-    model = make_conserving_linear()
-    flow = FlowEngine(model.growth, *model.domain_hint)
-    f = identity_weight(flow)
-    for x in (0.5, 2.0):
-        fd = s_derivative_fd(flow, f.value, x)
-        assert fd == pytest.approx(f.s_derivative(x), rel=1e-4)

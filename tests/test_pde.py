@@ -11,8 +11,8 @@ from growfrag.model import (
     FragmentationKernel,
     GrowthSpec,
     ModelSpec,
-    RatioMeasure,
     mitosis_ratio,
+    power_ratio,
     uniform_ratio,
 )
 from growfrag.pde import (
@@ -129,23 +129,46 @@ def test_column_sums_match_branching_rate():
 
 
 def test_general_kernel_matches_its_relative_form():
-    # k(x, y) = 2 on (0, x) is K(x) = 2x with p(du) = du: the Gauss-rule
-    # columns of the general branch must agree with the cumulative table
+    # the fragmentation columns against p integrated over each destination
+    # cell by adaptive quadrature, independently of the ratio measure's
+    # CDF table.  The table interpolates P(u) = p((0, u]) linearly
+    # between its nodes, so each edge may be off by h^2/8 max|p'| on its
+    # table panel of width h
+    from scipy.integrate import quad
     grid = SizeGrid.log_uniform(0.01, 40.0, 96)
+    edges, centers = grid.edges, grid.centers
+    bare = build_discrete_operator(_transport_only(lambda x: 1.0),
+                                   grid).matrix.toarray()
+    for ratio, slope in ((uniform_ratio(), lambda u: 0.0),
+                         (power_ratio(-0.5), lambda u: 0.75 * u ** -1.5)):
+        model = ModelSpec(
+            growth=GrowthSpec.from_speed(lambda x: 1.0),
+            frag=FragmentationKernel.relative(lambda x: 1.0, ratio),
+            domain_hint=(1e-2, 40.0))
+        frag = build_discrete_operator(model, grid).matrix.toarray() - bare
+        nodes = ratio.cdf_table()[0]
 
-    def operator(frag):
-        return build_discrete_operator(ModelSpec(
-            growth=GrowthSpec.from_speed(lambda x: 1.0), frag=frag,
-            domain_hint=(1e-2, 40.0)), grid)
+        def interpolation_error(u):
+            k = np.searchsorted(nodes, u)
+            if nodes[k] == u:
+                return 0.0
+            a, b = nodes[k - 1], nodes[k]
+            return (b - a) ** 2 / 8.0 * max(slope(a), slope(b))
 
-    general = operator(FragmentationKernel.general(lambda x, y: 2.0))
-    relative = operator(FragmentationKernel.relative(
-        lambda x: 2.0 * x, RatioMeasure(density=lambda u: 1.0)))
-    a, b = general.matrix.toarray(), relative.matrix.toarray()
-    assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
-    assert np.allclose(general.below_inflow, relative.below_inflow,
-                       rtol=1e-14, atol=0.0)
-    assert general.cfl_dt == relative.cfl_dt
+        for j in (5, 30, 60, 95):
+            x = centers[j]
+            # the first cell also takes the children below x_min
+            lo = np.concatenate([[0.0], edges[1:j + 1] / x])
+            hi = np.minimum(edges[1:j + 2] / x, 1.0)
+            want = np.array([quad(ratio.density, a, b, epsabs=0.0,
+                                  epsrel=1e-12, limit=200)[0]
+                             for a, b in zip(lo, hi)])
+            want[j] -= 1.0   # the unit rate leaves cell j
+            tol = 1e-8 * np.abs(want) + np.array(
+                [interpolation_error(a) + interpolation_error(b)
+                 for a, b in zip(lo, hi)])
+            assert np.all(np.abs(frag[:j + 1, j] - want) <= tol)
+            assert not frag[j + 1:, j].any()
 
 
 # -- time marching -----------------------------------------------------------

@@ -12,7 +12,8 @@ from growfrag.cli import _KNOWN_KEYS, dumps_stable, load_config
 from growfrag.errors import ConfigError
 from growfrag.flow import FlowEngine
 from growfrag.model import (FragmentationKernel, GrowthSpec, ModelSpec,
-                            RatioMeasure, power_ratio, uniform_ratio)
+                            RatioMeasure, mitosis_ratio, power_ratio,
+                            uniform_ratio)
 from growfrag.pde import (DensityState, SizeGrid,
                           build_discrete_operator, solve)
 
@@ -168,9 +169,11 @@ def test_stencil_product_matches_matrix(atoms, density, rate, speed, n,
 
 @pytest.mark.filterwarnings("ignore::growfrag.pde.BoundaryLeak")
 def test_general_kernel_takes_the_matrix_path():
+    # mitosis, the CLI kernel with no density part, has no Toeplitz
+    # stencil and marches on the sparse matrix
     model = ModelSpec(
         growth=GrowthSpec.from_speed(lambda x: 1.0),
-        frag=FragmentationKernel.general(lambda x, y: 2.0 / x),
+        frag=FragmentationKernel.relative(lambda x: 1.0, mitosis_ratio()),
         domain_hint=(0.01, 40.0))
     grid = SizeGrid.log_uniform(0.01, 40.0, 24)
     op = build_discrete_operator(model, grid)

@@ -8,7 +8,6 @@ import pytest
 from growfrag.errors import DomainError
 from growfrag.flow import FlowEngine
 from growfrag.model import (
-    DoeblinDeclaration,
     WeightFunction,
     constant_weight,
 )
@@ -151,7 +150,7 @@ def test_fv_run_reproducible():
 
 def test_missing_mixing_declaration_warns():
     model = make_mitosis()
-    model.doeblin = DoeblinDeclaration()   # nothing declared
+    model.irreducible = False   # nothing declared
     flow = FlowEngine(model.growth, *model.domain_hint)
     law = TiltedJumpLaw(model, constant_weight(1.0), 1.3, flow)
     with pytest.warns(UnsupportedModel):
