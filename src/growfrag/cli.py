@@ -22,9 +22,9 @@ from typing import Optional
 import numpy as np
 
 from . import lyapunov, pde, qsd, spectral
-from .errors import (ConfigError, CriterionViolated, DomainError,
-                     GrowfragError, MomentDivergence, QuadratureDivergence,
-                     UnboundedAbove)
+from .errors import (CFLViolation, ConfigError, CriterionViolated,
+                     DomainError, GrowfragError, MomentDivergence,
+                     QuadratureDivergence, UnboundedAbove)
 from .model import (FragmentationKernel, GrowthSpec, ModelSpec,
                     constant_weight, mitosis_ratio, power_ratio,
                     uniform_ratio)
@@ -313,6 +313,18 @@ def _check_start(cfg: RunConfig):
             f"[{cfg.x_min:g}, {cfg.x_max:g}]", key="x0")
 
 
+def _solve(cfg: RunConfig, grid, marks, operator=None):
+    """pde.solve on the configured start, horizon, dt and method; a dt
+    above the positivity bound is a config error naming dt."""
+    try:
+        return pde.solve(cfg.model, grid, cfg.x0, cfg.t_end, dt=cfg.dt,
+                         method=cfg.method, checkpoints=marks,
+                         operator=operator)
+    except CFLViolation as exc:
+        raise ConfigError(f"[numerics] dt = {cfg.dt}: {exc}",
+                          key="dt") from exc
+
+
 # -- subcommands ----------------------------------------------------------
 
 def cmd_check(cfg: RunConfig, out_dir: str) -> dict:
@@ -390,6 +402,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> dict:
         "b": report.b,
         "config_sha256": cfg.sha256,
         "seed": cfg.seed,
+        "work": law.work_counters(),
     }
 
 
@@ -397,8 +410,7 @@ def cmd_pde(cfg: RunConfig, out_dir: str) -> dict:
     _check_marks(cfg.checkpoints, cfg.t_end)
     _check_start(cfg)
     grid = _grid(cfg)
-    traj = pde.solve(cfg.model, grid, cfg.x0, cfg.t_end, dt=cfg.dt,
-                     method=cfg.method, checkpoints=cfg.checkpoints or None)
+    traj = _solve(cfg, grid, cfg.checkpoints or None)
     traj.to_csv(os.path.join(out_dir, "density.csv"))
     return {
         "command": "pde",
@@ -453,6 +465,7 @@ def cmd_qsd(cfg: RunConfig, out_dir: str) -> dict:
         "supported": res.supported,
         "config_sha256": cfg.sha256,
         "seed": cfg.seed,
+        "work": law.work_counters(),
     }
 
 
@@ -490,8 +503,7 @@ def cmd_converge(cfg: RunConfig, out_dir: str) -> dict:
         triple.lambda0 = float(lambda0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", pde.BoundaryLeak)
-        traj = pde.solve(cfg.model, grid, cfg.x0, horizon, dt=cfg.dt,
-                         method=cfg.method, checkpoints=marks, operator=op)
+        traj = _solve(cfg, grid, marks, operator=op)
     f = cfg.functional()
     rate_positive = False
     gamma = r_squared = None

@@ -109,6 +109,7 @@ class FlowEngine:
     def __init__(self, growth: GrowthSpec, x_min=1e-4, x_max=1e4):
         self.growth = growth
         self.x_hard_max = x_max * _EXTENSION_CEILING
+        self.builds = 0   # scale tables built so far; each may move s(x)
         self._build_table(x_min, x_max)
 
     # -- table construction -----------------------------------------------
@@ -144,6 +145,7 @@ class FlowEngine:
         if np.any(np.diff(svals) <= 0.0):
             raise DomainError("scale is not strictly increasing on the table")
         self._install(xs, svals)
+        self.builds += 1
 
     def _install(self, xs, svals):
         c = self.growth.c
@@ -220,6 +222,26 @@ class FlowEngine:
             return x
         target = self.s_of(x) + t
         return self._invert(target)
+
+    def flow_from(self, x):
+        """The map t -> phi(x, t) for t >= 0, with flow_at's bits.
+
+        s(x) is read once per scale table instead of once per call: a
+        wider table rebuilt by a call moves s(x) by ulps, so the next
+        call reads it again, as flow_at would.
+        """
+        if x <= 0.0:
+            raise DomainError(f"flow queried at x={x} <= 0")
+        read = [-1, 0.0]   # table build, s(x) on it
+
+        def at(t):
+            if t == 0.0:
+                return x
+            if read[0] != self.builds:
+                read[1] = self.s_of(x)
+                read[0] = self.builds
+            return self._invert(read[1] + t)
+        return at
 
     def _invert(self, target):
         while target > self._s_hi:

@@ -8,8 +8,11 @@ kernel k_h(x,dy) = h(y)/h(x) k(x,dy).  Since
     A h(x)/h(x) = (dh/ds)(x)/h(x) + k_h(x,(0,x)) - K(x),
 
 the total rate collapses to r(x) = b + K(x) - (dh/ds)(x)/h(x), so jump
-*times* are sampled by thinning without any kernel integral; the tilted
-mass is only evaluated at accepted jump positions.
+*times* are sampled by thinning without any kernel integral.  The tilted
+mass only enters the kill test at accepted jumps, and there it is read
+from a lazily built table that brackets it; the exact quadrature runs
+only when the uniform of the test falls inside the bracket (the squeeze
+principle, Devroye 1986, II.5), so the outcome is the exact test's.
 
 The semigroup is recovered through the h-transform
 T_t f(x) = e^{bt} h(x) E_x[ f(X_t)/h(X_t); t < zeta ].
@@ -18,14 +21,15 @@ T_t f(x) = e^{bt} h(x) E_x[ f(X_t)/h(X_t); t < zeta ].
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import (DomainError, ExplosionGuard, MajorantOverflow,
-                     RejectionStall)
+from .errors import (DomainError, ExplosionGuard, GrowfragError,
+                     MajorantOverflow, RejectionStall)
 from .flow import FlowEngine
 from .model import ModelSpec, WeightFunction
 
@@ -49,6 +53,19 @@ _ARC_SAMPLES = 5
 _JUMP_CAP = 10_000_000
 _REJECTION_CAP = 1_000_000
 _GUARD_FACTOR = 1e3
+_TILT_PROBES = tuple(np.geomspace(1e-6, 0.999999, 48).tolist())
+# table of ln k_h: cubic panels between the nodes 10^(j/32), each fitted
+# at its ends and log-thirds
+_KH_PANELS_PER_DECADE = 32
+_KH_SAFETY = 100.0   # band half-width per unit of measured panel error
+# least band half-width.  kh_mass is smooth in x only to about 1e-5: the
+# kink of its integrand at u = kink/x defeats quad's error estimate as it
+# nears a subdivision point of (0, 1), so kh_mass errs by up to 2.6e-6
+# (pseudo-entrance h, x = 1.0021) and 1.3e-5 (a spline h) against
+# QUAD_RTOL = 1e-8.  It stays below the least killing rate over k_h that
+# b's margin of 1e-4 (1 + |b|) leaves (about 5e-5 and up), so that the
+# band can rule out q < 0 where q is smallest.
+_KH_FLOOR = 3e-5
 
 
 class VarianceBlowup(UserWarning):
@@ -84,8 +101,22 @@ class PdmpState:
                          rng=make_rng(seed, stream_id))
 
 
+def _cubic(coef, s):
+    """c0 + c1 s + c2 s^2 + c3 s^3 by Horner's rule."""
+    c0, c1, c2, c3 = coef
+    return c0 + s * (c1 + s * (c2 + s * c3))
+
+
 class TiltedJumpLaw:
-    """Jump mechanism of X: tilted kernel mass and total jump rate."""
+    """Jump mechanism of X: tilted kernel mass and total jump rate.
+
+    kh_bracket serves the kill test from a table of ln k_h(x,(0,x)) on
+    panels [10^(j/32), 10^((j+1)/32)], split at the kinks of h and of the
+    growth.  A panel is built the first time a jump lands in it, from
+    kh_mass at fixed nodes, so its contents depend on its index alone.
+    jumps, kills and kh_exact_calls count the outcomes of
+    post_jump_sample and the exact masses it needed (see work_counters).
+    """
 
     def __init__(self, model: ModelSpec, h: WeightFunction, b: float,
                  flow: Optional[FlowEngine] = None):
@@ -94,6 +125,10 @@ class TiltedJumpLaw:
         self.b = float(b)
         self.flow = flow if flow is not None else \
             FlowEngine(model.growth, *model.domain_hint)
+        self._kinks = sorted(set(h.kinks) | set(model.growth.kinks))
+        self._panels = {}    # panel index -> [(upper edge, fit or None)]
+        self._edge_log_kh = {}
+        self.jumps = self.kills = self.kh_exact_calls = 0
 
     def kh_mass(self, x: float) -> float:
         """k_h(x,(0,x)) = int h(y)/h(x) k(x,dy)."""
@@ -101,6 +136,82 @@ class TiltedJumpLaw:
         if not np.isfinite(val):
             raise DomainError(f"tilted kernel mass diverges at x={x:g}")
         return val
+
+    def kh_exact(self, x: float) -> float:
+        """kh_mass(x) for a kill test the table cannot decide, counted."""
+        self.kh_exact_calls += 1
+        return self.kh_mass(x)
+
+    def kh_bracket(self, x: float) -> Tuple[float, float]:
+        """(lo, hi) with lo <= kh_mass(x) <= hi, lo < hi, from the table;
+        (v, v) with v = kh_exact(x) where the panel of x has no band."""
+        j = math.floor(math.log10(x) * _KH_PANELS_PER_DECADE)
+        pieces = self._panels.get(j)
+        if pieces is None:
+            pieces = self._panels[j] = self._build_panel(j)
+        for top, fit in pieces:
+            if x < top:
+                break
+        if fit is None:
+            val = self.kh_exact(x)
+            return val, val
+        t0, width, coef, eps = fit
+        y = _cubic(coef, (math.log(x) - t0) / width)
+        return math.exp(y - eps), math.exp(y + eps)
+
+    def _build_panel(self, j):
+        """[(upper edge, fit)] of the pieces of panel j, split at kinks."""
+        lo = 10.0 ** (j / _KH_PANELS_PER_DECADE)
+        hi = 10.0 ** ((j + 1) / _KH_PANELS_PER_DECADE)
+        edges = [lo] + [k for k in self._kinks if lo < k < hi] + [hi]
+        return [(b, self._fit(a, b)) for a, b in zip(edges[:-1], edges[1:])]
+
+    def _fit(self, a, b):
+        """Cubic in ln x through ln k_h at a, b and the log-thirds between,
+        with band half-width eps = safety * (its larger error at the two
+        log-sixths next to a and b) + floor; None where a node has no
+        finite positive mass."""
+        t0 = math.log(a)
+        width = math.log(b) - t0
+        nodes = [math.exp(t0 + f * width) for f in (1 / 3, 2 / 3)]
+        checks = [math.exp(t0 + f * width) for f in (1 / 6, 5 / 6)]
+        ys = [self._edge(a)] + [self._log_kh(x) for x in nodes] \
+            + [self._edge(b)]
+        found = [self._log_kh(x) for x in checks]
+        if None in ys or None in found:
+            return None
+        y0, y1, y2, y3 = ys
+        # Newton differences on the nodes 0, 1/3, 2/3, 1, expanded in s
+        d1, d2, d3 = y1 - y0, y2 - 2.0 * y1 + y0, y3 - 3.0 * (y2 - y1) - y0
+        coef = (y0, 3.0 * (d1 - 0.5 * d2 + d3 / 3.0), 4.5 * (d2 - d3),
+                4.5 * d3)
+        err = max(abs(_cubic(coef, (math.log(x) - t0) / width) - y)
+                  for x, y in zip(checks, found))
+        eps = _KH_SAFETY * err + _KH_FLOOR
+        return (t0, width, coef, eps) if math.isfinite(eps) else None
+
+    def _edge(self, x):
+        """_log_kh at a panel edge, shared by the panels on both sides."""
+        if x not in self._edge_log_kh:
+            self._edge_log_kh[x] = self._log_kh(x)
+        return self._edge_log_kh[x]
+
+    def _log_kh(self, x):
+        """ln kh_mass(x), or None where it raises or is not positive."""
+        try:
+            val = self.kh_mass(x)
+        except GrowfragError:
+            return None
+        return math.log(val) if val > 0.0 else None
+
+    def work_counters(self) -> dict:
+        """Deterministic work counts of the runs made with this law."""
+        eps = [fit[-1] for pieces in self._panels.values()
+               for _, fit in pieces if fit is not None]
+        return {"jumps": self.jumps, "kills": self.kills,
+                "kh_panels": len(self._panels),
+                "kh_exact_calls": self.kh_exact_calls,
+                "kh_max_eps": max(eps, default=0.0)}
 
     def r(self, x: float) -> float:
         """Total jump rate r(x) = b + K(x) - (dh/ds)(x)/h(x)."""
@@ -112,12 +223,16 @@ class TiltedJumpLaw:
 
     def sup_tilt_ratio(self, x: float) -> float:
         """Upper bound for h(ux)/h(x) over u in (0,1), with safety margin."""
-        us = np.concatenate([np.geomspace(1e-6, 0.999999, 48),
-                             [u for u, _ in
-                              self.model.frag.ratio_measure.atoms]])
+        atoms = tuple(u for u, _ in self.model.frag.ratio_measure.atoms)
         tilt = self.h.tilt(x)
-        peak = max(tilt(u * x) for u in us)
+        peak = max(tilt(u * x) for u in _TILT_PROBES + atoms)
         return 1.2 * max(peak, 1e-300)
+
+
+def _linspace(t0, t1, num):
+    """np.linspace(t0, t1, num) as Python floats, bit for bit."""
+    step = (t1 - t0) / (num - 1)
+    return [i * step + t0 for i in range(num - 1)] + [t1]
 
 
 def next_jump_time(state: PdmpState, law: TiltedJumpLaw, horizon: float):
@@ -128,24 +243,34 @@ def next_jump_time(state: PdmpState, law: TiltedJumpLaw, horizon: float):
     majorant is the arc supremum of r over each window of length
     horizon/16 (split additionally at declared speed kinks) times a
     safety factor, doubled and retried if the arc sampling missed a peak.
+    A window reuses the rate its predecessor found at their shared end.
     """
     if state.position is CEMETERY:
         raise DomainError("jump time queried from the cemetery")
     if horizon <= 0.0:
         return NO_JUMP
     x, rng, flow = state.position, state.rng, law.flow
-    s_x = flow.s_of(x)
+    at = flow.flow_from(x)
     # window breakpoints: 16 equal panes plus kink crossings along the arc
-    breaks = set(np.linspace(0.0, horizon, 17))
-    for kink in law.flow.growth.kinks:
-        if kink > x:
-            t_k = flow.s_of(kink) - s_x
-            if 0.0 < t_k < horizon:
-                breaks.add(t_k)
+    breaks = set(_linspace(0.0, horizon, 17))
+    if flow.growth.kinks:
+        s_x = flow.s_of(x)
+        for kink in flow.growth.kinks:
+            if kink > x:
+                t_k = flow.s_of(kink) - s_x
+                if 0.0 < t_k < horizon:
+                    breaks.add(t_k)
     breaks = sorted(breaks)
+    r_end, built = None, None
     for t0, t1 in zip(breaks[:-1], breaks[1:]):
-        arc = np.linspace(t0, t1, _ARC_SAMPLES)
-        r_bar = _MAJORANT_SAFETY * max(law.r(flow.flow_at(x, u)) for u in arc)
+        arc = _linspace(t0, t1, _ARC_SAMPLES)
+        if built != flow.builds:
+            # a rebuilt scale table moves flow_at's bits: read r afresh
+            r_end = law.r(at(t0))
+        built = flow.builds
+        rates = [r_end] + [law.r(at(u)) for u in arc[1:]]
+        r_end = rates[-1]
+        r_bar = _MAJORANT_SAFETY * max(rates)
         while True:
             if r_bar > _MAJORANT_CEILING:
                 raise MajorantOverflow(
@@ -158,7 +283,7 @@ def next_jump_time(state: PdmpState, law: TiltedJumpLaw, horizon: float):
                 t += rng.standard_exponential() / r_bar
                 if t >= t1:
                     break
-                r_t = law.r(flow.flow_at(x, t))
+                r_t = law.r(at(t))
                 if r_t > r_bar:
                     # majorant violated: double it and redo this window
                     r_bar = 2.0 * max(r_bar, r_t)
@@ -176,21 +301,34 @@ def post_jump_sample(state: PdmpState, law: TiltedJumpLaw):
 
     Returns CEMETERY with probability q(x)/r(x), where the killing rate
     q(x) = b - A h(x)/h(x) = r(x) - k_h(x,(0,x)); otherwise a child drawn
-    from the normalized tilted kernel k_h(x,.)/k_h(x,(0,x)).
+    from the normalized tilted kernel k_h(x,.)/k_h(x,(0,x)).  The test
+    U r < max(q, 0) reads k_h from law.kh_bracket and calls the exact
+    kh_mass only when the bracket leaves it open; the one uniform drawn
+    and the outcome are those of the exact test.
     """
     x, rng = state.position, state.rng
     if x is CEMETERY:
         raise DomainError("jump sampled from the cemetery")
     r = law.r(x)
-    q = r - law.kh_mass(x)
+    lo, hi = law.kh_bracket(x)
+    if lo < hi and r - hi < -1e-9:
+        # the bracket cannot rule out a negative killing rate
+        lo = hi = law.kh_exact(x)
+    q = r - hi
     if q < -1e-9:
         raise DomainError(
             f"negative killing rate q({x:g}) = {q:g}; the supplied b "
             "is not an upper bound of A h/h")
     if r <= 0.0:
         raise DomainError(f"jump accepted at x={x:g} where r <= 0")
-    if rng.random() * r < max(q, 0.0):
+    draw = rng.random() * r
+    if lo < hi and max(q, 0.0) <= draw < max(r - lo, 0.0):
+        # U r falls between the bracket's killing rates
+        lo = hi = law.kh_exact(x)
+    if draw < max(r - hi, 0.0):
+        law.kills += 1
         return CEMETERY
+    law.jumps += 1
     measure = law.model.frag.ratio_measure
     tilt = law.h.tilt(x)
     if measure.density is None:

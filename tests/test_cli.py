@@ -248,6 +248,7 @@ def test_nonpositive_path_count_rejected(tmp_path, capsys):
     ("check", "alpha = 2.0", "alpha = -3", (), "alpha"),
     ("pde", "x0 = 1.0", "x0 = 100", (), "x0"),
     ("converge", "x0 = 1.0", "x0 = 0.005", (), "x0"),
+    ("pde", "x_max = 40.0", "x_max = 40.0\ndt = 5", (), "dt"),
 ])
 def test_bad_value_exits_2_naming_key(tmp_path, capsys, command, old, new,
                                       argv, key):
@@ -362,6 +363,25 @@ def test_monte_carlo_outputs_are_pinned(tmp_path, capsys, config, command,
     assert code == 0
     payload = json.loads(out)
     assert {key: payload[key] for key in pinned} == pinned
+
+
+@pytest.mark.parametrize("command", ["simulate", "qsd"])
+def test_monte_carlo_runs_end_with_work_counters(tmp_path, capsys, command):
+    cfg = _write(tmp_path, CANONICAL)
+    code, out, _ = _run(capsys, command, "--config", cfg, "--out",
+                        str(tmp_path))
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload)[-1] == "work"
+    work = payload["work"]
+    assert list(work) == ["jumps", "kills", "kh_panels", "kh_exact_calls",
+                          "kh_max_eps"]
+    assert work["jumps"] + work["kills"] > work["kh_exact_calls"]
+    assert work["kh_panels"] > 0
+    assert 0.0 < work["kh_max_eps"] < 1.0
+    if command == "qsd":
+        # every Fleming-Viot kill is a kill of the jump process
+        assert work["kills"] == payload["kills"]
 
 
 def test_pde_runs_and_reports(tmp_path, capsys):

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from growfrag import pdmp
 from growfrag.errors import DomainError
 from growfrag.flow import FlowEngine
 from growfrag.lyapunov import build_h_pseudo_entrance, verify_assumption1
-from growfrag.model import constant_weight, identity_weight
+from growfrag.model import (FragmentationKernel, ModelSpec, constant_weight,
+                            generator_apply, identity_weight, power_ratio)
 from growfrag.pdmp import (
     CEMETERY,
     NO_JUMP,
@@ -23,7 +25,8 @@ from growfrag.pdmp import (
     simulate_path,
 )
 
-from conftest import make_canonical, make_conserving_linear, make_mitosis
+from conftest import (DOMAIN, make_canonical, make_conserving_linear,
+                      make_mitosis)
 
 
 def _law(model, h=None, b=1.0):
@@ -142,6 +145,151 @@ def test_post_jump_sample_evaluates_h_at_x_at_most_three_times():
         at.clear()
         post_jump_sample(PdmpState.fresh(x, seed=7, stream_id=stream), law)
         assert at.count(x) <= 3
+
+
+# -- the k_h table behind the kill test ----------------------------------------
+
+def _power_model():
+    """CANONICAL with the singular ratio density p(du) = 1.5 u^-0.5 du."""
+    model = make_canonical()
+    return ModelSpec(growth=model.growth,
+                     frag=FragmentationKernel.relative(
+                         model.frag.rate, power_ratio(-0.5),
+                         mass_conserving=True),
+                     domain_hint=DOMAIN, irreducible=True)
+
+
+def _tilted_law(model):
+    h = build_h_pseudo_entrance(model, 2.0)
+    return TiltedJumpLaw(model, h, verify_assumption1(model, h).b)
+
+
+@pytest.fixture(scope="module", params=["canonical", "power"])
+def exact_masses(request):
+    """(model, x, kh_mass(x)) at 2000 seeded log-uniform points of the
+    domain, 20 points within 1e-9 of the kink of h at x = 1, and sweeps
+    next to x = 1 and x = 2, where the kink of the integrand at u = 1/x
+    nears an end or the midpoint of (0, 1) and kh_mass is least accurate."""
+    model = make_canonical() if request.param == "canonical" \
+        else _power_model()
+    rng = np.random.default_rng(2024)
+    xs = np.exp(rng.uniform(np.log(DOMAIN[0]), np.log(DOMAIN[1]), 2000))
+    near = [1.0 + sign * k * 1e-10 for k in range(1, 11) for sign in (-1, 1)]
+    sweep = [c * (1.0 + d) for c in (1.0, 2.0)
+             for d in np.geomspace(1e-6, 0.05, 50)]
+    sweep += [1.0 - d for d in np.geomspace(1e-6, 0.05, 50)]
+    xs = [float(x) for x in xs] + near + [float(x) for x in sweep]
+    law = _tilted_law(model)
+    return model, xs, [law.kh_mass(x) for x in xs]
+
+
+def _outside_band(law, xs, masses):
+    brackets = [law.kh_bracket(x) for x in xs]
+    return [x for x, (lo, hi), val in zip(xs, brackets, masses)
+            if not lo <= val <= hi]
+
+
+def test_kh_band_contains_the_exact_mass(exact_masses):
+    model, xs, masses = exact_masses
+    law = _tilted_law(model)
+    assert _outside_band(law, xs, masses) == []
+    # every panel the points visit has a band: no exact mass was needed
+    assert law.kh_exact_calls == 0
+
+
+def test_kh_band_below_its_measured_error_fails(exact_masses, monkeypatch):
+    # the containment check has the power to see a band that is too narrow
+    model, xs, masses = exact_masses
+    monkeypatch.setattr(pdmp, "_KH_SAFETY", pdmp._KH_SAFETY / 1000.0)
+    monkeypatch.setattr(pdmp, "_KH_FLOOR", pdmp._KH_FLOOR / 1000.0)
+    assert _outside_band(_tilted_law(model), xs, masses) != []
+
+
+def test_kh_table_does_not_depend_on_panel_order():
+    model = make_canonical()
+    xs = [float(x) for x in np.geomspace(0.02, 30.0, 50)] + [1.0 - 1e-12]
+    forward, backward = _tilted_law(model), _tilted_law(model)
+    for x in xs:
+        forward.kh_bracket(x)
+    for x in reversed(xs):
+        backward.kh_bracket(x)
+    assert [forward.kh_bracket(x) for x in xs] == \
+        [backward.kh_bracket(x) for x in xs]
+    assert forward.work_counters() == backward.work_counters()
+
+
+def test_panel_with_an_unusable_node_defers_to_the_exact_mass():
+    class FailingAbove2(TiltedJumpLaw):
+        def kh_mass(self, x):
+            if x >= 2.0:
+                raise DomainError("tilted kernel mass diverges")
+            return super().kh_mass(x)
+
+    model = make_canonical()
+    h = build_h_pseudo_entrance(model, 2.0)
+    law = FailingAbove2(model, h, 10.0)
+    # panel [10^(9/32), 10^(10/32)] = [1.91, 2.05] has nodes above 2
+    val = TiltedJumpLaw.kh_mass(law, 1.95)
+    assert law.kh_bracket(1.95) == (val, val)
+    assert law.kh_exact_calls == 1
+    # a vanishing mass has no logarithm: K = 0 gives k_h = 0 everywhere
+    ratio = model.frag.ratio_measure
+    zero = ModelSpec(growth=model.growth,
+                     frag=FragmentationKernel.relative(lambda x: 0.0, ratio),
+                     domain_hint=DOMAIN)
+    law = TiltedJumpLaw(zero, constant_weight(1.0), 1.0)
+    assert law.kh_bracket(0.5) == (0.0, 0.0)
+    assert law.work_counters()["kh_max_eps"] == 0.0
+
+
+def test_b_below_sup_generator_ratio_raises_under_the_squeeze():
+    # at the argmax of A h/h, b below the sup makes q negative: the band
+    # cannot rule that out, so the exact mass decides and the check raises
+    model = make_canonical()
+    h = build_h_pseudo_entrance(model, 2.0)
+    probes = [float(x) for x in model.probe_grid()]
+    ratios = [generator_apply(model, h, x) / h(x) for x in probes]
+    x_star = probes[int(np.argmax(ratios))]
+    for gap in (1e-6, 0.5):
+        law = TiltedJumpLaw(model, h, max(ratios) - gap)
+        law.kh_bracket(x_star)   # the panel of x_star is built
+        with pytest.raises(DomainError, match="negative killing rate"):
+            post_jump_sample(PdmpState.fresh(x_star, seed=1), law)
+        assert law.kh_exact_calls == 1
+    law = TiltedJumpLaw(model, h, verify_assumption1(model, h).b)
+    post_jump_sample(PdmpState.fresh(x_star, seed=1), law)
+
+
+def test_kill_test_rarely_needs_the_exact_mass(monkeypatch):
+    # CANONICAL simulate of the CLI tests: 60 paths to t = 0.5 from x0 = 1
+    calls = []
+    exact = TiltedJumpLaw.kh_mass
+
+    def counted(self, x):
+        calls.append(x)
+        return exact(self, x)
+
+    monkeypatch.setattr(TiltedJumpLaw, "kh_mass", counted)
+    model = make_canonical()
+    h = build_h_pseudo_entrance(model, 2.0)
+    law = TiltedJumpLaw(model, h, verify_assumption1(model, h).b)
+    assert calls == []
+    outcomes = []
+    sample = pdmp.post_jump_sample
+
+    def recorded(state, law):
+        outcomes.append(sample(state, law))
+        return outcomes[-1]
+
+    monkeypatch.setattr(pdmp, "post_jump_sample", recorded)
+    mc_semigroup(model, law, lambda y: y, 1.0, 0.5, n_paths=60, seed=11)
+    work = law.work_counters()
+    kills = sum(1 for c in outcomes if c is CEMETERY)
+    assert (work["jumps"], work["kills"]) == (len(outcomes) - kills, kills)
+    # a panel costs at most six masses (two edges, four inner nodes); the
+    # rest are kill tests that the band left open
+    assert len(calls) - work["kh_exact_calls"] <= 6 * work["kh_panels"]
+    assert work["kh_exact_calls"] <= 0.25 * len(outcomes)
 
 
 # -- whole paths --------------------------------------------------------------
