@@ -110,6 +110,7 @@ class FlowEngine:
         self.growth = growth
         self.x_hard_max = x_max * _EXTENSION_CEILING
         self.builds = 0   # scale tables built so far; each may move s(x)
+        self._s_memo = (np.nan, -1, 0.0)   # (x, builds, s(x)) of flow_at
         self._build_table(x_min, x_max)
 
     # -- table construction -----------------------------------------------
@@ -213,35 +214,22 @@ class FlowEngine:
         return -np.inf
 
     def flow_at(self, x, t):
-        """phi(x, t) = s^{-1}(s(x) + t)."""
+        """phi(x, t) = s^{-1}(s(x) + t).
+
+        s(x) of the last x queried is kept until the next table build,
+        which moves it, so a run of queries from one x reads it once.
+        """
         if x <= 0.0:
             raise DomainError(f"flow queried at x={x} <= 0")
         if t < 0.0:
             raise DomainError(f"flow queried at negative duration t={t}")
         if t == 0.0:
             return x
-        target = self.s_of(x) + t
-        return self._invert(target)
-
-    def flow_from(self, x):
-        """The map t -> phi(x, t) for t >= 0, with flow_at's bits.
-
-        s(x) is read once per scale table instead of once per call: a
-        wider table rebuilt by a call moves s(x) by ulps, so the next
-        call reads it again, as flow_at would.
-        """
-        if x <= 0.0:
-            raise DomainError(f"flow queried at x={x} <= 0")
-        read = [-1, 0.0]   # table build, s(x) on it
-
-        def at(t):
-            if t == 0.0:
-                return x
-            if read[0] != self.builds:
-                read[1] = self.s_of(x)
-                read[0] = self.builds
-            return self._invert(read[1] + t)
-        return at
+        memo_x, memo_builds, s_x = self._s_memo
+        if x != memo_x or memo_builds != self.builds:
+            s_x = self.s_of(x)
+            self._s_memo = (x, self.builds, s_x)
+        return self._invert(s_x + t)
 
     def _invert(self, target):
         while target > self._s_hi:

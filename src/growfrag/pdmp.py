@@ -111,9 +111,11 @@ class TiltedJumpLaw:
     """Jump mechanism of X: tilted kernel mass and total jump rate.
 
     kh_bracket serves the kill test from a table of ln k_h(x,(0,x)) on
-    panels [10^(j/32), 10^((j+1)/32)], split at the kinks of h and of the
-    growth.  A panel is built the first time a jump lands in it, from
-    kh_mass at fixed nodes, so its contents depend on its index alone.
+    panels [10^(j/32), 10^((j+1)/32)], split where k_h has kinks: at each
+    kink kappa of h and at kappa/u for each atom u of the ratio measure,
+    where h(ux) kinks.  A panel is built the first time a jump lands in
+    it, from kh_mass at fixed nodes, so its contents depend on its index
+    alone.
     jumps, kills and kh_exact_calls count the outcomes of
     post_jump_sample and the exact masses it needed (see work_counters).
     """
@@ -125,7 +127,9 @@ class TiltedJumpLaw:
         self.b = float(b)
         self.flow = flow if flow is not None else \
             FlowEngine(model.growth, *model.domain_hint)
-        self._kinks = sorted(set(h.kinks) | set(model.growth.kinks))
+        atoms = [u for u, _ in model.frag.ratio_measure.atoms]
+        self._kinks = sorted(set(h.kinks)
+                             | {kink / u for kink in h.kinks for u in atoms})
         self._panels = {}    # panel index -> [(upper edge, fit or None)]
         self._edge_log_kh = {}
         self.jumps = self.kills = self.kh_exact_calls = 0
@@ -250,7 +254,6 @@ def next_jump_time(state: PdmpState, law: TiltedJumpLaw, horizon: float):
     if horizon <= 0.0:
         return NO_JUMP
     x, rng, flow = state.position, state.rng, law.flow
-    at = flow.flow_from(x)
     # window breakpoints: 16 equal panes plus kink crossings along the arc
     breaks = set(_linspace(0.0, horizon, 17))
     if flow.growth.kinks:
@@ -266,9 +269,9 @@ def next_jump_time(state: PdmpState, law: TiltedJumpLaw, horizon: float):
         arc = _linspace(t0, t1, _ARC_SAMPLES)
         if built != flow.builds:
             # a rebuilt scale table moves flow_at's bits: read r afresh
-            r_end = law.r(at(t0))
+            r_end = law.r(flow.flow_at(x, t0))
         built = flow.builds
-        rates = [r_end] + [law.r(at(u)) for u in arc[1:]]
+        rates = [r_end] + [law.r(flow.flow_at(x, u)) for u in arc[1:]]
         r_end = rates[-1]
         r_bar = _MAJORANT_SAFETY * max(rates)
         while True:
@@ -283,7 +286,7 @@ def next_jump_time(state: PdmpState, law: TiltedJumpLaw, horizon: float):
                 t += rng.standard_exponential() / r_bar
                 if t >= t1:
                     break
-                r_t = law.r(at(t))
+                r_t = law.r(flow.flow_at(x, t))
                 if r_t > r_bar:
                     # majorant violated: double it and redo this window
                     r_bar = 2.0 * max(r_bar, r_t)

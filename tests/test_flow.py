@@ -66,6 +66,18 @@ def test_flow_semigroup_property():
                                              rel=1e-9, abs=1e-12)
 
 
+def test_flow_at_reads_s_afresh_after_a_table_rebuild():
+    # a query past the table's end builds a wider table, which moves s(x)
+    # of a curved scale: flow_at must not keep the s(x) of the old table
+    growth = GrowthSpec.from_speed(np.sqrt)
+    flow = FlowEngine(growth, 1e-2, 3.0)
+    before = flow.flow_at(2.0, 0.1)
+    flow.flow_at(2.0, 5.0)
+    assert flow.builds == 2
+    wide = FlowEngine(growth, 1e-2, 24.0)
+    assert flow.flow_at(2.0, 0.1) == wide.flow_at(2.0, 0.1) != before
+
+
 def test_flow_monotone_in_x_and_t():
     flow = FlowEngine(GrowthSpec.from_speed(lambda x: np.sqrt(x)),
                       1e-3, 1e3)

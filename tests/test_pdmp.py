@@ -11,8 +11,9 @@ from growfrag import pdmp
 from growfrag.errors import DomainError
 from growfrag.flow import FlowEngine
 from growfrag.lyapunov import build_h_pseudo_entrance, verify_assumption1
-from growfrag.model import (FragmentationKernel, ModelSpec, constant_weight,
-                            generator_apply, identity_weight, power_ratio)
+from growfrag.model import (FragmentationKernel, GrowthSpec, ModelSpec,
+                            constant_weight, generator_apply, identity_weight,
+                            power_ratio, uniform_ratio)
 from growfrag.pdmp import (
     CEMETERY,
     NO_JUMP,
@@ -90,6 +91,61 @@ def test_inhomogeneous_waiting_time_distribution():
     assert kstest(draws, cdf).pvalue > 0.01
 
 
+def _reference_jump_time(state, law, horizon):
+    """next_jump_time before its scan was trimmed, for a growth without
+    kinks: np.linspace arcs, and s(x) and r read afresh at every point."""
+    x, rng, flow = state.position, state.rng, law.flow
+
+    def rate(t):
+        flow._s_memo = (np.nan, -1, 0.0)   # forget s(x)
+        return law.r(flow.flow_at(x, t))
+
+    breaks = np.linspace(0.0, horizon, 17)
+    for t0, t1 in zip(breaks[:-1], breaks[1:]):
+        arc = np.linspace(t0, t1, pdmp._ARC_SAMPLES)
+        r_bar = pdmp._MAJORANT_SAFETY * max(rate(u) for u in arc)
+        while r_bar > 0.0:
+            t, violated = t0, False
+            while True:
+                t += rng.standard_exponential() / r_bar
+                if t >= t1:
+                    break
+                r_t = rate(t)
+                if r_t > r_bar:
+                    r_bar, violated = 2.0 * max(r_bar, r_t), True
+                    break
+                if rng.random() * r_bar <= r_t:
+                    return t
+            if not violated:
+                break
+    return NO_JUMP
+
+
+def test_jump_time_across_a_scale_table_rebuild_matches_a_fresh_scan():
+    # the flow from just below the scale table's upper end 3 leaves the
+    # table, and the wider table built then moves s(x) (a curved s: a
+    # linear one is exact on every table).  From 2.905 the first window's
+    # end point leaves it, so the next window must read its start rate
+    # afresh; from 2.99 an inner arc point does.  A rate that falls along
+    # the flow makes each window's start rate its max.
+    model = ModelSpec(growth=GrowthSpec.from_speed(np.sqrt),
+                      frag=FragmentationKernel.relative(
+                          lambda x: 1.0 / x, uniform_ratio()),
+                      domain_hint=DOMAIN, irreducible=True)
+    for x0 in (2.905, 2.99):
+        for stream in range(10):
+            laws = [TiltedJumpLaw(model, constant_weight(1.0), 1.0,
+                                  FlowEngine(model.growth, 1e-2, 3.0))
+                    for _ in range(2)]
+            states = [PdmpState.fresh(x0, seed=4, stream_id=stream)
+                      for _ in range(2)]
+            builds = laws[0].flow.builds
+            got = next_jump_time(states[0], laws[0], 1.0)
+            assert laws[0].flow.builds > builds
+            assert got == _reference_jump_time(states[1], laws[1], 1.0)
+            assert states[0].rng.random() == states[1].rng.random()
+
+
 # -- post-jump sampling ------------------------------------------------------
 
 def test_mitosis_child_is_half():
@@ -164,20 +220,20 @@ def _tilted_law(model):
     return TiltedJumpLaw(model, h, verify_assumption1(model, h).b)
 
 
-@pytest.fixture(scope="module", params=["canonical", "power"])
+@pytest.fixture(scope="module", params=["canonical", "power", "mitosis"])
 def exact_masses(request):
     """(model, x, kh_mass(x)) at 2000 seeded log-uniform points of the
     domain, 20 points within 1e-9 of the kink of h at x = 1, and sweeps
-    next to x = 1 and x = 2, where the kink of the integrand at u = 1/x
-    nears an end or the midpoint of (0, 1) and kh_mass is least accurate."""
-    model = make_canonical() if request.param == "canonical" \
-        else _power_model()
+    on both sides of x = 1 and x = 2.  There the kink of the integrand at
+    u = 1/x nears an end or the midpoint of (0, 1) and kh_mass is least
+    accurate; for mitosis, k_h itself kinks at x = 2, where h(x/2) does."""
+    model = {"canonical": make_canonical, "power": _power_model,
+             "mitosis": make_mitosis}[request.param]()
     rng = np.random.default_rng(2024)
     xs = np.exp(rng.uniform(np.log(DOMAIN[0]), np.log(DOMAIN[1]), 2000))
     near = [1.0 + sign * k * 1e-10 for k in range(1, 11) for sign in (-1, 1)]
-    sweep = [c * (1.0 + d) for c in (1.0, 2.0)
+    sweep = [c * (1.0 + sign * d) for c in (1.0, 2.0) for sign in (-1, 1)
              for d in np.geomspace(1e-6, 0.05, 50)]
-    sweep += [1.0 - d for d in np.geomspace(1e-6, 0.05, 50)]
     xs = [float(x) for x in xs] + near + [float(x) for x in sweep]
     law = _tilted_law(model)
     return model, xs, [law.kh_mass(x) for x in xs]
@@ -195,6 +251,8 @@ def test_kh_band_contains_the_exact_mass(exact_masses):
     assert _outside_band(law, xs, masses) == []
     # every panel the points visit has a band: no exact mass was needed
     assert law.kh_exact_calls == 0
+    # k_h is smooth inside each piece, so no band is wide
+    assert law.work_counters()["kh_max_eps"] < 1e-2
 
 
 def test_kh_band_below_its_measured_error_fails(exact_masses, monkeypatch):
