@@ -1,8 +1,8 @@
 """Deterministic transport between jumps.
 
 The scale s is strictly increasing with s(1) = 0, and the semi-flow is
-phi(x, t) = s^{-1}(s(x) + t).  s is built once as a
-cumulative-quadrature table with exact node derivatives 1/c and cubic
+phi(x, t) = s^{-1}(s(x) + t).  s is a cumulative-quadrature table,
+widened by appending panels, with exact node derivatives 1/c and cubic
 Hermite interpolation; inversion goes through the inverse Hermite table
 (derivative c) followed by one Newton polish, so the round trip
 s(phi(x,t)) = s(x) + t holds to near machine precision by construction.
@@ -12,6 +12,7 @@ that returns scipy's bits without its per-call overhead.
 
 from __future__ import annotations
 
+import math
 import warnings
 from array import array
 from bisect import bisect_right
@@ -103,71 +104,109 @@ class HermiteTable:
         return res
 
 
+def _lattice(k):
+    """The lattice node 10^(k/320); 10^0 = 1 is the anchor."""
+    return 10.0 ** (k / _NODES_PER_DECADE)
+
+
+def _kink_clusters(kinks):
+    """Each declared kink with its nodes at offsets growing by the ratio
+    _KINK_RATIO from _KINK_INNER (relative to max(kink, 1)) to kink/4."""
+    nodes = set()
+    for kink in kinks:
+        if not kink > 0.0:
+            continue
+        nodes.add(float(kink))
+        off = _KINK_INNER * max(kink, 1.0)
+        while off < 0.25 * kink:
+            nodes.update((kink + off, kink - off))
+            off *= _KINK_RATIO
+    return nodes
+
+
 class FlowEngine:
-    """Scale table, semi-flow and arc integrals for one growth law."""
+    """Scale table, semi-flow and arc integrals for one growth law.
+
+    The table's nodes are the points 10^(k/320) of a fixed lattice plus
+    the clusters around the declared kinks, and its values are panel
+    integrals summed outward from s(1) = 0.  Widening the table only
+    integrates and appends the new panels: the nodes, values and Hermite
+    coefficients already in it keep their bits, so s(x) does not depend
+    on which earlier queries widened the table.
+    """
 
     def __init__(self, growth: GrowthSpec, x_min=1e-4, x_max=1e4):
         self.growth = growth
         self.x_hard_max = x_max * _EXTENSION_CEILING
-        self.builds = 0   # scale tables built so far; each may move s(x)
-        self._s_memo = (np.nan, -1, 0.0)   # (x, builds, s(x)) of flow_at
+        self._clusters = sorted(_kink_clusters(growth.kinks))
+        self._xs, self._svals = [1.0], [0.0]
+        self._speed = [growth.c(1.0)]
+        self._k_lo = self._k_hi = 0   # lattice indices of the table ends
+        self._s_memo = (np.nan, 0.0)   # (x, s(x)) of the last flow_at
         self._build_table(x_min, x_max)
 
     # -- table construction -----------------------------------------------
 
-    def _node_set(self, x_lo, x_hi):
-        n = max(int(np.log10(x_hi / x_lo) * _NODES_PER_DECADE), 16)
-        nodes = set(np.geomspace(x_lo, x_hi, n))
-        nodes.add(1.0)
-        for kink in self.growth.kinks:
-            if not x_lo < kink < x_hi:
-                continue
-            nodes.add(kink)
-            off = _KINK_INNER * max(kink, 1.0)
-            while off < 0.25 * kink:
-                if kink + off < x_hi:
-                    nodes.add(kink + off)
-                if kink - off > x_lo:
-                    nodes.add(kink - off)
-                off *= _KINK_RATIO
-        return np.array(sorted(nodes))
+    def _nodes(self, k0, k1):
+        """Nodes in [10^(k0/320), 10^(k1/320)], ascending."""
+        lo, hi = _lattice(k0), _lattice(k1)
+        nodes = {_lattice(k) for k in range(k0, k1 + 1)}
+        nodes.update(x for x in self._clusters if lo <= x <= hi)
+        return sorted(nodes)
 
     def _build_table(self, x_lo, x_hi):
+        """Widen the table to cover [x_lo, x_hi], appending panels."""
         c = self.growth.c
-        xs = self._node_set(x_lo, x_hi)
-        panels = np.array([_panel_integral(c, a, b)
-                           for a, b in zip(xs[:-1], xs[1:])])
-        svals = np.concatenate([[0.0], np.cumsum(panels)])
-        # anchor s(1) = 0 exactly
-        i1 = int(np.searchsorted(xs, 1.0))
-        if xs[i1] != 1.0:  # pragma: no cover - 1.0 is always a node
-            raise DomainError("scale table must contain the anchor x=1")
-        svals -= svals[i1]
-        if np.any(np.diff(svals) <= 0.0):
+        k_lo = math.floor(math.log10(x_lo) * _NODES_PER_DECADE)
+        while _lattice(k_lo) > x_lo:
+            k_lo -= 1
+        k_hi = math.ceil(math.log10(x_hi) * _NODES_PER_DECADE)
+        while _lattice(k_hi) < x_hi:
+            k_hi += 1
+        below, above = [], []
+        if k_lo < self._k_lo:
+            below = self._nodes(k_lo, self._k_lo)[:-1]
+        if k_hi > self._k_hi:
+            above = self._nodes(self._k_hi, k_hi)[1:]
+        # sum outward from the current ends; nothing inside them moves
+        s_above, s = [], self._svals[-1]
+        for a, b in zip([self._xs[-1]] + above[:-1], above):
+            s_above.append(s + _panel_integral(c, a, b))
+            s = s_above[-1]
+        s_below, s = [], self._svals[0]
+        for b, a in zip([self._xs[0]] + below[::-1][:-1], below[::-1]):
+            s_below.append(s - _panel_integral(c, a, b))
+            s = s_below[-1]
+        svals = s_below[::-1] + self._svals + s_above
+        if any(b <= a for a, b in zip(svals[:-1], svals[1:])):
             raise DomainError("scale is not strictly increasing on the table")
-        self._install(xs, svals)
-        self.builds += 1
+        self._xs = below + self._xs + above
+        self._svals = svals
+        self._speed = [c(x) for x in below] + self._speed \
+            + [c(x) for x in above]
+        self._k_lo, self._k_hi = min(k_lo, self._k_lo), max(k_hi, self._k_hi)
+        self._install()
 
-    def _install(self, xs, svals):
-        c = self.growth.c
-        deriv = np.empty_like(xs)
-        for i, x in enumerate(xs):
-            cx = c(x)
-            deriv[i] = 1.0 / cx if (np.isfinite(cx) and cx > 1e-300) else 0.0
-        # replace unusable node slopes by secants so Hermite stays monotone
-        bad = deriv <= 0.0
-        if np.any(bad):
-            sec = np.gradient(svals, xs)
-            deriv[bad] = sec[bad]
+    def _install(self):
+        xs, svals = np.array(self._xs), np.array(self._svals)
+        speed = np.array(self._speed, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            usable = np.isfinite(speed) & (speed > 1e-300)
+            deriv = np.where(usable, 1.0 / speed, 0.0)
+        # a node where 1/c is unusable takes the secant of its neighbours,
+        # so that Hermite stays monotone and the slope stays local
+        bad = np.flatnonzero(~usable)
+        left = np.maximum(bad - 1, 0)
+        right = np.minimum(bad + 1, len(xs) - 1)
+        deriv[bad] = (svals[right] - svals[left]) / (xs[right] - xs[left])
         fwd = CubicHermiteSpline(xs, svals, deriv)
         self._fwd = HermiteTable(fwd)
         self._fwd_slope = HermiteTable(fwd.derivative())
-        inv_deriv = np.array([c(x) for x in xs])
-        inv_deriv[~np.isfinite(inv_deriv)] = 0.0
+        inv_deriv = np.where(np.isfinite(speed), speed, 0.0)
         self._inv = HermiteTable(CubicHermiteSpline(svals, xs, inv_deriv))
         # plain floats: numpy scalars cost more per comparison
-        self._x_lo, self._x_hi = float(xs[0]), float(xs[-1])
-        self._s_hi = float(svals[-1])
+        self._x_lo, self._x_hi = self._xs[0], self._xs[-1]
+        self._s_hi = self._svals[-1]
 
     def _extend(self, x_needed):
         """Grow the table so that x_needed is covered."""
@@ -216,8 +255,8 @@ class FlowEngine:
     def flow_at(self, x, t):
         """phi(x, t) = s^{-1}(s(x) + t).
 
-        s(x) of the last x queried is kept until the next table build,
-        which moves it, so a run of queries from one x reads it once.
+        s(x) of the last x queried is kept, so a run of queries from one
+        x reads it once.
         """
         if x <= 0.0:
             raise DomainError(f"flow queried at x={x} <= 0")
@@ -225,10 +264,10 @@ class FlowEngine:
             raise DomainError(f"flow queried at negative duration t={t}")
         if t == 0.0:
             return x
-        memo_x, memo_builds, s_x = self._s_memo
-        if x != memo_x or memo_builds != self.builds:
+        memo_x, s_x = self._s_memo
+        if x != memo_x:
             s_x = self.s_of(x)
-            self._s_memo = (x, self.builds, s_x)
+            self._s_memo = (x, s_x)
         return self._invert(s_x + t)
 
     def _invert(self, target):

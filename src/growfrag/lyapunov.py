@@ -93,13 +93,13 @@ class CumulativeRateIntegral:
     slope.
     """
 
-    def __init__(self, model: ModelSpec, flow: FlowEngine):
+    def __init__(self, model: ModelSpec):
         lo, hi = model.domain_hint
         x_lo, x_hi = min(1e-7, lo / 100.0), hi * 10.0
-        rate = model.frag.loss_rate
+        rate, speed = model.frag.loss_rate, model.growth.c
 
         def integrand(y):
-            return rate(y) / flow.speed_at(y)
+            return rate(y) / float(speed(y))
 
         n = max(int(np.log10(x_hi / x_lo) * 100), 16)
         xs = np.array(sorted(set(np.geomspace(x_lo, x_hi, n)) | {1.0}))
@@ -297,12 +297,12 @@ def build_h_pseudo_entrance(model: ModelSpec, alpha: float) -> WeightFunction:
         raise DomainError("pseudo-entrance construction needs alpha > 1")
     frag = model.frag
     measure = frag.ratio_measure
-    flow = FlowEngine(model.growth, *model.domain_hint)
-    cum = CumulativeRateIntegral(model, flow)
+    speed = model.growth.c
+    cum = CumulativeRateIntegral(model)
 
     # precondition: int_(0,1) K(y) s(dy) < +infinity
     try:
-        _quad(lambda y: frag.loss_rate(y) / flow.speed_at(y), 0.0, 1.0,
+        _quad(lambda y: frag.loss_rate(y) / float(speed(y)), 0.0, 1.0,
               rtol=1e-6, limit=200)
     except QuadratureDivergence as exc:
         raise CriterionViolated(
@@ -646,6 +646,5 @@ def verify_assumption1(model: ModelSpec, h: WeightFunction) -> AssumptionReport:
         sup = float(np.max(tilted[mask]))
         checks.append((f"tilted-mass-sup-below-{level:g}", sup,
                        bool(np.isfinite(sup))))
-    flow = FlowEngine(model.growth, *model.domain_hint)
     return _report(model, "custom", h, h_pass, b, checks,
-                   identity_weight(flow))
+                   identity_weight(model.growth))

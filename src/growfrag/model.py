@@ -24,13 +24,15 @@ QUAD_LIMIT = 50
 _N_PROBE = 256    # log-uniform probe points of every spot check
 
 
-def _quad(func, a, b, rtol=QUAD_RTOL, limit=QUAD_LIMIT):
-    """scipy quad wrapper that raises QuadratureDivergence on failure."""
+def _quad(func, a, b, rtol=QUAD_RTOL, limit=QUAD_LIMIT, points=None):
+    """scipy quad wrapper that raises QuadratureDivergence on failure;
+    points are breakpoints of func inside (a, b)."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", integrate.IntegrationWarning)
         try:
             val, err = integrate.quad(
-                func, a, b, epsabs=0.0, epsrel=rtol, limit=limit
+                func, a, b, epsabs=0.0, epsrel=rtol, limit=limit,
+                points=points
             )
         except integrate.IntegrationWarning as exc:
             raise QuadratureDivergence(
@@ -99,17 +101,23 @@ class RatioMeasure:
         self._cdf_table = None
         self._mass = None
 
-    def integral(self, g, rtol=QUAD_RTOL):
-        """int_(0,1) g(u) p(du); atoms exactly, density by quadrature."""
+    def integral(self, g, rtol=QUAD_RTOL, kinks=()):
+        """int_(0,1) g(u) p(du); atoms exactly, density by quadrature.
+
+        kinks are points of (0, 1) where g kinks; quad splits there.
+        """
         total = sum(w * g(u) for u, w in self.atoms)
         if self.density is not None:
             dens = self.density
             try:
-                total += _quad(lambda u: g(u) * dens(u), 0.0, 1.0, rtol=rtol)
+                total += _quad(lambda u: g(u) * dens(u), 0.0, 1.0, rtol=rtol,
+                               points=kinks or None)
             except QuadratureDivergence:
-                # one retry splitting at 1/2; catches mild endpoint issues
-                total += _quad(lambda u: g(u) * dens(u), 0.0, 0.5, rtol=rtol)
-                total += _quad(lambda u: g(u) * dens(u), 0.5, 1.0, rtol=rtol)
+                # one retry splitting at 1/2 and at the kinks; catches
+                # mild endpoint issues
+                edges = sorted({0.0, 0.5, 1.0, *kinks})
+                for a, b in zip(edges[:-1], edges[1:]):
+                    total += _quad(lambda u: g(u) * dens(u), a, b, rtol=rtol)
         return total
 
     def moment(self, a):
@@ -196,11 +204,14 @@ class FragmentationKernel:
         return FragmentationKernel(rate=rate, ratio_measure=ratio_measure,
                                    mass_conserving=mass_conserving)
 
-    def integrate(self, x, f):
-        """int_(0,x) f(y) k(x, dy) = K(x) int f(u x) p(du)."""
+    def integrate(self, x, f, kinks=()):
+        """int_(0,x) f(y) k(x, dy) = K(x) int f(u x) p(du); quad splits
+        at the kinks of f below x."""
         if x <= 0.0:
             raise DomainError(f"kernel queried at x={x} <= 0")
-        return self.rate(x) * self.ratio_measure.integral(lambda u: f(u * x))
+        ratios = tuple(sorted({k / x for k in kinks if 0.0 < k < x}))
+        return self.rate(x) * self.ratio_measure.integral(
+            lambda u: f(u * x), kinks=ratios)
 
     def loss_rate(self, x):
         """K(x): the fragmentation event rate entering the generator."""
@@ -259,10 +270,10 @@ class WeightFunction:
         return lambda y: value(y) / value_x
 
 
-def identity_weight(flow):
-    """f(x) = x; df/ds = c(x) along the given flow's scale."""
+def identity_weight(growth):
+    """f(x) = x; df/ds = c(x), the speed of the given growth."""
     return WeightFunction(value=lambda x: x,
-                          s_derivative=lambda x: flow.speed_at(x),
+                          s_derivative=lambda x: float(growth.c(x)),
                           label="id")
 
 

@@ -8,11 +8,13 @@ kernel k_h(x,dy) = h(y)/h(x) k(x,dy).  Since
     A h(x)/h(x) = (dh/ds)(x)/h(x) + k_h(x,(0,x)) - K(x),
 
 the total rate collapses to r(x) = b + K(x) - (dh/ds)(x)/h(x), so jump
-*times* are sampled by thinning without any kernel integral.  The tilted
-mass only enters the kill test at accepted jumps, and there it is read
-from a lazily built table that brackets it; the exact quadrature runs
-only when the uniform of the test falls inside the bracket (the squeeze
-principle, Devroye 1986, II.5), so the outcome is the exact test's.
+*times* are sampled by thinning without any kernel integral, against
+majorants of r read from a lazily built table (Lewis & Shedler 1979).
+The tilted mass only enters the kill test at accepted jumps, and there
+it is read from a second lazily built table that brackets it; the exact
+quadrature runs only when the uniform of the test falls inside the
+bracket (the squeeze principle, Devroye 1986, II.5), so the outcome is
+the exact test's.
 
 The semigroup is recovered through the h-transform
 T_t f(x) = e^{bt} h(x) E_x[ f(X_t)/h(X_t); t < zeta ].
@@ -49,22 +51,20 @@ NO_JUMP = _Sentinel("NO_JUMP")
 
 _MAJORANT_CEILING = 1e12
 _MAJORANT_SAFETY = 1.05
-_ARC_SAMPLES = 5
+_MAJORANT_POINTS = 9   # points of a piece (or window) where r is read
 _JUMP_CAP = 10_000_000
 _REJECTION_CAP = 1_000_000
 _GUARD_FACTOR = 1e3
 _TILT_PROBES = tuple(np.geomspace(1e-6, 0.999999, 48).tolist())
-# table of ln k_h: cubic panels between the nodes 10^(j/32), each fitted
-# at its ends and log-thirds
-_KH_PANELS_PER_DECADE = 32
+# the tables of k_h and of the majorant of r have their panels between
+# the nodes 10^(j/32); a k_h piece is a cubic fitted at its ends and
+# log-thirds
+_PANELS_PER_DECADE = 32
 _KH_SAFETY = 100.0   # band half-width per unit of measured panel error
-# least band half-width.  kh_mass is smooth in x only to about 1e-5: the
-# kink of its integrand at u = kink/x defeats quad's error estimate as it
-# nears a subdivision point of (0, 1), so kh_mass errs by up to 2.6e-6
-# (pseudo-entrance h, x = 1.0021) and 1.3e-5 (a spline h) against
-# QUAD_RTOL = 1e-8.  It stays below the least killing rate over k_h that
-# b's margin of 1e-4 (1 + |b|) leaves (about 5e-5 and up), so that the
-# band can rule out q < 0 where q is smallest.
+# least band half-width, far above the error of kh_mass (QUAD_RTOL = 1e-8,
+# with quad split at the kinks of h).  It stays below the least killing
+# rate over k_h that b's margin of 1e-4 (1 + |b|) leaves (about 5e-5 and
+# up), so that the band can rule out q < 0 where q is smallest.
 _KH_FLOOR = 3e-5
 
 
@@ -107,17 +107,61 @@ def _cubic(coef, s):
     return c0 + s * (c1 + s * (c2 + s * c3))
 
 
+class _LatticeTable:
+    """Pieces of the panels [10^(j/32), 10^((j+1)/32)], split at kinks.
+
+    Panel j is built the first time a query lands in it, each piece
+    [a, b) from build(a, b) alone, so its contents depend on its index
+    and never on the order of the queries.  build is passed per query,
+    not kept, so that a table holds no reference back to its law.
+    """
+
+    def __init__(self, kinks):
+        self._kinks = sorted(set(kinks))
+        self.panels = {}   # panel index -> [(upper edge b, build(a, b))]
+
+    def pieces(self, j, build):
+        """[(upper edge, content)] of the pieces of panel j."""
+        got = self.panels.get(j)
+        if got is None:
+            lo = 10.0 ** (j / _PANELS_PER_DECADE)
+            hi = 10.0 ** ((j + 1) / _PANELS_PER_DECADE)
+            edges = [lo] + [k for k in self._kinks if lo < k < hi] + [hi]
+            got = self.panels[j] = [(b, build(a, b))
+                                    for a, b in zip(edges[:-1], edges[1:])]
+        return got
+
+    def locate(self, x, build):
+        """(j, i) such that piece i of panel j holds x."""
+        j = math.floor(math.log10(x) * _PANELS_PER_DECADE)
+        if x < 10.0 ** (j / _PANELS_PER_DECADE):   # log10 rounded up
+            j -= 1
+        for i, (top, _) in enumerate(self.pieces(j, build)):
+            if x < top:
+                return j, i
+        return j + 1, 0
+
+    def following(self, j, i):
+        """(j, i) of the piece above piece i of the built panel j."""
+        return (j, i + 1) if i + 1 < len(self.panels[j]) else (j + 1, 0)
+
+    def contents(self):
+        return [c for pieces in self.panels.values() for _, c in pieces]
+
+
 class TiltedJumpLaw:
     """Jump mechanism of X: tilted kernel mass and total jump rate.
 
-    kh_bracket serves the kill test from a table of ln k_h(x,(0,x)) on
-    panels [10^(j/32), 10^((j+1)/32)], split where k_h has kinks: at each
-    kink kappa of h and at kappa/u for each atom u of the ratio measure,
-    where h(ux) kinks.  A panel is built the first time a jump lands in
-    it, from kh_mass at fixed nodes, so its contents depend on its index
-    alone.
+    kh_bracket serves the kill test from a table of ln k_h(x,(0,x)),
+    split where k_h has kinks: at each kink kappa of h and at kappa/u for
+    each atom u of the ratio measure, where h(ux) kinks.  next_jump_time
+    reads majorants of r from a second table, split at the kinks of h and
+    of the growth, where r may jump.  Both are _LatticeTables, built piece
+    by piece as paths reach them.
     jumps, kills and kh_exact_calls count the outcomes of
-    post_jump_sample and the exact masses it needed (see work_counters).
+    post_jump_sample and the exact masses it needed; proposals and
+    majorant_doublings count the thinning proposals of next_jump_time
+    and the windows it redid (see work_counters).
     """
 
     def __init__(self, model: ModelSpec, h: WeightFunction, b: float,
@@ -128,15 +172,17 @@ class TiltedJumpLaw:
         self.flow = flow if flow is not None else \
             FlowEngine(model.growth, *model.domain_hint)
         atoms = [u for u, _ in model.frag.ratio_measure.atoms]
-        self._kinks = sorted(set(h.kinks)
-                             | {kink / u for kink in h.kinks for u in atoms})
-        self._panels = {}    # panel index -> [(upper edge, fit or None)]
+        self._kh = _LatticeTable(
+            set(h.kinks) | {kink / u for kink in h.kinks for u in atoms})
         self._edge_log_kh = {}
+        self._majorants = _LatticeTable(set(h.kinks)
+                                        | set(model.growth.kinks))
         self.jumps = self.kills = self.kh_exact_calls = 0
+        self.proposals = self.majorant_doublings = 0
 
     def kh_mass(self, x: float) -> float:
-        """k_h(x,(0,x)) = int h(y)/h(x) k(x,dy)."""
-        val = self.model.frag.integrate(x, self.h.tilt(x))
+        """k_h(x,(0,x)) = int h(y)/h(x) k(x,dy), split at the kinks of h."""
+        val = self.model.frag.integrate(x, self.h.tilt(x), self.h.kinks)
         if not np.isfinite(val):
             raise DomainError(f"tilted kernel mass diverges at x={x:g}")
         return val
@@ -149,26 +195,14 @@ class TiltedJumpLaw:
     def kh_bracket(self, x: float) -> Tuple[float, float]:
         """(lo, hi) with lo <= kh_mass(x) <= hi, lo < hi, from the table;
         (v, v) with v = kh_exact(x) where the panel of x has no band."""
-        j = math.floor(math.log10(x) * _KH_PANELS_PER_DECADE)
-        pieces = self._panels.get(j)
-        if pieces is None:
-            pieces = self._panels[j] = self._build_panel(j)
-        for top, fit in pieces:
-            if x < top:
-                break
+        j, i = self._kh.locate(x, self._fit)
+        fit = self._kh.panels[j][i][1]
         if fit is None:
             val = self.kh_exact(x)
             return val, val
         t0, width, coef, eps = fit
         y = _cubic(coef, (math.log(x) - t0) / width)
         return math.exp(y - eps), math.exp(y + eps)
-
-    def _build_panel(self, j):
-        """[(upper edge, fit)] of the pieces of panel j, split at kinks."""
-        lo = 10.0 ** (j / _KH_PANELS_PER_DECADE)
-        hi = 10.0 ** ((j + 1) / _KH_PANELS_PER_DECADE)
-        edges = [lo] + [k for k in self._kinks if lo < k < hi] + [hi]
-        return [(b, self._fit(a, b)) for a, b in zip(edges[:-1], edges[1:])]
 
     def _fit(self, a, b):
         """Cubic in ln x through ln k_h at a, b and the log-thirds between,
@@ -210,12 +244,14 @@ class TiltedJumpLaw:
 
     def work_counters(self) -> dict:
         """Deterministic work counts of the runs made with this law."""
-        eps = [fit[-1] for pieces in self._panels.values()
-               for _, fit in pieces if fit is not None]
+        eps = [fit[-1] for fit in self._kh.contents() if fit is not None]
         return {"jumps": self.jumps, "kills": self.kills,
-                "kh_panels": len(self._panels),
+                "kh_panels": len(self._kh.panels),
                 "kh_exact_calls": self.kh_exact_calls,
-                "kh_max_eps": max(eps, default=0.0)}
+                "kh_max_eps": max(eps, default=0.0),
+                "r_pieces": len(self._majorants.contents()),
+                "proposals": self.proposals,
+                "majorant_doublings": self.majorant_doublings}
 
     def r(self, x: float) -> float:
         """Total jump rate r(x) = b + K(x) - (dh/ds)(x)/h(x)."""
@@ -225,6 +261,20 @@ class TiltedJumpLaw:
             raise DomainError(f"jump rate not finite at x={x:g}")
         return val
 
+    def _majorant(self, a, b):
+        """_MAJORANT_SAFETY times the largest r at _MAJORANT_POINTS
+        log-spaced points of the piece [a, b), its top read just below b;
+        None where r raises or the bound passes _MAJORANT_CEILING."""
+        t0, width = math.log(a), math.log(b / a)
+        last = _MAJORANT_POINTS - 1
+        xs = [a] + [math.exp(t0 + width * k / last) for k in range(1, last)]
+        try:
+            peak = max(self.r(x) for x in xs + [math.nextafter(b, a)])
+        except GrowfragError:
+            return None
+        r_bar = _MAJORANT_SAFETY * peak
+        return r_bar if r_bar <= _MAJORANT_CEILING else None
+
     def sup_tilt_ratio(self, x: float) -> float:
         """Upper bound for h(ux)/h(x) over u in (0,1), with safety margin."""
         atoms = tuple(u for u, _ in self.model.frag.ratio_measure.atoms)
@@ -233,47 +283,36 @@ class TiltedJumpLaw:
         return 1.2 * max(peak, 1e-300)
 
 
-def _linspace(t0, t1, num):
-    """np.linspace(t0, t1, num) as Python floats, bit for bit."""
-    step = (t1 - t0) / (num - 1)
-    return [i * step + t0 for i in range(num - 1)] + [t1]
-
-
 def next_jump_time(state: PdmpState, law: TiltedJumpLaw, horizon: float):
-    """First jump time by thinning against windowed majorants.
+    """First jump time by thinning against the majorant table of r.
 
     Samples tau with P(tau > t) = exp(-int_0^t r(phi(x,u)) du) for
-    t <= horizon; returns NO_JUMP when tau exceeds the horizon.  The
-    majorant is the arc supremum of r over each window of length
-    horizon/16 (split additionally at declared speed kinks) times a
-    safety factor, doubled and retried if the arc sampling missed a peak.
-    A window reuses the rate its predecessor found at their shared end.
+    t <= horizon; returns NO_JUMP when tau exceeds the horizon.  The flow
+    from x crosses the pieces of law's majorant table in turn; a window
+    runs from where it enters a piece to where it leaves it, at
+    t = s(top) - s(x), or to the horizon if that comes first.  Proposals
+    in a window are spaced by exponentials at the piece's majorant r_bar
+    and accepted with probability r/r_bar; a proposal with r > r_bar
+    doubles r_bar and redoes the window.  A piece with no majorant takes
+    one from r at _MAJORANT_POINTS points of the window's own arc.
     """
     if state.position is CEMETERY:
         raise DomainError("jump time queried from the cemetery")
     if horizon <= 0.0:
         return NO_JUMP
-    x, rng, flow = state.position, state.rng, law.flow
-    # window breakpoints: 16 equal panes plus kink crossings along the arc
-    breaks = set(_linspace(0.0, horizon, 17))
-    if flow.growth.kinks:
-        s_x = flow.s_of(x)
-        for kink in flow.growth.kinks:
-            if kink > x:
-                t_k = flow.s_of(kink) - s_x
-                if 0.0 < t_k < horizon:
-                    breaks.add(t_k)
-    breaks = sorted(breaks)
-    r_end, built = None, None
-    for t0, t1 in zip(breaks[:-1], breaks[1:]):
-        arc = _linspace(t0, t1, _ARC_SAMPLES)
-        if built != flow.builds:
-            # a rebuilt scale table moves flow_at's bits: read r afresh
-            r_end = law.r(flow.flow_at(x, t0))
-        built = flow.builds
-        rates = [r_end] + [law.r(flow.flow_at(x, u)) for u in arc[1:]]
-        r_end = rates[-1]
-        r_bar = _MAJORANT_SAFETY * max(rates)
+    x, rng, flow, table = state.position, state.rng, law.flow, law._majorants
+    build = law._majorant
+    s_x = flow.s_of(x)
+    j, i = table.locate(x, build)
+    t0 = 0.0
+    while t0 < horizon:
+        top, r_bar = table.pieces(j, build)[i]
+        t1 = min(flow.s_of(top) - s_x, horizon)
+        if r_bar is None:
+            last = _MAJORANT_POINTS - 1
+            r_bar = _MAJORANT_SAFETY * max(
+                law.r(flow.flow_at(x, t0 + (t1 - t0) * k / last))
+                for k in range(_MAJORANT_POINTS))
         while True:
             if r_bar > _MAJORANT_CEILING:
                 raise MajorantOverflow(
@@ -286,16 +325,20 @@ def next_jump_time(state: PdmpState, law: TiltedJumpLaw, horizon: float):
                 t += rng.standard_exponential() / r_bar
                 if t >= t1:
                     break
+                law.proposals += 1
                 r_t = law.r(flow.flow_at(x, t))
                 if r_t > r_bar:
                     # majorant violated: double it and redo this window
                     r_bar = 2.0 * max(r_bar, r_t)
+                    law.majorant_doublings += 1
                     violated = True
                     break
                 if rng.random() * r_bar <= r_t:
                     return t
             if not violated:
                 break
+        t0 = t1
+        j, i = table.following(j, i)
     return NO_JUMP
 
 

@@ -81,7 +81,8 @@ def test_acceptance_exact_identities():
     law_m = TiltedJumpLaw(mitosis, constant_weight(1.0), 1.0, flow_m)
     conserving = make_conserving_linear()
     flow_c = FlowEngine(conserving.growth, *conserving.domain_hint)
-    law_c = TiltedJumpLaw(conserving, identity_weight(flow_c), 1.0, flow_c)
+    law_c = TiltedJumpLaw(conserving, identity_weight(conserving.growth),
+                          1.0, flow_c)
     for t in (0.5, 1.0, 2.0):
         est, se, _ = mc_semigroup(mitosis, law_m, lambda y: 1.0, 1.0, t,
                                   n_paths=64, seed=1)
@@ -189,8 +190,8 @@ def test_acceptance_duality_singular_power_kernel():
 def test_acceptance_spectral(canonical_model, canonical_operator,
                              canonical_triple):
     assert canonical_triple.lambda0 < 0.0
-    flow = FlowEngine(canonical_model.growth, *canonical_model.domain_hint)
-    lam2 = lambda2_bound(canonical_model, identity_weight(flow))
+    lam2 = lambda2_bound(canonical_model,
+                         identity_weight(canonical_model.growth))
     assert canonical_triple.lambda0 <= float(lam2) + 1e-6
     dense = canonical_operator.matrix.toarray()
     perron = float(np.max(np.linalg.eigvals(dense).real))

@@ -126,13 +126,15 @@ def test_check_critical_fails(tmp_path, capsys):
 
 # reports of the two criteria on CANONICAL (c = 1, K(x) = x, p(du) = 2 du on
 # (0.01, 40)), pinned to the values the criteria gave before they shared one
-# probe pass per weight; both fail, so `check` exits 1
+# probe pass per weight, up to the last bits that b, lambda1 and the scale
+# margins moved by when the scale table went onto a fixed node lattice;
+# both fail, so `check` exits 1
 ENTRANCE_REPORT = {
-    "regime": "entrance", "b": 38.0885507658644,
-    "lambda1": -38.08464230163423, "lambda2": -0.01,
+    "regime": "entrance", "b": 38.088550765864426,
+    "lambda1": -38.08464230163426, "lambda2": -0.01,
     "L": [0.6222531917560458, 0.6640772216232578],
     "checks": [
-        {"name": "entrance-scale-finite", "margin": 0.999999999999,
+        {"name": "entrance-scale-finite", "margin": 0.9999999999990025,
          "pass": True},
         {"name": "tail-killing-margin", "margin": -40, "pass": False},
     ],
@@ -144,7 +146,7 @@ K_CONSTANT_REPORT = {
     "checks": [
         {"name": "rate-positive", "margin": 0.01, "pass": True},
         {"name": "rate-at-most-one", "margin": -39, "pass": False},
-        {"name": "scale-diverges-at-zero", "margin": 0.999999999999,
+        {"name": "scale-diverges-at-zero", "margin": 0.9999999999990025,
          "pass": False},
         {"name": "speed-ratio-below-entropy-at-infinity",
          "margin": -0.45282914545663755, "pass": False},
@@ -344,13 +346,14 @@ def test_simulate_warns_when_few_paths_contribute(tmp_path, capsys, seed,
 
 
 # outputs on CANONICAL and MITOSIS, pinned to the values the Monte Carlo
-# gave before the tilt h(y)/h(x) was built once per jump position
+# gives since jump times are thinned against the majorant table of r on
+# the append-only scale table
 @pytest.mark.parametrize("config, command, pinned", [
-    (CANONICAL, "simulate", {"estimate": 1.9697313925731164,
-                             "std_error": 0.34783459893161478}),
-    (CANONICAL, "qsd", {"lambda0X": 1.6904761904761905,
-                        "ci": [1.2192332924539704, 2.1617190884984105],
-                        "kills": 84}),
+    (CANONICAL, "simulate", {"estimate": 1.3735490170377862,
+                             "std_error": 0.307443798527578}),
+    (CANONICAL, "qsd", {"lambda0X": 2.357142857142857,
+                        "ci": [1.8642099365083347, 2.8500757777773797],
+                        "kills": 110}),
     (MITOSIS, "qsd", {"lambda0X": 0.0, "ci": [0.0, 0.0], "kills": 0}),
 ])
 def test_monte_carlo_outputs_are_pinned(tmp_path, capsys, config, command,
@@ -365,6 +368,22 @@ def test_monte_carlo_outputs_are_pinned(tmp_path, capsys, config, command,
     assert {key: payload[key] for key in pinned} == pinned
 
 
+@pytest.mark.parametrize("config", [CANONICAL, MITOSIS],
+                         ids=["canonical", "mitosis"])
+@pytest.mark.parametrize("command", ["simulate", "qsd"])
+def test_thinning_never_doubles_a_table_majorant(tmp_path, capsys, config,
+                                                command):
+    cfg = _write(tmp_path, config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code, out, _ = _run(capsys, command, "--config", cfg, "--out",
+                            str(tmp_path))
+    assert code == 0
+    work = json.loads(out)["work"]
+    assert work["proposals"] >= work["jumps"] + work["kills"]
+    assert work["majorant_doublings"] == 0
+
+
 @pytest.mark.parametrize("command", ["simulate", "qsd"])
 def test_monte_carlo_runs_end_with_work_counters(tmp_path, capsys, command):
     cfg = _write(tmp_path, CANONICAL)
@@ -375,7 +394,8 @@ def test_monte_carlo_runs_end_with_work_counters(tmp_path, capsys, command):
     assert list(payload)[-1] == "work"
     work = payload["work"]
     assert list(work) == ["jumps", "kills", "kh_panels", "kh_exact_calls",
-                          "kh_max_eps"]
+                          "kh_max_eps", "r_pieces", "proposals",
+                          "majorant_doublings"]
     assert work["jumps"] + work["kills"] > work["kh_exact_calls"]
     assert work["kh_panels"] > 0
     assert 0.0 < work["kh_max_eps"] < 1.0

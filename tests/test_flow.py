@@ -66,16 +66,25 @@ def test_flow_semigroup_property():
                                              rel=1e-9, abs=1e-12)
 
 
-def test_flow_at_reads_s_afresh_after_a_table_rebuild():
-    # a query past the table's end builds a wider table, which moves s(x)
-    # of a curved scale: flow_at must not keep the s(x) of the old table
+def test_widening_the_scale_table_keeps_its_bits():
+    # queries past either end widen the table by appending panels: every
+    # node, value and Hermite coefficient already in it keeps its bits,
+    # so s and the flow agree with a table built wide from the start
     growth = GrowthSpec.from_speed(np.sqrt)
     flow = FlowEngine(growth, 1e-2, 3.0)
+    xs = [float(x) for x in np.geomspace(1e-2, 3.0, 200)]
+    s_before = [flow.s_of(x) for x in xs]
     before = flow.flow_at(2.0, 0.1)
+    nodes, coef = list(flow._xs), list(flow._fwd._c3)
     flow.flow_at(2.0, 5.0)
-    assert flow.builds == 2
-    wide = FlowEngine(growth, 1e-2, 24.0)
-    assert flow.flow_at(2.0, 0.1) == wide.flow_at(2.0, 0.1) != before
+    flow.s_of(1e-4)
+    lo = flow._xs.index(nodes[0])
+    assert flow._xs[lo:lo + len(nodes)] == nodes
+    assert list(flow._fwd._c3)[lo:lo + len(coef)] == coef
+    assert [flow.s_of(x) for x in xs] == s_before
+    wide = FlowEngine(growth, 1e-5, 24.0)
+    assert [wide.s_of(x) for x in xs] == s_before
+    assert flow.flow_at(2.0, 0.1) == wide.flow_at(2.0, 0.1) == before
 
 
 def test_flow_monotone_in_x_and_t():

@@ -9,7 +9,6 @@ from growfrag.errors import (
     QuadratureDivergence,
     UnboundedAbove,
 )
-from growfrag.flow import FlowEngine
 from growfrag.lyapunov import (
     build_h_powerlaw,
     build_h_pseudo_entrance,
@@ -254,16 +253,14 @@ def test_lambda2_constant_ratio_flagged():
     # c = x, mean-conserving kernel: A id / id = 1 identically
     from conftest import make_conserving_linear
     model = make_conserving_linear()
-    flow = FlowEngine(model.growth, *model.domain_hint)
-    lam2 = lambda2_bound(model, identity_weight(flow))
+    lam2 = lambda2_bound(model, identity_weight(model.growth))
     assert float(lam2) == pytest.approx(-1.0, abs=1e-8)
     assert lam2.is_constant
 
 
 def test_lambda2_nonconstant_ratio():
     model = make_canonical()
-    flow = FlowEngine(model.growth, *model.domain_hint)
-    lam2 = lambda2_bound(model, identity_weight(flow))
+    lam2 = lambda2_bound(model, identity_weight(model.growth))
     assert not lam2.is_constant
     # A id / id = 1/x for the canonical model; inf at the largest probe
     probes = model.probe_grid()

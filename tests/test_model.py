@@ -156,8 +156,7 @@ def test_kernel_rejects_nonpositive_x():
 def test_generator_identity_weight_gives_speed():
     # mean-conserving repartition: A id(x) = c(x) exactly
     model = make_conserving_linear()
-    flow = FlowEngine(model.growth, *model.domain_hint)
-    f = identity_weight(flow)
+    f = identity_weight(model.growth)
     for x in (0.2, 1.0, 5.0):
         assert generator_apply(model, f, x) == pytest.approx(
             model.growth.c(x), rel=1e-9)
@@ -174,8 +173,7 @@ def test_generator_constant_weight_gives_branching_rate():
 
 def test_generator_linearity():
     model = make_canonical()
-    flow = FlowEngine(model.growth, *model.domain_hint)
-    f = identity_weight(flow)
+    f = identity_weight(model.growth)
     g = constant_weight(1.0)
     alpha, beta = 0.7, -0.3
     combo = WeightFunction(

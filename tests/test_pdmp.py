@@ -2,11 +2,14 @@
 
 import csv
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy.stats import kstest
 
+from growfrag import flow as flow_module
 from growfrag import pdmp
 from growfrag.errors import DomainError
 from growfrag.flow import FlowEngine
@@ -91,59 +94,134 @@ def test_inhomogeneous_waiting_time_distribution():
     assert kstest(draws, cdf).pvalue > 0.01
 
 
-def _reference_jump_time(state, law, horizon):
-    """next_jump_time before its scan was trimmed, for a growth without
-    kinks: np.linspace arcs, and s(x) and r read afresh at every point."""
-    x, rng, flow = state.position, state.rng, law.flow
-
-    def rate(t):
-        flow._s_memo = (np.nan, -1, 0.0)   # forget s(x)
-        return law.r(flow.flow_at(x, t))
-
-    breaks = np.linspace(0.0, horizon, 17)
-    for t0, t1 in zip(breaks[:-1], breaks[1:]):
-        arc = np.linspace(t0, t1, pdmp._ARC_SAMPLES)
-        r_bar = pdmp._MAJORANT_SAFETY * max(rate(u) for u in arc)
-        while r_bar > 0.0:
-            t, violated = t0, False
-            while True:
-                t += rng.standard_exponential() / r_bar
-                if t >= t1:
-                    break
-                r_t = rate(t)
-                if r_t > r_bar:
-                    r_bar, violated = 2.0 * max(r_bar, r_t), True
-                    break
-                if rng.random() * r_bar <= r_t:
-                    return t
-            if not violated:
-                break
-    return NO_JUMP
+def _sqrt_speed_model():
+    """Speed sqrt(x), a curved scale, and rate x/(1+x): with h = 1 and
+    b = 1, r = 1 + x/(1+x) rises along the flow and q = 1 - x/(1+x)."""
+    return ModelSpec(growth=GrowthSpec.from_speed(np.sqrt),
+                     frag=FragmentationKernel.relative(
+                         lambda x: x / (1.0 + x), uniform_ratio()),
+                     domain_hint=DOMAIN, irreducible=True)
 
 
-def test_jump_time_across_a_scale_table_rebuild_matches_a_fresh_scan():
-    # the flow from just below the scale table's upper end 3 leaves the
-    # table, and the wider table built then moves s(x) (a curved s: a
-    # linear one is exact on every table).  From 2.905 the first window's
-    # end point leaves it, so the next window must read its start rate
-    # afresh; from 2.99 an inner arc point does.  A rate that falls along
-    # the flow makes each window's start rate its max.
-    model = ModelSpec(growth=GrowthSpec.from_speed(np.sqrt),
-                      frag=FragmentationKernel.relative(
-                          lambda x: 1.0 / x, uniform_ratio()),
-                      domain_hint=DOMAIN, irreducible=True)
-    for x0 in (2.905, 2.99):
-        for stream in range(10):
-            laws = [TiltedJumpLaw(model, constant_weight(1.0), 1.0,
-                                  FlowEngine(model.growth, 1e-2, 3.0))
-                    for _ in range(2)]
-            states = [PdmpState.fresh(x0, seed=4, stream_id=stream)
-                      for _ in range(2)]
-            builds = laws[0].flow.builds
-            got = next_jump_time(states[0], laws[0], 1.0)
-            assert laws[0].flow.builds > builds
-            assert got == _reference_jump_time(states[1], laws[1], 1.0)
-            assert states[0].rng.random() == states[1].rng.random()
+def test_paths_do_not_depend_on_scale_table_widening(monkeypatch):
+    # path k run first on a fresh law is bit for bit path k run after
+    # paths that widened the scale table below and above its ends
+    model = _sqrt_speed_model()
+
+    def fresh_law():
+        return TiltedJumpLaw(model, constant_weight(1.0), 1.0,
+                             FlowEngine(model.growth, 1e-2, 3.0))
+
+    def path(law, k):
+        return simulate_path(model, law, 2.5, 1.0, seed=4,
+                             stream_id=k).points
+
+    first = [path(fresh_law(), k) for k in range(20)]
+    law = fresh_law()
+    ends = law.flow._x_lo, law.flow._x_hi
+    simulate_path(model, law, 1e-3, 1.0, seed=4, stream_id=99)
+    simulate_path(model, law, 2.9, 30.0, seed=4, stream_id=98)
+    assert law.flow._x_lo < ends[0] and law.flow._x_hi > ends[1]
+    assert [path(law, k) for k in range(20)] == first
+    # on the perfbench simulate round each scale panel is integrated once
+    panels = []
+    integral = flow_module._panel_integral
+
+    def counted(c, a, b):
+        panels.append((a, b))
+        return integral(c, a, b)
+
+    monkeypatch.setattr(flow_module, "_panel_integral", counted)
+    law = _tilted_law(make_canonical())
+    mc_semigroup(law.model, law, lambda y: y, 1.0, 1.0, n_paths=1000,
+                 seed=1)
+    assert len(set(panels)) == len(panels) == len(law.flow._xs) - 1
+
+
+def _visited_pieces(law):
+    """[(a, top, majorant)] of the pieces of law's majorant table."""
+    pieces = []
+    for j, panel in sorted(law._majorants.panels.items()):
+        lo = 10.0 ** (j / pdmp._PANELS_PER_DECADE)
+        for top, r_bar in panel:
+            pieces.append((lo, top, r_bar))
+            lo = top
+    return pieces
+
+
+def _rates_above_majorant(law, n_points=10_000):
+    """Points of 10^4 seeded log-uniform draws across the pieces that
+    law's paths visited where r exceeds the piece's majorant."""
+    pieces = [p for p in _visited_pieces(law) if p[2] is not None]
+    rng = np.random.default_rng(15)
+    picks = rng.integers(len(pieces), size=n_points)
+    fracs = rng.uniform(size=n_points)
+    above = []
+    for k, f in zip(picks, fracs):
+        a, top, r_bar = pieces[k]
+        x = float(a * (top / a) ** f)
+        if a <= x < top and law.r(x) > r_bar:
+            above.append(x)
+    return above
+
+
+@pytest.fixture(scope="module",
+                params=["canonical", "mitosis", "power", "sqrt-speed"])
+def visited_law(request):
+    """A law whose majorant table 300 paths to t = 1 from x0 = 1 built."""
+    if request.param == "sqrt-speed":
+        model = _sqrt_speed_model()
+        law = TiltedJumpLaw(model, constant_weight(1.0), 1.0)
+    else:
+        model = {"canonical": make_canonical, "mitosis": make_mitosis,
+                 "power": _power_model}[request.param]()
+        law = _tilted_law(model)
+    with warnings.catch_warnings():
+        # most power-kernel paths are killed before t = 1
+        warnings.simplefilter("ignore", pdmp.VarianceBlowup)
+        mc_semigroup(model, law, lambda y: y, 1.0, 1.0, n_paths=300, seed=3)
+    return law
+
+
+def test_majorant_table_dominates_r(visited_law):
+    work = visited_law.work_counters()
+    assert work["r_pieces"] >= 10
+    assert all(r_bar is not None for _, _, r_bar in
+               _visited_pieces(visited_law))
+    assert _rates_above_majorant(visited_law) == []
+    assert work["majorant_doublings"] == 0
+
+
+def test_majorant_below_the_largest_sampled_rate_fails(visited_law,
+                                                       monkeypatch):
+    # the dominance check has the power to see a majorant that is too low
+    monkeypatch.setattr(pdmp, "_MAJORANT_SAFETY", 0.99)
+    law = TiltedJumpLaw(visited_law.model, visited_law.h, visited_law.b,
+                        visited_law.flow)
+    for j in visited_law._majorants.panels:
+        law._majorants.pieces(j, law._majorant)
+    assert _rates_above_majorant(law) != []
+
+
+def test_piece_without_a_majorant_reads_r_along_the_window():
+    # r is not finite above x = 2, so the piece [1.91, 2.05) has no
+    # majorant; the flow from 1.92 stays below 2 up to the horizon 0.07,
+    # where r = b + K = 11 and P(no jump) = exp(-0.77)
+    class FailingAbove2(TiltedJumpLaw):
+        def r(self, x):
+            if x > 2.0:
+                raise DomainError("jump rate not finite")
+            return super().r(x)
+
+    law = FailingAbove2(make_mitosis(), constant_weight(1.0), 10.0)
+    n = 400
+    taus = [next_jump_time(PdmpState.fresh(1.92, seed=2, stream_id=k), law,
+                           0.07) for k in range(n)]
+    assert [r_bar for _, _, r_bar in _visited_pieces(law)] == [None]
+    assert all(0.0 < tau < 0.07 for tau in taus if tau is not NO_JUMP)
+    p = np.exp(-0.77)
+    misses = sum(tau is NO_JUMP for tau in taus)
+    assert abs(misses - n * p) <= 4.0 * np.sqrt(n * p * (1.0 - p))
 
 
 # -- post-jump sampling ------------------------------------------------------
@@ -172,8 +250,7 @@ def test_untilted_child_ratio_is_uniform():
 def test_identity_tilted_child_ratio():
     # h = id tilts the uniform child ratio to density 2u (CDF u^2)
     model = make_conserving_linear()
-    flow = FlowEngine(model.growth, *model.domain_hint)
-    law = _law(model, h=identity_weight(flow), b=1.0)
+    law = _law(model, h=identity_weight(model.growth), b=1.0)
     draws = []
     for i in range(3000):
         state = PdmpState.fresh(1.0, seed=8, stream_id=i)
@@ -239,6 +316,46 @@ def exact_masses(request):
     return model, xs, [law.kh_mass(x) for x in xs]
 
 
+def _kh_split_at_kinks(law, x):
+    """kh_mass(x) by quad split at each kink of its integrand, u = kappa/x
+    for the kinks kappa < x of h, at relative tolerance 1e-12."""
+    tilt, measure = law.h.tilt(x), law.model.frag.ratio_measure
+    edges = [0.0] + sorted(k / x for k in law.h.kinks if k < x) + [1.0]
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        total += integrate.quad(lambda u: tilt(u * x) * measure.density(u),
+                                a, b, epsabs=0.0, epsrel=1e-12,
+                                limit=200)[0]
+    return law.model.frag.rate(x) * total
+
+
+@pytest.mark.parametrize("x", [1.0021, 2.004])
+def test_kh_mass_is_exact_next_to_a_kink_of_h(x):
+    # u = 1/x sits next to an end or the midpoint of (0, 1), where quad
+    # over (0, 1) alone erred by 2.5e-6 and 1.4e-6
+    law = _tilted_law(make_canonical())
+    assert law.kh_mass(x) == pytest.approx(_kh_split_at_kinks(law, x),
+                                           rel=1e-8)
+
+
+def test_kh_mass_is_exact_under_a_spline_weight(canonical_model,
+                                                canonical_weight):
+    h, b = canonical_weight
+    law = TiltedJumpLaw(canonical_model, h, b)
+    # u = 0.02007/x is next to 1/4, a subdivision point of quad over
+    # (0, 1), which alone erred by 1.3e-5
+    assert law.kh_mass(0.08087) == pytest.approx(
+        _kh_split_at_kinks(law, 0.08087), rel=1e-8)
+
+
+def test_kh_mass_of_a_singular_power_kernel_never_raises():
+    # at 15 of these points quad over (0, 1) and its split at 1/2 both
+    # raised QuadratureDivergence
+    law = _tilted_law(_power_model())
+    masses = [law.kh_mass(float(x)) for x in np.linspace(2.0, 2.02, 2001)]
+    assert all(m > 0.0 for m in masses)
+
+
 def _outside_band(law, xs, masses):
     brackets = [law.kh_bracket(x) for x in xs]
     return [x for x, (lo, hi), val in zip(xs, brackets, masses)
@@ -269,10 +386,14 @@ def test_kh_table_does_not_depend_on_panel_order():
     forward, backward = _tilted_law(model), _tilted_law(model)
     for x in xs:
         forward.kh_bracket(x)
+        forward._majorants.locate(x, forward._majorant)
     for x in reversed(xs):
         backward.kh_bracket(x)
+        backward._majorants.locate(x, backward._majorant)
     assert [forward.kh_bracket(x) for x in xs] == \
         [backward.kh_bracket(x) for x in xs]
+    # the majorant table of r is built the same way
+    assert forward._majorants.panels == backward._majorants.panels
     assert forward.work_counters() == backward.work_counters()
 
 
@@ -372,7 +493,7 @@ def test_path_support_bound():
     # fragmentation only shrinks: X_t <= flow(x0, t) pathwise
     model = make_conserving_linear()
     flow = FlowEngine(model.growth, *model.domain_hint)
-    law = TiltedJumpLaw(model, identity_weight(flow), 1.0, flow)
+    law = TiltedJumpLaw(model, identity_weight(model.growth), 1.0, flow)
     bound = flow.flow_at(1.0, 2.0)
     for i in range(200):
         trace = simulate_path(model, law, 1.0, 2.0, seed=2, stream_id=i)
@@ -443,7 +564,7 @@ def test_semigroup_identity_mass_growth():
     # equals x0 e^t with zero variance
     model = make_conserving_linear()
     flow = FlowEngine(model.growth, *model.domain_hint)
-    law = TiltedJumpLaw(model, identity_weight(flow), 1.0, flow)
+    law = TiltedJumpLaw(model, identity_weight(model.growth), 1.0, flow)
     for t in (0.5, 1.0, 2.0):
         est, se, _ = mc_semigroup(model, law, lambda y: y, 1.0, t,
                                   n_paths=64, seed=5)
@@ -455,7 +576,7 @@ def test_semigroup_estimate_independent_of_weight():
     # the same quantity estimated under two different tiltings
     model = make_conserving_linear()
     flow = FlowEngine(model.growth, *model.domain_hint)
-    exact_law = TiltedJumpLaw(model, identity_weight(flow), 1.0, flow)
+    exact_law = TiltedJumpLaw(model, identity_weight(model.growth), 1.0, flow)
     flat_law = TiltedJumpLaw(model, constant_weight(1.0), 1.0, flow)
     est_a, se_a, _ = mc_semigroup(model, exact_law, lambda y: y, 1.0, 1.0,
                                   n_paths=64, seed=7)

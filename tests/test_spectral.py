@@ -6,7 +6,6 @@ from scipy import sparse
 
 from growfrag.errors import DomainError, RatePositive, Reducible
 from growfrag.model import constant_weight, identity_weight
-from growfrag.flow import FlowEngine
 from growfrag.pde import DensityState, DiscreteOperator, SizeGrid, \
     build_discrete_operator
 from growfrag.spectral import (
@@ -86,8 +85,8 @@ def test_refinement_contracts(canonical_model):
 
 def test_psi_only_rescales(canonical_model, canonical_operator,
                            canonical_triple):
-    flow = FlowEngine(canonical_model.growth, *canonical_model.domain_hint)
-    other = principal_eigen(canonical_operator, identity_weight(flow))
+    other = principal_eigen(canonical_operator,
+                            identity_weight(canonical_model.growth))
     assert other.lambda0 == pytest.approx(canonical_triple.lambda0,
                                           abs=1e-10)
     ratio_m = other.m / canonical_triple.m
