@@ -7,7 +7,8 @@ Hermite interpolation; inversion goes through the inverse Hermite table
 (derivative c) followed by one Newton polish, so the round trip
 s(phi(x,t)) = s(x) + t holds to near machine precision by construction.
 Queries read the splines through HermiteTable, a plain-Python evaluator
-that returns scipy's bits without its per-call overhead.
+that returns scipy's bits without its per-call overhead.  c may be
+infinite (1/c = 0): lyapunov builds G = int_1^x K s(dy) as the scale of c/K.
 """
 
 from __future__ import annotations
@@ -30,13 +31,46 @@ _KINK_RATIO = 1.025        # node clustering ratio around declared kinks
 _KINK_INNER = 1e-7         # innermost node offset at a kink
 _NODES_PER_DECADE = 320    # geometric table nodes per decade of x
 _S0_PROBES = (1e-6, 1e-9, 1e-12)   # probes of the trend of s at 0+
+_PANEL_RTOL = 1e-12        # agreement that accepts a panel's Lobatto rule
+# inner nodes on [-1, 1] of the 5-point Gauss-Lobatto rule (+-sqrt(3/7), 0)
+# and of the 3-point Gauss-Legendre rule (+-sqrt(3/5), 0)
+_PANEL_NODES = (-math.sqrt(3.0 / 7.0), -math.sqrt(3.0 / 5.0), 0.0,
+                math.sqrt(3.0 / 5.0), math.sqrt(3.0 / 7.0))
+
+
+def _slowness(c, y):
+    """1/c(y), with 1/0 = inf and 1/inf = 0; an arithmetic error of c is a
+    DomainError naming y."""
+    try:
+        v = float(c(y))
+    except ArithmeticError as exc:
+        raise DomainError(f"speed not computable at x={y:g}: {exc}") from exc
+    return 1.0 / v if v else math.inf
+
+
+def _panel(c, a, b, g_a, g_b):
+    """int_a^b dy/c(y), given g = 1/c at a and b.
+
+    The 5-point Gauss-Lobatto rule, accepted where the 3-point
+    Gauss-Legendre rule, which shares its midpoint, agrees to _PANEL_RTOL
+    relative; _panel_integral where not, as where c jumps or vanishes.
+    """
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    g = [_slowness(c, mid + half * u) for u in _PANEL_NODES]
+    lobatto = half * ((g_a + g_b) / 10.0 + (g[0] + g[4]) * (49.0 / 90.0)
+                      + g[2] * (32.0 / 45.0))
+    gauss = half * ((g[1] + g[3]) * (5.0 / 9.0) + g[2] * (8.0 / 9.0))
+    if math.isfinite(lobatto) and \
+            abs(lobatto - gauss) <= _PANEL_RTOL * abs(lobatto):
+        return lobatto
+    return _panel_integral(c, a, b)
 
 
 def _panel_integral(c, a, b):
     """int_a^b dy/c(y), tolerant of integrable endpoint singularities."""
     with warnings.catch_warnings(), np.errstate(divide="ignore", over="ignore"):
         warnings.simplefilter("ignore")
-        val, err = integrate.quad(lambda y: 1.0 / c(y), a, b,
+        val, err = integrate.quad(lambda y: _slowness(c, y), a, b,
                                   epsabs=1e-14, epsrel=1e-12, limit=200)
         if np.isfinite(val) and err <= 1e-12 * (1.0 + abs(val)):
             return val
@@ -46,22 +80,21 @@ def _panel_integral(c, a, b):
         for sub in (lambda t: a + width * t ** 4,
                     lambda t: b - width * t ** 4):
             val, err = integrate.quad(
-                lambda t: 4.0 * width * t ** 3 / c(sub(t)), 0.0, 1.0,
-                epsabs=1e-14, epsrel=1e-12, limit=200)
+                lambda t: 4.0 * width * t ** 3 * _slowness(c, sub(t)),
+                0.0, 1.0, epsabs=1e-14, epsrel=1e-12, limit=200)
             if np.isfinite(val) and err <= 1e-10 * (1.0 + abs(val)):
                 return abs(val)
-        # last resort: local power-law model c(y) ~ C |y - edge|^alpha
+        # last resort: local power-law model 1/c(y) ~ |y - edge|^-alpha / C
         # at the singular edge (alpha < 1 for an integrable scale)
         for edge, sgn in ((a, 1.0), (b, -1.0)):
-            d1, d2 = 1e-3 * width, 2e-3 * width
-            c1, c2 = c(edge + sgn * d1), c(edge + sgn * d2)
-            if not (np.isfinite(c1) and np.isfinite(c2) and c1 > 0 and c2 > 0):
+            d1 = 1e-3 * width
+            g1, g2 = (_slowness(c, edge + sgn * d) for d in (d1, 2.0 * d1))
+            if not (0.0 < g1 < math.inf and 0.0 < g2 < math.inf):
                 continue
-            alpha = np.log(c2 / c1) / np.log(2.0)
+            alpha = np.log(g1 / g2) / np.log(2.0)
             if not 0.0 < alpha < 1.0:
                 continue
-            coef = c1 / d1 ** alpha
-            val = width ** (1.0 - alpha) / (coef * (1.0 - alpha))
+            val = width ** (1.0 - alpha) * g1 * d1 ** alpha / (1.0 - alpha)
             if np.isfinite(val):
                 return val
     raise QuadratureDivergence(
@@ -132,7 +165,9 @@ class FlowEngine:
     integrals summed outward from s(1) = 0.  Widening the table only
     integrates and appends the new panels: the nodes, values and Hermite
     coefficients already in it keep their bits, so s(x) does not depend
-    on which earlier queries widened the table.
+    on which earlier queries widened the table.  Only the inverse table,
+    built at the first inversion after a widening, needs s strictly
+    increasing; a scale flat in floating point is still read forward.
     """
 
     def __init__(self, growth: GrowthSpec, x_min=1e-4, x_max=1e4):
@@ -140,7 +175,7 @@ class FlowEngine:
         self.x_hard_max = x_max * _EXTENSION_CEILING
         self._clusters = sorted(_kink_clusters(growth.kinks))
         self._xs, self._svals = [1.0], [0.0]
-        self._speed = [growth.c(1.0)]
+        self._slow = [_slowness(growth.c, 1.0)]   # 1/c at the nodes
         self._k_lo = self._k_hi = 0   # lattice indices of the table ends
         self._s_memo = (np.nan, 0.0)   # (x, s(x)) of the last flow_at
         self._build_table(x_min, x_max)
@@ -148,7 +183,7 @@ class FlowEngine:
     # -- table construction -----------------------------------------------
 
     def _nodes(self, k0, k1):
-        """Nodes in [10^(k0/320), 10^(k1/320)], ascending."""
+        """Nodes in [10^(k0/320), 10^(k1/320)], ascending (none if k0 > k1)."""
         lo, hi = _lattice(k0), _lattice(k1)
         nodes = {_lattice(k) for k in range(k0, k1 + 1)}
         nodes.update(x for x in self._clusters if lo <= x <= hi)
@@ -163,47 +198,38 @@ class FlowEngine:
         k_hi = math.ceil(math.log10(x_hi) * _NODES_PER_DECADE)
         while _lattice(k_hi) < x_hi:
             k_hi += 1
-        below, above = [], []
-        if k_lo < self._k_lo:
-            below = self._nodes(k_lo, self._k_lo)[:-1]
-        if k_hi > self._k_hi:
-            above = self._nodes(self._k_hi, k_hi)[1:]
+        below = self._nodes(k_lo, self._k_lo)[:-1]
+        above = self._nodes(self._k_hi, k_hi)[1:]
+        n, inner = len(below), len(self._xs)
+        xs = below + self._xs + above
+        slow = [_slowness(c, x) for x in below] + self._slow \
+            + [_slowness(c, x) for x in above]
         # sum outward from the current ends; nothing inside them moves
-        s_above, s = [], self._svals[-1]
-        for a, b in zip([self._xs[-1]] + above[:-1], above):
-            s_above.append(s + _panel_integral(c, a, b))
-            s = s_above[-1]
-        s_below, s = [], self._svals[0]
-        for b, a in zip([self._xs[0]] + below[::-1][:-1], below[::-1]):
-            s_below.append(s - _panel_integral(c, a, b))
-            s = s_below[-1]
-        svals = s_below[::-1] + self._svals + s_above
-        if any(b <= a for a, b in zip(svals[:-1], svals[1:])):
-            raise DomainError("scale is not strictly increasing on the table")
-        self._xs = below + self._xs + above
-        self._svals = svals
-        self._speed = [c(x) for x in below] + self._speed \
-            + [c(x) for x in above]
+        svals = [0.0] * n + self._svals + [0.0] * len(above)
+        for i in range(n + inner, len(xs)):
+            svals[i] = svals[i - 1] + _panel(c, xs[i - 1], xs[i],
+                                             slow[i - 1], slow[i])
+        for i in reversed(range(n)):
+            svals[i] = svals[i + 1] - _panel(c, xs[i], xs[i + 1],
+                                             slow[i], slow[i + 1])
+        self._xs, self._svals, self._slow = xs, svals, slow
         self._k_lo, self._k_hi = min(k_lo, self._k_lo), max(k_hi, self._k_hi)
         self._install()
 
     def _install(self):
         xs, svals = np.array(self._xs), np.array(self._svals)
-        speed = np.array(self._speed, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            usable = np.isfinite(speed) & (speed > 1e-300)
-            deriv = np.where(usable, 1.0 / speed, 0.0)
-        # a node where 1/c is unusable takes the secant of its neighbours,
-        # so that Hermite stays monotone and the slope stays local
-        bad = np.flatnonzero(~usable)
+        deriv = np.array(self._slow)
+        # a node where 1/c is negative, NaN or above 1e300 (c vanishes)
+        # takes the secant of its neighbours, so that Hermite stays
+        # monotone and the slope stays local
+        bad = np.flatnonzero(~((deriv >= 0.0) & (deriv < 1e300)))
         left = np.maximum(bad - 1, 0)
         right = np.minimum(bad + 1, len(xs) - 1)
         deriv[bad] = (svals[right] - svals[left]) / (xs[right] - xs[left])
         fwd = CubicHermiteSpline(xs, svals, deriv)
         self._fwd = HermiteTable(fwd)
         self._fwd_slope = HermiteTable(fwd.derivative())
-        inv_deriv = np.where(np.isfinite(speed), speed, 0.0)
-        self._inv = HermiteTable(CubicHermiteSpline(svals, xs, inv_deriv))
+        self._inv = None   # built at the first inversion
         # plain floats: numpy scalars cost more per comparison
         self._x_lo, self._x_hi = self._xs[0], self._xs[-1]
         self._s_hi = self._svals[-1]
@@ -237,11 +263,7 @@ class FlowEngine:
 
         Convergence is judged from the trend of s at shrinking probes.
         """
-        vals = []
-        for eps in _S0_PROBES:
-            if eps < self._x_lo:
-                self._extend(eps)
-            vals.append(self.s_of(max(eps, self._x_lo)))
+        vals = [self.s_of(eps) for eps in _S0_PROBES]
         d1 = vals[-2] - vals[-3]
         d2 = vals[-1] - vals[-2]
         if abs(d2) < 1e-9 * (1.0 + abs(vals[-1])):
@@ -273,6 +295,14 @@ class FlowEngine:
     def _invert(self, target):
         while target > self._s_hi:
             self._extend(self._x_hi * 4.0)
+        if self._inv is None:
+            svals = self._svals
+            if any(b <= a for a, b in zip(svals[:-1], svals[1:])):
+                raise DomainError("scale is not strictly increasing")
+            # node derivatives c, 0 where c is 0 or infinite
+            speed = [1.0 / g if g > 0.0 else 0.0 for g in self._slow]
+            self._inv = HermiteTable(CubicHermiteSpline(
+                np.array(svals), np.array(self._xs), np.array(speed)))
         y = float(self._inv(target))
         y = min(max(y, self._x_lo), self._x_hi)
         # one Newton polish on the forward spline
@@ -283,13 +313,8 @@ class FlowEngine:
             slope = float(self._fwd_slope(y))
             if slope <= 0.0:
                 break
-            step = resid / slope
-            y_new = y - step
+            y_new = y - resid / slope
             if not self._x_lo <= y_new <= self._x_hi:
                 break
             y = y_new
         return y
-
-    def speed_at(self, x):
-        """dx/ds at x, the speed c(x)."""
-        return float(self.growth.c(x))

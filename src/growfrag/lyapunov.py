@@ -13,18 +13,19 @@ every report carries an explicit asymptotic-extrapolation caveat.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from .errors import (CriterionViolated, DomainError, EntranceBoundaryAbsent,
                      GrowfragError, MomentDivergence, QuadratureDivergence,
                      UnboundedAbove)
-from .flow import FlowEngine, HermiteTable, _panel_integral
-from .model import (FragmentationKernel, ModelSpec, WeightFunction,
-                    constant_weight, generator_apply, identity_weight, _quad)
+from .flow import FlowEngine, _slowness
+from .model import (FragmentationKernel, GrowthSpec, ModelSpec,
+                    WeightFunction, constant_weight, generator_apply,
+                    identity_weight, _quad)
 
 GOLDEN_TOL = 1e-10
 GOLDEN_MAX_ITER = 200
@@ -80,52 +81,6 @@ def _tail_extreme(probes, vals, side, extreme):
     """Limsup (extreme=np.max) or liminf (np.min) of vals at side
     ("zero" or "inf"), read off the two outermost probe decades."""
     return float(extreme(vals[_tail_mask(probes, side)]))
-
-
-# -- cumulative rate integral G(x) = int_1^x K(y) s(dy) -----------------
-
-class CumulativeRateIntegral:
-    """Spline table for G(x) = int_1^x K(y) s(dy), anchored at G(1) = 0.
-
-    The table spans (min(1e-7, x_min/100), 10 x_max) at 100 geometric
-    nodes per decade.  Below it the value is held flat (used when the
-    integral converges at 0); above it, linear continuation with the end
-    slope.
-    """
-
-    def __init__(self, model: ModelSpec):
-        lo, hi = model.domain_hint
-        x_lo, x_hi = min(1e-7, lo / 100.0), hi * 10.0
-        rate, speed = model.frag.loss_rate, model.growth.c
-
-        def integrand(y):
-            return rate(y) / float(speed(y))
-
-        n = max(int(np.log10(x_hi / x_lo) * 100), 16)
-        xs = np.array(sorted(set(np.geomspace(x_lo, x_hi, n)) | {1.0}))
-        def panel(a, b):
-            try:
-                return _quad(integrand, a, b, rtol=1e-11, limit=200)
-            except QuadratureDivergence:
-                # integrable blow-up at a panel edge (e.g. c -> 0)
-                return _panel_integral(
-                    lambda y: 1.0 / max(integrand(y), 1e-300), a, b)
-
-        panels = np.array([panel(a, b) for a, b in zip(xs[:-1], xs[1:])])
-        vals = np.concatenate([[0.0], np.cumsum(panels)])
-        vals -= vals[int(np.searchsorted(xs, 1.0))]
-        deriv = np.array([integrand(x) for x in xs])
-        self._table = HermiteTable(CubicHermiteSpline(xs, vals, deriv))
-        self._x_first, self._x_last = float(xs[0]), float(xs[-1])
-        self._g_first, self._g_last = float(vals[0]), float(vals[-1])
-        self._hi_slope = float(deriv[-1])
-
-    def __call__(self, x):
-        if x <= self._x_first:
-            return self._g_first
-        if x >= self._x_last:
-            return float(self._g_last + self._hi_slope * (x - self._x_last))
-        return float(self._table(x))
 
 
 # -- report type --------------------------------------------------------
@@ -297,13 +252,20 @@ def build_h_pseudo_entrance(model: ModelSpec, alpha: float) -> WeightFunction:
         raise DomainError("pseudo-entrance construction needs alpha > 1")
     frag = model.frag
     measure = frag.ratio_measure
-    speed = model.growth.c
-    cum = CumulativeRateIntegral(model)
+    c, rate = model.growth.c, frag.loss_rate
+
+    def rate_speed(y):
+        # G is the scale of the speed c/K, which is infinite where K = 0
+        k = rate(y)
+        return c(y) / k if k else math.inf
+
+    cum = FlowEngine(GrowthSpec.from_speed(rate_speed, model.growth.kinks),
+                     *model.domain_hint).s_of
 
     # precondition: int_(0,1) K(y) s(dy) < +infinity
     try:
-        _quad(lambda y: frag.loss_rate(y) / float(speed(y)), 0.0, 1.0,
-              rtol=1e-6, limit=200)
+        _quad(lambda y: _slowness(rate_speed, y), 0.0, 1.0, rtol=1e-6,
+              limit=200)
     except QuadratureDivergence as exc:
         raise CriterionViolated(
             "near-zero rate integral int_(0,1) K s(dy) diverges") from exc
@@ -367,7 +329,7 @@ def build_h_powerlaw(model: ModelSpec, alpha: float,
     measure = frag.ratio_measure
     flow = FlowEngine(model.growth, *model.domain_hint)
     probes = model.probe_grid()
-    speed = np.array([flow.speed_at(x) for x in probes])
+    speed = np.array([model.growth.c(x) for x in probes])
     cx_ratio = speed / probes
 
     # zero exponents make the corresponding side of h constant, which is
@@ -525,7 +487,7 @@ def criterion_K_constant(model: ModelSpec) -> AssumptionReport:
 
     flow = FlowEngine(model.growth, *model.domain_hint)
     probes = model.probe_grid()
-    speed = np.array([flow.speed_at(x) for x in probes])
+    speed = np.array([model.growth.c(x) for x in probes])
     rate = np.array([frag.loss_rate(x) for x in probes])
     cx_ratio = speed / probes
     p0 = measure.mass()

@@ -155,9 +155,9 @@ class TiltedJumpLaw:
     kh_bracket serves the kill test from a table of ln k_h(x,(0,x)),
     split where k_h has kinks: at each kink kappa of h and at kappa/u for
     each atom u of the ratio measure, where h(ux) kinks.  next_jump_time
-    reads majorants of r from a second table, split at the kinks of h and
-    of the growth, where r may jump.  Both are _LatticeTables, built piece
-    by piece as paths reach them.
+    reads majorants of r, with s at the piece tops, from a second table,
+    split at the kinks of h and of the growth, where r may jump.  Both
+    are _LatticeTables, built piece by piece as paths reach them.
     jumps, kills and kh_exact_calls count the outcomes of
     post_jump_sample and the exact masses it needed; proposals and
     majorant_doublings count the thinning proposals of next_jump_time
@@ -262,18 +262,20 @@ class TiltedJumpLaw:
         return val
 
     def _majorant(self, a, b):
-        """_MAJORANT_SAFETY times the largest r at _MAJORANT_POINTS
-        log-spaced points of the piece [a, b), its top read just below b;
-        None where r raises or the bound passes _MAJORANT_CEILING."""
+        """(s(b), r_bar) of the piece [a, b): r_bar is _MAJORANT_SAFETY
+        times the largest r at _MAJORANT_POINTS log-spaced points of the
+        piece, its top read just below b; None where r raises or the bound
+        passes _MAJORANT_CEILING."""
+        s_top = self.flow.s_of(b)
         t0, width = math.log(a), math.log(b / a)
         last = _MAJORANT_POINTS - 1
         xs = [a] + [math.exp(t0 + width * k / last) for k in range(1, last)]
         try:
             peak = max(self.r(x) for x in xs + [math.nextafter(b, a)])
         except GrowfragError:
-            return None
+            return s_top, None
         r_bar = _MAJORANT_SAFETY * peak
-        return r_bar if r_bar <= _MAJORANT_CEILING else None
+        return s_top, (r_bar if r_bar <= _MAJORANT_CEILING else None)
 
     def sup_tilt_ratio(self, x: float) -> float:
         """Upper bound for h(ux)/h(x) over u in (0,1), with safety margin."""
@@ -306,8 +308,8 @@ def next_jump_time(state: PdmpState, law: TiltedJumpLaw, horizon: float):
     j, i = table.locate(x, build)
     t0 = 0.0
     while t0 < horizon:
-        top, r_bar = table.pieces(j, build)[i]
-        t1 = min(flow.s_of(top) - s_x, horizon)
+        _, (s_top, r_bar) = table.pieces(j, build)[i]
+        t1 = min(s_top - s_x, horizon)
         if r_bar is None:
             last = _MAJORANT_POINTS - 1
             r_bar = _MAJORANT_SAFETY * max(

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from growfrag.flow import FlowEngine
 from growfrag.model import (
     FragmentationKernel,
     GrowthSpec,
@@ -75,7 +74,6 @@ def eigenfunction_weight(model, triple, cut_lo=0.02, cut_hi=25.0,
     """
     from scipy.interpolate import PchipInterpolator
 
-    flow = FlowEngine(model.growth, *model.domain_hint)
     centers = triple.grid.centers
     keep = (centers >= cut_lo) & (centers <= cut_hi)
     logx = np.log(centers[keep])
@@ -107,7 +105,7 @@ def eigenfunction_weight(model, triple, cut_lo=0.02, cut_hi=25.0,
 
     def s_derivative(x):
         # dh/ds = c(x) h'(x) = h(x) c(x) dlog(h)/dlog(x) / x
-        return value(x) * flow.speed_at(x) * log_slope(x) / x
+        return value(x) * model.growth.c(x) * log_slope(x) / x
 
     return WeightFunction(value=value, s_derivative=s_derivative,
                           label="eigen-interp",

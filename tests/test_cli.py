@@ -328,6 +328,29 @@ def test_nonfinite_result_exits_2_without_traceback(tmp_path, capsys):
     assert not (out_dir / "simulate.json").exists()
 
 
+# speeds and rates that overflow, or underflow to 0, inside the range of a
+# scale table: c = x^60 and c = x^200 vanish near 0, c = x^-60 overflows
+# there, and c = x^200 and K = x^200 overflow above x = 34.97
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("old, new", [
+    ("growth = constant", "growth = power\ngrowth_exponent = 60"),
+    ("growth = constant", "growth = power\ngrowth_exponent = -60"),
+    ("growth = constant", "growth = power\ngrowth_exponent = 200"),
+    ("rate = linear", "rate = power\nrate_exponent = 200"),
+], ids=["growth-x60", "growth-x-60", "growth-x200", "rate-x200"])
+@pytest.mark.parametrize("command", ["check", "simulate"])
+def test_extreme_coefficient_exits_1_without_traceback(tmp_path, capsys,
+                                                       command, old, new):
+    cfg = _write(tmp_path, CANONICAL.replace(old, new))
+    code, out, err = _run(capsys, command, "--config", cfg, "--out",
+                          str(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert json.loads(err)["error"] in ("criterion", "DomainError",
+                                        "QuadratureDivergence")
+
+
 @pytest.mark.parametrize("seed, warns", [(1, True), (3, True), (5, False)])
 def test_simulate_warns_when_few_paths_contribute(tmp_path, capsys, seed,
                                                   warns):
@@ -349,8 +372,8 @@ def test_simulate_warns_when_few_paths_contribute(tmp_path, capsys, seed,
 # gives since jump times are thinned against the majorant table of r on
 # the append-only scale table
 @pytest.mark.parametrize("config, command, pinned", [
-    (CANONICAL, "simulate", {"estimate": 1.3735490170377862,
-                             "std_error": 0.307443798527578}),
+    (CANONICAL, "simulate", {"estimate": 1.3735490170377873,
+                             "std_error": 0.3074437985275783}),
     (CANONICAL, "qsd", {"lambda0X": 2.357142857142857,
                         "ci": [1.8642099365083347, 2.8500757777773797],
                         "kills": 110}),

@@ -1,9 +1,12 @@
 """Deterministic growth flow: scale function, inversion, transport."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicHermiteSpline
 
+from growfrag import flow as flow_module
 from growfrag.errors import DomainError
 from growfrag.flow import FlowEngine, HermiteTable
 from growfrag.model import GrowthSpec
@@ -23,11 +26,17 @@ def test_scale_unit_speed():
 
 
 def test_scale_with_square_root_kink():
-    # c(x) = sqrt(|x - 1|): s(2) = int_1^2 dy/sqrt(y-1) = 2
-    growth = GrowthSpec.from_speed(lambda x: np.sqrt(abs(x - 1.0)),
-                                   kinks=(1.0,))
-    flow = FlowEngine(growth, 1e-3, 1e3)
-    assert flow.s_of(2.0) == pytest.approx(2.0, abs=1e-8)
+    # c(x) = sqrt(|x - 1|): s(2) = int_1^2 dy/sqrt(y-1) = 2, and
+    # s(x) = sign(x - 1) 2 |x - 1|^0.5; on Python floats c is exactly 0 at
+    # the kink, where 1/c is an integrable singularity
+    for speed in (lambda x: np.sqrt(abs(x - 1.0)),
+                  lambda x: abs(x - 1.0) ** 0.5):
+        flow = FlowEngine(GrowthSpec.from_speed(speed, kinks=(1.0,)),
+                          1e-3, 1e3)
+        assert flow.s_of(2.0) == pytest.approx(2.0, abs=1e-8)
+        for x in (0.25, 0.9, 1.1, 5.0):
+            exact = math.copysign(2.0 * abs(x - 1.0) ** 0.5, x - 1.0)
+            assert flow.s_of(x) == pytest.approx(exact, rel=1e-8)
 
 
 def test_flow_through_degenerate_point():
@@ -38,6 +47,52 @@ def test_flow_through_degenerate_point():
     for t in (0.5, 1.0, 2.0):
         assert flow.flow_at(1.0, t) == pytest.approx(1.0 + t * t / 4.0,
                                                      rel=1e-6)
+
+
+SMOOTH_SPEEDS = [lambda x: 1.0, math.sqrt, lambda x: x,
+                 lambda x: 1.0 + x * x, lambda x: x ** 3,
+                 lambda x: x / (1.0 + x), lambda x: 1.0 / x]
+
+
+def test_lobatto_panels_agree_with_quad(monkeypatch):
+    # 7 x 1440 lattice panels on (0.0056, 178): the Lobatto rule accepts
+    # every one, within 1e-14 relative of the quad of _panel_integral
+    integral = flow_module._panel_integral
+    fallbacks = []
+    monkeypatch.setattr(flow_module, "_panel_integral",
+                        lambda c, a, b: fallbacks.append((a, b)) or math.nan)
+    worst = 0.0
+    for c in SMOOTH_SPEEDS:
+        for k in range(-720, 720):
+            a, b = flow_module._lattice(k), flow_module._lattice(k + 1)
+            got = flow_module._panel(c, a, b, 1.0 / c(a), 1.0 / c(b))
+            want = integral(c, a, b)
+            worst = max(worst, abs(got - want) / want)
+    assert fallbacks == []
+    assert worst <= 1e-14
+
+
+def test_panel_falls_back_to_quad_at_a_jump_or_a_zero_of_the_speed(
+        monkeypatch):
+    integral = flow_module._panel_integral
+    fallbacks = []
+
+    def counted(c, a, b):
+        fallbacks.append((a, b))
+        return integral(c, a, b)
+
+    monkeypatch.setattr(flow_module, "_panel_integral", counted)
+    # c jumps from 1 to 3 at the kink 2, where it is read from the right
+    step = lambda x: 1.0 if x < 2.0 else 3.0
+    a = 2.0 - 1e-3
+    got = flow_module._panel(step, a, 2.0, 1.0, 1.0 / 3.0)
+    assert got == pytest.approx(2.0 - a, rel=1e-12)
+    # c = |x - 1|^0.5 on Python floats is exactly 0 at the kink 1
+    root = lambda x: abs(x - 1.0) ** 0.5
+    b = 1.0 + 1e-3
+    got = flow_module._panel(root, 1.0, b, math.inf, 1.0 / root(b))
+    assert got == pytest.approx(2.0 * (b - 1.0) ** 0.5, rel=1e-8)
+    assert fallbacks == [(a, 2.0), (1.0, b)]
 
 
 def test_flow_scale_identity_on_lattice():
@@ -96,13 +151,6 @@ def test_flow_monotone_in_x_and_t():
     ts = np.linspace(0.0, 3.0, 30)
     vals_t = np.array([flow.flow_at(1.0, t) for t in ts])
     assert np.all(np.diff(vals_t) > 0)
-
-
-def test_speed_at_matches_declared():
-    flow = FlowEngine(GrowthSpec.from_speed(lambda x: 1.0 + x ** 2),
-                      1e-3, 1e3)
-    for x in (0.1, 1.0, 30.0):
-        assert flow.speed_at(x) == pytest.approx(1.0 + x ** 2, rel=1e-9)
 
 
 def test_lower_scale_limit():

@@ -247,6 +247,39 @@ def test_pseudo_entrance_weight_is_positive():
     assert np.all(np.isfinite(vals))
 
 
+def test_pseudo_entrance_weight_extends_exactly_past_the_domain():
+    # on the canonical model G(x) = int_1^x y dy = (x^2 - 1)/2, so
+    # log h = a_inf G above 1; far past the domain (0.01, 40) the table of
+    # G widens to the query instead of extrapolating
+    h = build_h_pseudo_entrance(make_canonical(), 2.0)
+    a_inf = h.log_value(2.0) / 1.5
+    for x in (1000.0, 5000.0):
+        assert h.log_value(x) == pytest.approx(a_inf * (x * x - 1.0) / 2.0,
+                                               rel=1e-12)
+
+
+def test_pseudo_entrance_weight_of_a_rate_that_vanishes_below_one_half():
+    # K(x) = max(x - 1/2, 0): the speed c/K of G is infinite below 1/2,
+    # where G is flat; G(x) = (max(x, 1/2) - 1/2)^2 / 2 - 1/8, and the
+    # uniform kernel (mass 2) gives a0 = 2.  The table has no node at the
+    # kink 1/2 of K, so the points keep off its panel
+    model = ModelSpec(
+        growth=GrowthSpec.from_speed(lambda x: 1.0),
+        frag=FragmentationKernel.relative(lambda x: max(x - 0.5, 0.0),
+                                          uniform_ratio()),
+        domain_hint=(1e-2, 40.0), irreducible=True)
+    h = build_h_pseudo_entrance(model, 2.0)
+
+    def G(x):
+        return (max(x, 0.5) - 0.5) ** 2 / 2.0 - 0.125
+
+    a_inf = h.log_value(2.0) / G(2.0)
+    for x in (1e-3, 0.01, 0.3, 0.6, 0.9):
+        assert h.log_value(x) == pytest.approx(-2.0 * G(x), rel=1e-12)
+    for x in (1.5, 3.0, 39.0, 1000.0):
+        assert h.log_value(x) == pytest.approx(a_inf * G(x), rel=1e-12)
+
+
 # -- lambda2 ----------------------------------------------------------------
 
 def test_lambda2_constant_ratio_flagged():

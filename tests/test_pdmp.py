@@ -123,19 +123,21 @@ def test_paths_do_not_depend_on_scale_table_widening(monkeypatch):
     simulate_path(model, law, 2.9, 30.0, seed=4, stream_id=98)
     assert law.flow._x_lo < ends[0] and law.flow._x_hi > ends[1]
     assert [path(law, k) for k in range(20)] == first
-    # on the perfbench simulate round each scale panel is integrated once
+    # on the perfbench simulate round each panel of the growth's own scale
+    # table is integrated once (the table of G integrates c/K, not c)
     panels = []
-    integral = flow_module._panel_integral
+    panel = flow_module._panel
 
-    def counted(c, a, b):
-        panels.append((a, b))
-        return integral(c, a, b)
+    def counted(c, a, b, g_a, g_b):
+        panels.append((c, a, b))
+        return panel(c, a, b, g_a, g_b)
 
-    monkeypatch.setattr(flow_module, "_panel_integral", counted)
+    monkeypatch.setattr(flow_module, "_panel", counted)
     law = _tilted_law(make_canonical())
     mc_semigroup(law.model, law, lambda y: y, 1.0, 1.0, n_paths=1000,
                  seed=1)
-    assert len(set(panels)) == len(panels) == len(law.flow._xs) - 1
+    own = [(a, b) for c, a, b in panels if c is law.model.growth.c]
+    assert len(set(own)) == len(own) == len(law.flow._xs) - 1
 
 
 def _visited_pieces(law):
@@ -143,7 +145,7 @@ def _visited_pieces(law):
     pieces = []
     for j, panel in sorted(law._majorants.panels.items()):
         lo = 10.0 ** (j / pdmp._PANELS_PER_DECADE)
-        for top, r_bar in panel:
+        for top, (_, r_bar) in panel:
             pieces.append((lo, top, r_bar))
             lo = top
     return pieces
