@@ -474,16 +474,20 @@ def cmd_converge(cfg: RunConfig, out_dir: str) -> dict:
     if cfg.spectral_json:
         try:
             with open(cfg.spectral_json) as fh:
-                prior = json.load(fh)
+                # integers too read as floats, so that any number passes
+                prior = json.load(fh, parse_int=float)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read spectral summary: {exc}",
                               key="spectral_json")
-        if prior.get("config_sha256") != cfg.sha256:
-            raise ConfigError(
-                "spectral summary was produced under a different config "
-                f"(hash {prior.get('config_sha256')} != {cfg.sha256})",
-                key="spectral_json")
-        lambda0 = prior["lambda0"]
+        if not isinstance(prior, dict) or \
+                prior.get("config_sha256") != cfg.sha256:
+            raise ConfigError("spectral summary is not a JSON object made "
+                              f"under this config (hash {cfg.sha256})",
+                              key="spectral_json")
+        lambda0 = prior.get("lambda0")
+        if type(lambda0) is not float or not np.isfinite(lambda0):
+            raise ConfigError(f"spectral summary has no finite lambda0, got "
+                              f"{lambda0!r}", key="spectral_json")
     horizon = cfg.t_end
     marks = cfg.checkpoints or list(np.linspace(
         0.25 * horizon, horizon, 12))
@@ -500,7 +504,7 @@ def cmd_converge(cfg: RunConfig, out_dir: str) -> dict:
             f"{len(kept)}", key="checkpoints")
     grid, op, triple = _spectral_triple(cfg)
     if lambda0 is not None:
-        triple.lambda0 = float(lambda0)
+        triple.lambda0 = lambda0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", pde.BoundaryLeak)
         traj = _solve(cfg, grid, marks, operator=op)

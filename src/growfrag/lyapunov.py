@@ -7,8 +7,7 @@ A h / h numerically on a probe grid, and evaluates the closed-form
 thresholds that decide whether a model falls in the spectral-gap regime.
 
 Limits at 0 and infinity are always approximated by extrapolating
-monotone trends over the first/last two decades of the probe grid;
-every report carries an explicit asymptotic-extrapolation caveat.
+monotone trends over the first/last two decades of the probe grid.
 """
 
 from __future__ import annotations
@@ -24,8 +23,8 @@ from .errors import (CriterionViolated, DomainError, EntranceBoundaryAbsent,
                      UnboundedAbove)
 from .flow import FlowEngine, _slowness
 from .model import (FragmentationKernel, GrowthSpec, ModelSpec,
-                    WeightFunction, constant_weight, generator_apply,
-                    identity_weight, _quad)
+                    WeightFunction, constant_weight, identity_weight,
+                    tilted_generator, _quad)
 
 GOLDEN_TOL = 1e-10
 GOLDEN_MAX_ITER = 200
@@ -91,15 +90,11 @@ class AssumptionReport:
 
     regime: str
     h: WeightFunction
-    psi: WeightFunction
-    psi_prime: WeightFunction
     b: float
     lambda1: float
     lambda2: float
     compact_set: Tuple[float, float]
     checks: List[Tuple[str, float, bool]] = field(default_factory=list)
-    caveats: List[str] = field(
-        default_factory=lambda: ["asymptotic-extrapolation"])
 
     @property
     def passed(self):
@@ -117,11 +112,12 @@ class AssumptionReport:
         }
 
 
-def _assumption4_fit(probes, ratio, psi_vals):
-    """Largest lambda1 with A psi <= -lambda1 psi + C 1_L on the probes.
+def _assumption4_fit(probes, ratio):
+    """Largest lambda1 with A psi <= -lambda1 psi + C 1_L on the probes,
+    for some C, given ratio = A psi/psi there.
 
     L is the smallest log-centered sub-interval of the probe grid
-    achieving that lambda1.  Returns (lambda1, (lo, hi), C).
+    achieving that lambda1.  Returns (lambda1, (lo, hi)).
     """
     n = len(probes)
     mid = n // 2
@@ -132,9 +128,7 @@ def _assumption4_fit(probes, ratio, psi_vals):
         inside[mid - j:mid + j + 1] = True
         lam = -float(np.max(ratio[~inside]))
         if best is None or lam > best[0] + 1e-12 * (1.0 + abs(lam)):
-            c_val = float(np.max((ratio[inside] + lam) * psi_vals[inside]))
-            best = (lam, (float(probes[mid - j]), float(probes[mid + j])),
-                    max(c_val, 0.0))
+            best = (lam, (float(probes[mid - j]), float(probes[mid + j])))
     return best
 
 
@@ -147,9 +141,6 @@ def _sup_generator_ratio(model, h, probes, ahh):
     rate b - A h/h stays non-negative everywhere.  Any b above the true
     sup is admissible: it only adds uniform extra killing.
     """
-    def ratio(x):
-        return generator_apply(model, h, x) / h(x)
-
     b = float(np.max(ahh))
     spots = [probes[int(np.argmax(ahh))]]
     spots.extend(k for k in getattr(h, "kinks", ())
@@ -159,8 +150,9 @@ def _sup_generator_ratio(model, h, probes, ahh):
         lo = max(x_star / step, probes[0])
         hi = min(x_star * step, probes[-1])
         try:
-            _, neg_min = golden_minimize(lambda x: -ratio(x), lo, hi,
-                                         tol=1e-10 * x_star)
+            _, neg_min = golden_minimize(
+                lambda x: -tilted_generator(model, h, x)[1], lo, hi,
+                tol=1e-10 * x_star)
             b = max(b, -neg_min)
         except GrowfragError:
             continue
@@ -178,20 +170,18 @@ class Lambda2Bound(float):
 
 
 def _probe_pass(model: ModelSpec, w: WeightFunction):
-    """w, k_w(x,(0,x))/w(x) and A w/w on the probe grid.
+    """k_w(x,(0,x))/w(x) and A w/w on the probe grid, from tilted_generator.
 
-    One kernel integral per probe serves both ratios; A w/w repeats the
-    float operations of generator_apply, so it matches it bit for bit.
+    Values of w are read only to check that w is positive; one that
+    overflows to inf is.
     """
     probes = model.probe_grid()
-    vals = np.array([w.value(x) for x in probes])
+    with np.errstate(over="ignore"):
+        vals = np.array([w.value(x) for x in probes])
     if np.any(vals <= 0.0):
         raise DomainError("weight must be positive on the probe grid")
-    jumps = np.array([model.frag.integrate(x, w.value) for x in probes])
-    ratio = np.array([(w.s_derivative(x) + jump
-                       - model.frag.loss_rate(x) * v) / v
-                      for x, v, jump in zip(probes, vals, jumps)])
-    return vals, jumps / vals, ratio
+    tilted, ratio = zip(*(tilted_generator(model, w, x) for x in probes))
+    return np.array(tilted), np.array(ratio)
 
 
 def lambda2_bound(model: ModelSpec, psi_prime: WeightFunction):
@@ -200,20 +190,16 @@ def lambda2_bound(model: ModelSpec, psi_prime: WeightFunction):
     The returned float carries .is_constant (ratio spread below 1e-9),
     which decides whether the upper bound lambda0 <= lambda2 is strict.
     """
-    ratio = _probe_pass(model, psi_prime)[2]
+    ratio = _probe_pass(model, psi_prime)[1]
     spread = float(np.max(ratio) - np.min(ratio))
     return Lambda2Bound(-float(np.min(ratio)), spread <= 1e-9, spread)
 
 
-def _report(model, regime, h, h_pass, b, checks, psi_prime,
-            psi_prime_ratio=None):
-    """Fit Assumption 4 with psi = h and assemble the regime's report."""
-    h_vals, _, ahh = h_pass
-    lambda1, compact, _ = _assumption4_fit(model.probe_grid(), ahh, h_vals)
-    if psi_prime_ratio is None:
-        psi_prime_ratio = _probe_pass(model, psi_prime)[2]
-    return AssumptionReport(regime=regime, h=h, psi=h, psi_prime=psi_prime,
-                            b=b, lambda1=lambda1,
+def _report(model, regime, h, ahh, b, checks, psi_prime_ratio):
+    """Fit Assumption 4 with psi = h and assemble the regime's report,
+    given A h/h and A psi'/psi' on the probes."""
+    lambda1, compact = _assumption4_fit(model.probe_grid(), ahh)
+    return AssumptionReport(regime=regime, h=h, b=b, lambda1=lambda1,
                             lambda2=-float(np.min(psi_prime_ratio)),
                             compact_set=compact, checks=checks)
 
@@ -223,7 +209,7 @@ def _report(model, regime, h, h_pass, b, checks, psi_prime,
 def _two_sided_exp(left, right, scale, label, slope=lambda x: 1.0):
     """w(x) = exp(coef scale(x)), coef = left for x < 1 and right from 1 on.
 
-    slope(x) is dscale/ds, so dw/ds = coef slope(x) w(x).
+    slope(x) is dscale/ds, so d ln w/ds = coef slope(x).
     """
     def log_value(x):
         return (left if x < 1.0 else right) * scale(x)
@@ -231,10 +217,10 @@ def _two_sided_exp(left, right, scale, label, slope=lambda x: 1.0):
     def value(x):
         return float(np.exp(log_value(x)))
 
-    def s_derivative(x):
-        return (left if x < 1.0 else right) * slope(x) * value(x)
+    def log_slope(x):
+        return (left if x < 1.0 else right) * slope(x)
 
-    return WeightFunction(value=value, s_derivative=s_derivative,
+    return WeightFunction(value=value, log_slope=log_slope,
                           label=label, kinks=(1.0,), log_value=log_value)
 
 
@@ -531,10 +517,10 @@ def criterion_K_constant(model: ModelSpec) -> AssumptionReport:
     beta = beta if beta is not None else 1e-3
 
     h = _two_sided_exp(-alpha, beta, flow.s_of, "K-constant")
-    h_pass = _probe_pass(model, h)
-    b = _sup_generator_ratio(model, h, probes, h_pass[2])
-    return _report(model, "K-constant-critical", h, h_pass, b, checks,
-                   constant_weight(1.0))
+    ahh = _probe_pass(model, h)[1]
+    b = _sup_generator_ratio(model, h, probes, ahh)
+    return _report(model, "K-constant-critical", h, ahh, b, checks,
+                   _probe_pass(model, constant_weight(1.0))[1])
 
 
 def criterion_entrance(model: ModelSpec,
@@ -552,8 +538,7 @@ def criterion_entrance(model: ModelSpec,
     probes = model.probe_grid()
     # with w = 1, k_w(x,(0,x))/w is the kernel mass and A w/w the net
     # growth k(x,(0,x)) - K(x), which is also A psi'/psi' for psi' = 1
-    one = constant_weight(1.0)
-    _, kernel_mass, net = _probe_pass(model, one)
+    kernel_mass, net = _probe_pass(model, constant_weight(1.0))
     margin = -lambda0_estimate - _tail_extreme(probes, net, "inf", np.max)
 
     limsup0 = _tail_extreme(probes, kernel_mass, "zero", np.max)
@@ -568,29 +553,27 @@ def criterion_entrance(model: ModelSpec,
             return float(np.exp(a * (flow.s_of(x) - s0)))
         return min(1.0, shift + flow.s_of(x))
 
-    def s_derivative(x):
+    def log_slope(x):
         if x < 1.0:
-            return a * value(x)
-        return 1.0 if x < x0 else 0.0
+            return a
+        return 1.0 / value(x) if x < x0 else 0.0
 
-    h = WeightFunction(value=value, s_derivative=s_derivative,
+    h = WeightFunction(value=value, log_slope=log_slope,
                        label="entrance", kinks=(1.0, x0))
-    h_pass = _probe_pass(model, h)
-    b = _sup_generator_ratio(model, h, probes, h_pass[2])
+    ahh = _probe_pass(model, h)[1]
+    b = _sup_generator_ratio(model, h, probes, ahh)
     checks = [
         ("entrance-scale-finite", -s0, True),
         ("tail-killing-margin", margin, margin > 0.0),
     ]
-    return _report(model, "entrance", h, h_pass, b, checks, one,
-                   psi_prime_ratio=net)
+    return _report(model, "entrance", h, ahh, b, checks, net)
 
 
 def verify_assumption1(model: ModelSpec, h: WeightFunction) -> AssumptionReport:
     """Probe-grid verification that A h / h is bounded above and the
     tilted kernel mass is finite on bounded sets."""
     probes = model.probe_grid()
-    h_pass = _probe_pass(model, h)
-    _, tilted, ahh = h_pass
+    tilted, ahh = _probe_pass(model, h)
     tail = ahh[_tail_mask(probes, "inf", 1.0)]
     if len(tail) >= 3 and np.all(np.diff(tail) > 0.0):
         raise UnboundedAbove(
@@ -608,5 +591,5 @@ def verify_assumption1(model: ModelSpec, h: WeightFunction) -> AssumptionReport:
         sup = float(np.max(tilted[mask]))
         checks.append((f"tilted-mass-sup-below-{level:g}", sup,
                        bool(np.isfinite(sup))))
-    return _report(model, "custom", h, h_pass, b, checks,
-                   identity_weight(model.growth))
+    return _report(model, "custom", h, ahh, b, checks,
+                   _probe_pass(model, identity_weight(model.growth))[1])

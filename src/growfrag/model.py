@@ -206,12 +206,16 @@ class FragmentationKernel:
 
     def integrate(self, x, f, kinks=()):
         """int_(0,x) f(y) k(x, dy) = K(x) int f(u x) p(du); quad splits
-        at the kinks of f below x."""
+        at the kinks of f below x, and its failure names x."""
         if x <= 0.0:
             raise DomainError(f"kernel queried at x={x} <= 0")
         ratios = tuple(sorted({k / x for k in kinks if 0.0 < k < x}))
-        return self.rate(x) * self.ratio_measure.integral(
-            lambda u: f(u * x), kinks=ratios)
+        try:
+            return self.rate(x) * self.ratio_measure.integral(
+                lambda u: f(u * x), kinks=ratios)
+        except QuadratureDivergence as exc:
+            raise QuadratureDivergence(
+                f"kernel integral at x={x:g}: {exc}") from exc
 
     def loss_rate(self, x):
         """K(x): the fragmentation event rate entering the generator."""
@@ -245,14 +249,15 @@ def power_ratio(theta):
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """Positive function together with its derivative along the scale s.
+    """Positive function f together with d ln f/ds = (df/ds)/f, the
+    logarithmic derivative along the scale s.
 
     log_value, when supplied, evaluates ln f(x) directly so that ratios
     f(y)/f(x) stay computable where f itself overflows.
     """
 
     value: Callable[[float], float]
-    s_derivative: Callable[[float], float]
+    log_slope: Callable[[float], float]
     label: str = ""
     kinks: tuple = ()
     log_value: Optional[Callable[[float], float]] = None
@@ -271,14 +276,14 @@ class WeightFunction:
 
 
 def identity_weight(growth):
-    """f(x) = x; df/ds = c(x), the speed of the given growth."""
+    """f(x) = x; d ln f/ds = c(x)/x, with c the speed of the given growth."""
     return WeightFunction(value=lambda x: x,
-                          s_derivative=lambda x: float(growth.c(x)),
+                          log_slope=lambda x: float(growth.c(x)) / x,
                           label="id")
 
 
 def constant_weight(c=1.0):
-    return WeightFunction(value=lambda x: c, s_derivative=lambda x: 0.0,
+    return WeightFunction(value=lambda x: c, log_slope=lambda x: 0.0,
                           label="one" if c == 1.0 else f"const:{c}")
 
 
@@ -303,9 +308,10 @@ class ModelSpec:
         return np.geomspace(lo, hi, _N_PROBE)
 
 
-def generator_apply(model: ModelSpec, f: WeightFunction, x: float):
-    """A f(x) = df/ds(x) + int f(y) k(x,dy) - K(x) f(x)."""
-    if x <= 0.0:
-        raise DomainError(f"generator queried at x={x} <= 0")
-    jump = model.frag.integrate(x, f.value)
-    return f.s_derivative(x) + jump - model.frag.loss_rate(x) * f.value(x)
+def tilted_generator(model: ModelSpec, w: WeightFunction, x: float):
+    """(k_w(x,(0,x))/w(x), A w(x)/w(x)): the tilted mass
+    K(x) int w(ux)/w(x) p(du), the one kernel integral of a weight (read
+    through w.tilt, split at w.kinks), and A w/w = d ln w/ds + it - K(x).
+    """
+    tilted = model.frag.integrate(x, w.tilt(x), w.kinks)
+    return tilted, w.log_slope(x) + tilted - model.frag.loss_rate(x)

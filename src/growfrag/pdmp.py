@@ -5,10 +5,10 @@ r(x) = k_h(x,(0,x)) + q(x) it either dies (probability q(x)/r(x), with
 killing rate q(x) = b - A h(x)/h(x)) or picks a child from the h-tilted
 kernel k_h(x,dy) = h(y)/h(x) k(x,dy).  Since
 
-    A h(x)/h(x) = (dh/ds)(x)/h(x) + k_h(x,(0,x)) - K(x),
+    A h(x)/h(x) = d ln h/ds(x) + k_h(x,(0,x)) - K(x),
 
-the total rate collapses to r(x) = b + K(x) - (dh/ds)(x)/h(x), so jump
-*times* are sampled by thinning without any kernel integral, against
+the total rate collapses to r(x) = b + K(x) - d ln h/ds(x), so jump
+*times* are sampled by thinning without a kernel integral or h, against
 majorants of r read from a lazily built table (Lewis & Shedler 1979).
 The tilted mass only enters the kill test at accepted jumps, and there
 it is read from a second lazily built table that brackets it; the exact
@@ -33,7 +33,7 @@ import numpy as np
 from .errors import (DomainError, ExplosionGuard, GrowfragError,
                      MajorantOverflow, RejectionStall)
 from .flow import FlowEngine
-from .model import ModelSpec, WeightFunction
+from .model import ModelSpec, WeightFunction, tilted_generator
 
 
 class _Sentinel:
@@ -182,7 +182,7 @@ class TiltedJumpLaw:
 
     def kh_mass(self, x: float) -> float:
         """k_h(x,(0,x)) = int h(y)/h(x) k(x,dy), split at the kinks of h."""
-        val = self.model.frag.integrate(x, self.h.tilt(x), self.h.kinks)
+        val = tilted_generator(self.model, self.h, x)[0]
         if not np.isfinite(val):
             raise DomainError(f"tilted kernel mass diverges at x={x:g}")
         return val
@@ -254,9 +254,8 @@ class TiltedJumpLaw:
                 "majorant_doublings": self.majorant_doublings}
 
     def r(self, x: float) -> float:
-        """Total jump rate r(x) = b + K(x) - (dh/ds)(x)/h(x)."""
-        val = self.b + self.model.frag.loss_rate(x) \
-            - self.h.s_derivative(x) / self.h(x)
+        """Total jump rate r(x) = b + K(x) - d ln h/ds(x)."""
+        val = self.b + self.model.frag.loss_rate(x) - self.h.log_slope(x)
         if not np.isfinite(val):
             raise DomainError(f"jump rate not finite at x={x:g}")
         return val

@@ -92,7 +92,7 @@ def eigenfunction_weight(model, triple, cut_lo=0.02, cut_hi=25.0,
             return level_hi + slope_hi * (lx - hi)
         return float(spline(lx))
 
-    def log_slope(x):
+    def elasticity(x):
         lx = np.log(x)
         if lx <= lo:
             return 0.0
@@ -103,11 +103,11 @@ def eigenfunction_weight(model, triple, cut_lo=0.02, cut_hi=25.0,
     def value(x):
         return float(np.exp(log_value(x)))
 
-    def s_derivative(x):
-        # dh/ds = c(x) h'(x) = h(x) c(x) dlog(h)/dlog(x) / x
-        return value(x) * model.growth.c(x) * log_slope(x) / x
+    def log_slope(x):
+        # d ln h/ds = c(x) (d ln h/dx) = c(x) (d ln h/d ln x) / x
+        return model.growth.c(x) * elasticity(x) / x
 
-    return WeightFunction(value=value, s_derivative=s_derivative,
+    return WeightFunction(value=value, log_slope=log_slope,
                           label="eigen-interp",
                           kinks=(float(np.exp(lo)), float(np.exp(hi))),
                           log_value=log_value)

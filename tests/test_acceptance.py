@@ -161,7 +161,7 @@ def test_acceptance_duality_singular_power_kernel():
         domain_hint=(0.01, 40.0))
     root2 = np.sqrt(2.0)
     h = WeightFunction(value=lambda x: 1.0 + root2 * x,
-                       s_derivative=lambda x: root2)
+                       log_slope=lambda x: root2 / (1.0 + root2 * x))
     law = TiltedJumpLaw(model, h, root2)
     t = 0.5
     exact = np.cosh(root2 * t) + np.sinh(root2 * t) / root2

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, stable JSON, artifacts."""
 
+import hashlib
 import json
 import warnings
 
@@ -127,11 +128,12 @@ def test_check_critical_fails(tmp_path, capsys):
 # reports of the two criteria on CANONICAL (c = 1, K(x) = x, p(du) = 2 du on
 # (0.01, 40)), pinned to the values the criteria gave before they shared one
 # probe pass per weight, up to the last bits that b, lambda1 and the scale
-# margins moved by when the scale table went onto a fixed node lattice;
-# both fail, so `check` exits 1
+# margins moved by when the scale table went onto a fixed node lattice, and
+# b and lambda1 by about 1e-10 when the probe pass split its tilted mass at
+# the kinks of h; both fail, so `check` exits 1
 ENTRANCE_REPORT = {
-    "regime": "entrance", "b": 38.088550765864426,
-    "lambda1": -38.08464230163426, "lambda2": -0.01,
+    "regime": "entrance", "b": 38.08855076223529,
+    "lambda1": -38.08464229800549, "lambda2": -0.01,
     "L": [0.6222531917560458, 0.6640772216232578],
     "checks": [
         {"name": "entrance-scale-finite", "margin": 0.9999999999990025,
@@ -140,8 +142,8 @@ ENTRANCE_REPORT = {
     ],
 }
 K_CONSTANT_REPORT = {
-    "regime": "K-constant-critical", "b": 38.42798760238201,
-    "lambda1": -38.42404519786223, "lambda2": -0.01,
+    "regime": "K-constant-critical", "b": 38.42798760145186,
+    "lambda1": -38.42404519693217, "lambda2": -0.01,
     "L": [0.6222531917560458, 0.6640772216232578],
     "checks": [
         {"name": "rate-positive", "margin": 0.01, "pass": True},
@@ -351,6 +353,27 @@ def test_extreme_coefficient_exits_1_without_traceback(tmp_path, capsys,
                                         "QuadratureDivergence")
 
 
+def test_overflowing_weight_warns_nothing_and_names_x(tmp_path, capsys):
+    # with c = x^-60, h = exp(a_inf G) with G ~ x^62/62 overflows at the
+    # top probes; the kernel integrals read tilts, which are differences of
+    # ln h, and the run ends at the first probe whose tilted mass quad
+    # cannot resolve, x = 1.27, which the error names
+    cfg = _write(tmp_path, CANONICAL.replace(
+        "growth = constant", "growth = power\ngrowth_exponent = -60"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, "check", "--config", cfg, "--out",
+                              str(tmp_path))
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] \
+        == []
+    assert code == 1
+    assert out == ""
+    assert "RuntimeWarning" not in err
+    payload = json.loads(err)
+    assert payload["error"] == "QuadratureDivergence"
+    assert "at x=1.27" in payload["message"]
+
+
 @pytest.mark.parametrize("seed, warns", [(1, True), (3, True), (5, False)])
 def test_simulate_warns_when_few_paths_contribute(tmp_path, capsys, seed,
                                                   warns):
@@ -370,10 +393,10 @@ def test_simulate_warns_when_few_paths_contribute(tmp_path, capsys, seed,
 
 # outputs on CANONICAL and MITOSIS, pinned to the values the Monte Carlo
 # gives since jump times are thinned against the majorant table of r on
-# the append-only scale table
+# the append-only scale table, with r read from d ln h/ds
 @pytest.mark.parametrize("config, command, pinned", [
-    (CANONICAL, "simulate", {"estimate": 1.3735490170377873,
-                             "std_error": 0.3074437985275783}),
+    (CANONICAL, "simulate", {"estimate": 1.3735490170377878,
+                             "std_error": 0.3074437985275784}),
     (CANONICAL, "qsd", {"lambda0X": 2.357142857142857,
                         "ci": [1.8642099365083347, 2.8500757777773797],
                         "kills": 110}),
@@ -469,6 +492,41 @@ def test_converge_refuses_foreign_spectral_summary(tmp_path, capsys):
                         str(tmp_path))
     assert code == 2
     assert json.loads(err)["key"] == "spectral_json"
+
+
+def _converge_with_summary(tmp_path, capsys, summary):
+    """converge on CANONICAL, given a spectral summary whose text is
+    summary(hash of the config that names it)."""
+    path = tmp_path / "summary.json"
+    cfg = _write(tmp_path, CANONICAL + f"spectral_json = {path}\n")
+    with open(cfg, "rb") as fh:
+        path.write_text(summary(hashlib.sha256(fh.read()).hexdigest()))
+    return _run(capsys, "converge", "--config", cfg, "--out", str(tmp_path))
+
+
+@pytest.mark.parametrize("summary", [
+    lambda sha: "[]",
+    lambda sha: json.dumps({"config_sha256": sha}),
+    lambda sha: json.dumps({"config_sha256": sha, "lambda0": "abc"}),
+], ids=["list", "no-lambda0", "text-lambda0"])
+def test_converge_rejects_malformed_spectral_summary(tmp_path, capsys,
+                                                     summary):
+    code, out, err = _converge_with_summary(tmp_path, capsys, summary)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert json.loads(err)["key"] == "spectral_json"
+
+
+@pytest.mark.parametrize("lambda0", [-0.75, -1])
+def test_converge_reports_the_spectral_summary_lambda0(tmp_path, capsys,
+                                                       lambda0):
+    code, out, _ = _converge_with_summary(
+        tmp_path, capsys,
+        lambda sha: json.dumps({"config_sha256": sha, "lambda0": lambda0}))
+    assert code == 0
+    assert json.loads(out)["lambda0"] == lambda0
+    assert (tmp_path / "converge.json").read_text() == out
 
 
 # -- determinism --------------------------------------------------------------

@@ -10,10 +10,10 @@ from growfrag.model import (
     RatioMeasure,
     WeightFunction,
     constant_weight,
-    generator_apply,
     identity_weight,
     mitosis_ratio,
     power_ratio,
+    tilted_generator,
     uniform_ratio,
 )
 
@@ -153,12 +153,17 @@ def test_kernel_rejects_nonpositive_x():
 
 # -- generator -----------------------------------------------------------
 
+def _generator_apply(model, w, x):
+    """A w(x), from the ratio A w/w."""
+    return w(x) * tilted_generator(model, w, x)[1]
+
+
 def test_generator_identity_weight_gives_speed():
     # mean-conserving repartition: A id(x) = c(x) exactly
     model = make_conserving_linear()
     f = identity_weight(model.growth)
     for x in (0.2, 1.0, 5.0):
-        assert generator_apply(model, f, x) == pytest.approx(
+        assert _generator_apply(model, f, x) == pytest.approx(
             model.growth.c(x), rel=1e-9)
 
 
@@ -167,7 +172,7 @@ def test_generator_constant_weight_gives_branching_rate():
     model = make_canonical()
     one = constant_weight(1.0)
     for x in (0.1, 1.0, 10.0):
-        assert generator_apply(model, one, x) == pytest.approx(
+        assert _generator_apply(model, one, x) == pytest.approx(
             x * (2.0 - 1.0), rel=1e-9)
 
 
@@ -178,12 +183,13 @@ def test_generator_linearity():
     alpha, beta = 0.7, -0.3
     combo = WeightFunction(
         value=lambda x: alpha * f(x) + beta * g(x),
-        s_derivative=lambda x: alpha * f.s_derivative(x)
-        + beta * g.s_derivative(x))
+        log_slope=lambda x: (alpha * f(x) * f.log_slope(x)
+                             + beta * g(x) * g.log_slope(x))
+        / (alpha * f(x) + beta * g(x)))
     for x in (0.5, 2.0, 8.0):
-        lhs = generator_apply(model, combo, x)
-        rhs = alpha * generator_apply(model, f, x) \
-            + beta * generator_apply(model, g, x)
+        lhs = _generator_apply(model, combo, x)
+        rhs = alpha * _generator_apply(model, f, x) \
+            + beta * _generator_apply(model, g, x)
         assert lhs == pytest.approx(rhs, abs=1e-9 * (1.0 + abs(rhs)))
 
 
@@ -193,11 +199,10 @@ def test_generator_jump_integral_vs_simpson_oracle():
     model = make_canonical()
     flow = FlowEngine(model.growth, *model.domain_hint)
     h = WeightFunction(value=lambda x: np.exp(-x) + x ** 2,
-                       s_derivative=lambda x: (-np.exp(-x) + 2 * x)
-                       * model.growth.c(x))
+                       log_slope=lambda x: (-np.exp(-x) + 2 * x)
+                       * model.growth.c(x) / (np.exp(-x) + x ** 2))
     x = 0.5
-    jump = generator_apply(model, h, x) - h.s_derivative(x) \
-        + model.frag.loss_rate(x) * h(x)
+    jump = tilted_generator(model, h, x)[0] * h(x)
     ys = np.linspace(1e-12, x, 1_000_001)
     dens = (np.exp(-ys) + ys ** 2) * x * (2.0 / x)   # h(y) K(x) p'(y/x)/x
     oracle = simpson(dens, x=ys)
@@ -207,7 +212,7 @@ def test_generator_jump_integral_vs_simpson_oracle():
 def test_generator_rejects_nonpositive_x():
     model = make_canonical()
     with pytest.raises(DomainError):
-        generator_apply(model, constant_weight(1.0), -1.0)
+        tilted_generator(model, constant_weight(1.0), -1.0)
 
 
 # -- probe grid and weights ----------------------------------------------
@@ -222,7 +227,7 @@ def test_probe_grid_spans_domain():
 
 def test_weight_ratio_uses_log_values():
     w = WeightFunction(value=lambda x: np.exp(x),
-                       s_derivative=lambda x: np.exp(x),
+                       log_slope=lambda x: 1.0,
                        log_value=lambda x: x)
     # plain values overflow at x=2000 but the ratio stays finite
     assert w.tilt(1999.0)(2000.0) == pytest.approx(np.e, rel=1e-12)

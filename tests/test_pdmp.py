@@ -10,13 +10,13 @@ from scipy import integrate
 from scipy.stats import kstest
 
 from growfrag import flow as flow_module
-from growfrag import pdmp
+from growfrag import lyapunov, pdmp
 from growfrag.errors import DomainError
 from growfrag.flow import FlowEngine
 from growfrag.lyapunov import build_h_pseudo_entrance, verify_assumption1
 from growfrag.model import (FragmentationKernel, GrowthSpec, ModelSpec,
-                            constant_weight, generator_apply, identity_weight,
-                            power_ratio, uniform_ratio)
+                            WeightFunction, constant_weight, identity_weight,
+                            power_ratio, tilted_generator, uniform_ratio)
 from growfrag.pdmp import (
     CEMETERY,
     NO_JUMP,
@@ -79,10 +79,19 @@ def test_zero_rate_never_jumps():
     assert next_jump_time(state, law, 100.0) is NO_JUMP
 
 
-def test_inhomogeneous_waiting_time_distribution():
-    # unit speed from x0 = 1 with r(x) = x gives rate 1 + u along the
-    # flow, so P(tau > t) = exp(-t - t^2/2)
-    law = _law(make_canonical(), b=0.0)
+@pytest.mark.parametrize("b, safety", [(0.0, None), (1000.0, 0.5)],
+                         ids=["table", "doubled"])
+def test_inhomogeneous_waiting_time_distribution(monkeypatch, b, safety):
+    # unit speed from x0 = 1 with r(x) = b + x gives rate b + 1 + u along
+    # the flow, so P(tau > t) = exp(-(b + 1) t - t^2/2).  A majorant of
+    # half the largest r on its piece lies below r all over the piece,
+    # where r varies by less than 2x: a proposal there doubles it to a
+    # true majorant.  A window that no proposal reaches keeps the low
+    # majorant and makes the law wrong, so b = 1000 gives the first
+    # window, [1, 10^(1/32)), odds of e^(-37) of seeing no proposal
+    if safety is not None:
+        monkeypatch.setattr(pdmp, "_MAJORANT_SAFETY", safety)
+    law = _law(make_canonical(), b=b)
     n = 2000
     draws = np.empty(n)
     for i in range(n):
@@ -90,8 +99,9 @@ def test_inhomogeneous_waiting_time_distribution():
         tau = next_jump_time(state, law, 30.0)
         assert tau is not NO_JUMP
         draws[i] = tau
-    cdf = lambda t: 1.0 - np.exp(-t - 0.5 * t * t)  # noqa: E731
+    cdf = lambda t: 1.0 - np.exp(-(b + 1.0) * t - 0.5 * t * t)  # noqa: E731
     assert kstest(draws, cdf).pvalue > 0.01
+    assert (law.majorant_doublings > 0) == (safety is not None)
 
 
 def _sqrt_speed_model():
@@ -263,6 +273,25 @@ def test_identity_tilted_child_ratio():
                   lambda u: np.clip(u, 0, 1) ** 2).pvalue > 0.01
 
 
+def test_child_sampler_raises_a_low_bound():
+    # h(y) = 1 + y/4 has A h/h = 1 on this model, so b = 1 never kills;
+    # from x = 0.8 the tilt h(ux)/h(x) = (1 + u/5)/1.2 spans [1/1.2, 1].
+    # Under a bound of 1e-9 every first draw raises it to 1.2 times its
+    # tilt, which is at least 1, and so the child law is the tilted one,
+    # with CDF (u + u^2/10)/1.1 in u = child/x.  Draws accepted under a
+    # bound below the largest tilt would skew the law to small tilts.
+    model = make_conserving_linear()
+    h = WeightFunction(value=lambda y: 1.0 + 0.25 * y,
+                       log_slope=lambda y: y / (4.0 + y))
+    law = _law(model, h=h, b=1.0)
+    law.sup_tilt_ratio = lambda x: 1e-9
+    draws = np.array([post_jump_sample(
+        PdmpState.fresh(0.8, seed=8, stream_id=i), law) for i in range(3000)])
+    assert kstest(draws / 0.8,
+                  lambda u: (u + 0.1 * u * u) / 1.1).pvalue > 0.01
+    assert law.kills == 0
+
+
 def test_post_jump_sample_evaluates_h_at_x_at_most_three_times():
     # kh_mass, sup_tilt_ratio and the child draw each build one tilt
     # y -> h(y)/h(x); none re-evaluates h(x) per quadrature node or draw
@@ -331,13 +360,29 @@ def _kh_split_at_kinks(law, x):
     return law.model.frag.rate(x) * total
 
 
-@pytest.mark.parametrize("x", [1.0021, 2.004])
-def test_kh_mass_is_exact_next_to_a_kink_of_h(x):
-    # u = 1/x sits next to an end or the midpoint of (0, 1), where quad
-    # over (0, 1) alone erred by 2.5e-6 and 1.4e-6
-    law = _tilted_law(make_canonical())
-    assert law.kh_mass(x) == pytest.approx(_kh_split_at_kinks(law, x),
-                                           rel=1e-8)
+@pytest.mark.parametrize("source", ["kh_mass", "probe_pass"])
+def test_tilted_mass_is_exact_next_to_a_kink_of_h(monkeypatch, source):
+    # at x = 1.0021 and 2.004, u = 1/x sits next to an end or the midpoint
+    # of (0, 1), where quad over (0, 1) alone erred by 2.5e-6 and 1.4e-6;
+    # the set-up's probe pass, unsplit, erred by 3.0e-8 at x = 2.0067
+    model = make_canonical()
+    h = build_h_pseudo_entrance(model, 2.0)
+    passes = {}
+    probe_pass = lyapunov._probe_pass
+
+    def recorded(model, w):
+        passes[w.label] = probe_pass(model, w)
+        return passes[w.label]
+
+    monkeypatch.setattr(lyapunov, "_probe_pass", recorded)
+    law = TiltedJumpLaw(model, h, verify_assumption1(model, h).b)
+    if source == "kh_mass":
+        xs = [1.0021, 2.004]
+        masses = [law.kh_mass(x) for x in xs]
+    else:
+        xs, masses = model.probe_grid(), passes[h.label][0]
+    for x, mass in zip(xs, masses):
+        assert mass == pytest.approx(_kh_split_at_kinks(law, x), rel=1e-8)
 
 
 def test_kh_mass_is_exact_under_a_spline_weight(canonical_model,
@@ -429,7 +474,7 @@ def test_b_below_sup_generator_ratio_raises_under_the_squeeze():
     model = make_canonical()
     h = build_h_pseudo_entrance(model, 2.0)
     probes = [float(x) for x in model.probe_grid()]
-    ratios = [generator_apply(model, h, x) / h(x) for x in probes]
+    ratios = [tilted_generator(model, h, x)[1] for x in probes]
     x_star = probes[int(np.argmax(ratios))]
     for gap in (1e-6, 0.5):
         law = TiltedJumpLaw(model, h, max(ratios) - gap)

@@ -105,7 +105,7 @@ def test_reconstruct_untilts_weighted_samples():
     # samples drawn proportional to h collapse back once divided by h
     rng = np.random.default_rng(11)
     grid = SizeGrid.log_uniform(0.1, 10.0, 16)
-    h = WeightFunction(value=lambda x: x, s_derivative=lambda x: 1.0)
+    h = WeightFunction(value=lambda x: x, log_slope=lambda x: 1.0 / x)
     base = rng.uniform(0.2, 5.0, 200_000)
     keep = base[rng.random(len(base)) < base / 5.0]   # size-biased draw
     m, _ = reconstruct_m_phi(keep, None, h, grid)
@@ -120,7 +120,7 @@ def test_reconstruct_phi_from_eta():
     probes = grid.centers
     eta = EtaEstimate(probes=probes, values=np.full(8, 0.5),
                       values_late=np.full(8, 0.5), t_probe=1.0)
-    h = WeightFunction(value=lambda x: x, s_derivative=lambda x: 1.0)
+    h = WeightFunction(value=lambda x: x, log_slope=lambda x: 1.0 / x)
     samples = np.full(100, 1.0)
     m, phi = reconstruct_m_phi(samples, eta, h, grid)
     # phi = eta * h = x/2, then normalized to max 1
@@ -131,7 +131,7 @@ def test_reconstruct_phi_from_eta():
 def test_rescaling_h_changes_nothing():
     model = make_mitosis()
     flow = FlowEngine(model.growth, *model.domain_hint)
-    h2 = WeightFunction(value=lambda x: 2.0, s_derivative=lambda x: 0.0)
+    h2 = WeightFunction(value=lambda x: 2.0, log_slope=lambda x: 0.0)
     law_a = TiltedJumpLaw(model, constant_weight(1.0), 1.3, flow)
     law_b = TiltedJumpLaw(model, h2, 1.3, flow)
     res_a = fv_run(model, law_a, n_particles=150, t_end=2.0, seed=9)
