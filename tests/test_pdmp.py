@@ -360,11 +360,18 @@ def _kh_split_at_kinks(law, x):
     return law.model.frag.rate(x) * total
 
 
-@pytest.mark.parametrize("source", ["kh_mass", "probe_pass"])
-def test_tilted_mass_is_exact_next_to_a_kink_of_h(monkeypatch, source):
-    # at x = 1.0021 and 2.004, u = 1/x sits next to an end or the midpoint
-    # of (0, 1), where quad over (0, 1) alone erred by 2.5e-6 and 1.4e-6;
-    # the set-up's probe pass, unsplit, erred by 3.0e-8 at x = 2.0067
+@pytest.mark.parametrize("x", [1.0021, 2.004])
+def test_kh_mass_is_exact_next_to_a_kink_of_h(x):
+    # u = 1/x sits next to an end or the midpoint of (0, 1), where quad
+    # over (0, 1) alone erred by 2.5e-6 and 1.4e-6
+    law = _tilted_law(make_canonical())
+    assert law.kh_mass(x) == pytest.approx(_kh_split_at_kinks(law, x),
+                                           rel=1e-8)
+
+
+def test_probe_pass_mass_is_exact_next_to_a_kink_of_h(monkeypatch):
+    # the set-up's probe pass, unsplit at the kinks of h, erred by 3.0e-8
+    # at x = 2.0067
     model = make_canonical()
     h = build_h_pseudo_entrance(model, 2.0)
     passes = {}
@@ -376,12 +383,7 @@ def test_tilted_mass_is_exact_next_to_a_kink_of_h(monkeypatch, source):
 
     monkeypatch.setattr(lyapunov, "_probe_pass", recorded)
     law = TiltedJumpLaw(model, h, verify_assumption1(model, h).b)
-    if source == "kh_mass":
-        xs = [1.0021, 2.004]
-        masses = [law.kh_mass(x) for x in xs]
-    else:
-        xs, masses = model.probe_grid(), passes[h.label][0]
-    for x, mass in zip(xs, masses):
+    for x, mass in zip(model.probe_grid(), passes[h.label][0]):
         assert mass == pytest.approx(_kh_split_at_kinks(law, x), rel=1e-8)
 
 
