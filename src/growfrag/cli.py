@@ -387,8 +387,8 @@ def cmd_check(cfg: RunConfig, out_dir: str) -> dict:
 def cmd_simulate(cfg: RunConfig, out_dir: str) -> dict:
     h, report = _build_weight(cfg)
     law = TiltedJumpLaw(cfg.model, h, b=report.b)
-    estimate, std_error, trace = mc_semigroup(
-        cfg.model, law, cfg.functional(), cfg.x0, cfg.t_end, cfg.n_paths,
+    [(estimate, std_error)], trace = mc_semigroup(
+        cfg.model, law, [cfg.functional()], cfg.x0, cfg.t_end, cfg.n_paths,
         seed=cfg.seed)
     trace.to_csv(os.path.join(out_dir, "path.csv"))
     return {
@@ -418,7 +418,6 @@ def cmd_pde(cfg: RunConfig, out_dir: str) -> dict:
         "below_domain_mass": traj.below_domain_mass,
         "steps": traj.steps,
         "floored_mass": traj.floored_mass,
-        "stencil_error": traj.stencil_error,
         "grid_n": cfg.grid_n,
         "config_sha256": cfg.sha256,
         "seed": cfg.seed,

@@ -33,21 +33,10 @@ _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 # -- optimizer ----------------------------------------------------------
 
-def golden_minimize(f, lo, hi, tol=GOLDEN_TOL, expand_hi=None):
-    """Golden-section minimum of f on [lo, hi] with bracket auto-expansion.
-
-    When the minimum sits on the upper boundary the bracket is doubled
-    (up to expand_hi) before the section search starts.  Returns
-    (argmin, minimum).
-    """
+def golden_minimize(f, lo, hi, tol=GOLDEN_TOL):
+    """Golden-section minimum of f on [lo, hi]; returns (argmin, minimum)."""
     if not lo < hi:
         raise DomainError(f"empty optimizer bracket ({lo}, {hi})")
-    for _ in range(64):
-        width = hi - lo
-        if expand_hi is None or hi >= expand_hi or \
-                not f(hi) < f(hi - 1e-3 * width):
-            break
-        hi = min(hi + width, expand_hi)
     a, b = lo, hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
@@ -360,14 +349,14 @@ def criterion_uniform_kernel():
     the minimum is 3 + 2 sqrt(2), attained at alpha = 1 + sqrt(2).
     """
     argmin, threshold = golden_minimize(uniform_kernel_objective,
-                                        1.0 + 1e-9, 8.0, expand_hi=1e6)
+                                        1.0 + 1e-9, 8.0)
     return threshold, argmin
 
 
 def criterion_mitosis_kernel():
     """Best admissible window threshold for equal mitosis p = 2 delta_{1/2}."""
     argmin, threshold = golden_minimize(mitosis_kernel_objective,
-                                        1.0 + 1e-9, 8.0, expand_hi=1e6)
+                                        1.0 + 1e-9, 8.0)
     return threshold, argmin
 
 

@@ -8,11 +8,13 @@ obtained by integrating the child kernel over destination cells.
 Atomic ratio kernels land in cells exactly; densities are integrated
 through the ratio measure's cumulative table, the one its draws invert.
 
-On a log-uniform grid edges_j / x_i = r^(j-i-1/2), so the kernel's
-unit inflow from cell i into cell j >= 1 depends on i - j only.  The
-march then applies the exchange as one Toeplitz correlation of
+The grid is log-uniform, so edges_j / x_i = r^(j-i-1/2) and the
+kernel's unit inflow from cell i into cell j >= 1 depends on i - j only:
+the assembly reads the top cell's column once and shifts it for every
+other.  The march applies the exchange as one Toeplitz correlation of
 non-negative terms (each entry keeps its relative accuracy, unlike an
-FFT) instead of the ~n^2/2-entry sparse product.
+FFT) instead of the ~n^2/2-entry sparse product; spectral factors the
+sparse matrix built from the same numbers.
 
 Starting from a point mass at x0, pairing the solution against f gives
 the deterministic oracle for T_t f(x0).
@@ -35,7 +37,6 @@ from .model import ModelSpec
 _CFL_FACTOR = 0.9
 _MIN_DT = 1e-12
 _LEAK_WARN_FRACTION = 1e-3
-_STENCIL_RTOL = 1e-10     # largest column deviation the stencil accepts
 _MASS_FLOOR = 1e-250      # cell masses below this fraction of the total
 
 
@@ -118,24 +119,28 @@ def pairing(state: DensityState, f: Callable) -> float:
 class ExchangeStencil:
     """M m as transport plus a Toeplitz fragmentation exchange.
 
-    Row 0 receives head @ (K m); row j >= 1 receives
-    sum_k g[k] (K m)[j + k], where taps = g reversed.
+    lattice[k] is the top cell's unit inflow into cell k, and column i
+    reads it shifted by top - i: row 0 receives head @ (K m), row j >= 1
+    receives sum_i lattice[top + j - i] (K m)[i].  taps keeps only the
+    nonzero band of k >= 1, lattice[offset:offset + len(taps)], reversed,
+    so an atom costs one tap, not a full-length correlation.
     """
 
     rate: np.ndarray
     out: np.ndarray    # c(edge_{i+1}) / width_i: upwind outflow of cell i
+    drain: np.ndarray  # -(rate + out): what each cell loses
     head: np.ndarray   # unit inflow of each column into the first cell
     taps: np.ndarray
+    offset: int
 
     def apply(self, m):
         v = self.rate * m
-        flux = self.out * m
-        dm = np.empty_like(m)
-        dm[0] = self.head @ v
-        dm[1:] = np.convolve(v, self.taps)[len(m) - 1:]
-        dm[1:] += flux[:-1]
-        dm -= v
-        dm -= flux
+        dm = self.drain * m
+        dm[1:] += self.out[:-1] * m[:-1]
+        dm[0] += self.head @ v
+        # entry top + j - offset of the full correlation is row j
+        dm[1:self.offset + len(self.taps)] += np.correlate(
+            v, self.taps, "full")[len(m) - self.offset:]
         return dm
 
 
@@ -143,10 +148,8 @@ class ExchangeStencil:
 class DiscreteOperator:
     """Sparse generator M of dm/dt = M m, plus solver metadata.
 
-    stencil_error is the largest entrywise relative deviation of the
-    unit fragmentation columns from the Toeplitz stencil, |a/g - 1|
-    (None when the kernel has no density part); the march uses the
-    stencil when it is at most 1e-10.
+    stencil applies M without the matrix, and solve marches on it; only
+    an operator made by hand from a matrix, for spectral, has none.
     """
 
     grid: SizeGrid
@@ -154,120 +157,90 @@ class DiscreteOperator:
     below_inflow: np.ndarray   # rate of mass landing below x_min, per source
     cfl_dt: float
     stencil: Optional[ExchangeStencil] = None
-    stencil_error: Optional[float] = None
-
-    @property
-    def uses_stencil(self):
-        return self.stencil is not None and self.stencil_error <= _STENCIL_RTOL
 
 
 def build_discrete_operator(model: ModelSpec,
                             grid: SizeGrid) -> DiscreteOperator:
     """Assemble upwind transport + fragmentation exchange on the grid.
 
-    The fragmentation columns (with the below-domain part folded into
-    the first cell) sum to K(x_i)(p((0,1)) - 1); the assembly verifies
-    this within 1e-8.
+    The grid must be log-uniform.  Then edges_j / x_i = edges_{j+top-i} /
+    x_top, so the top cell's column gives every other.  The fragmentation
+    columns (with the below-domain part folded into the first cell) sum
+    to K(x_i)(p((0,1)) - 1); the assembly verifies this within 1e-8.
     """
     n = grid.n_cells
     edges, centers = grid.edges, grid.centers
+    if not np.allclose(edges, np.geomspace(edges[0], edges[-1], n + 1),
+                       rtol=1e-12, atol=0.0):
+        raise DomainError("the exchange operator needs a log-uniform grid")
     c_edge = np.array([model.growth.c(e) for e in edges])
     if np.any(c_edge <= 0.0):
         raise DomainError("upwind assembly requires positive speed at edges")
-
-    # transport: donor-cell flux through each interior edge, outflow at the
-    # last edge (c > 0, so the left boundary needs no condition).  Entries
-    # are listed transport first, then column by column, each column's
-    # inflow before its diagonal: that order fixes how CSR sums duplicates
+    # donor-cell transport: c > 0 moves mass rightward and out through the
+    # last edge, so the left boundary needs no condition
     out = c_edge[1:] / grid.widths
-    pairs = np.repeat(np.arange(n), 2)
-    rows, cols = [pairs[1:]], [pairs[:-1]]
-    vals = [np.stack([-out, out], axis=1).ravel()[:-1]]
     rate = np.array([model.frag.loss_rate(x) for x in centers])
-    below = np.zeros(n)
 
-    def emit(i, inflow):
-        nz = np.nonzero(inflow)[0]
-        rows.extend((nz, [i]))
-        cols.append(np.full(len(nz) + 1, i))
-        vals.extend((inflow[nz], [-rate[i]]))
-        return inflow.sum() - rate[i]
-
-    stencil = stencil_error = None
+    # the top cell's unit inflow: cum[k] is what lands below edge k and
+    # lattice[k] what lands in cell k.  The density part reads the
+    # cumulative table its draws invert; each atom is located once
+    top = n - 1
     measure = model.frag.ratio_measure
-    p_mass = measure.mass()
-    has_density = measure.density is not None
-    if has_density:
-        cdf_grid, cdf_vals = measure.cdf_table()
-
-    def unit_inflow(i):
-        """Column i's inflow per unit rate, and the parts of it that
-        land below x_min."""
-        x, inflow, lost = centers[i], np.zeros(n), []
-        for u, w in measure.atoms:
-            y = u * x
-            if y < edges[0]:
-                lost.append(w)
-                inflow[0] += w
-            else:
-                inflow[grid.locate(y)] += w
-        if has_density:
-            # edges / x > 0, so capping at 1 is the clip to [0, 1]
-            cum = np.interp(np.minimum(edges / x, 1.0), cdf_grid,
-                            cdf_vals)
-            inflow += cum[1:] - cum[:-1]
-            inflow[0] += cum[0]
-            lost.append(cum[0])
-        return inflow, lost
-
-    sources = np.flatnonzero(rate)
-    if has_density:
-        # g[k] is the last source's inflow into the cell k below it,
-        # kept reversed in taps; column i's rows 1..i should read
-        # g[i - j] (children are smaller, so rows above i get nothing)
-        head, taps, stencil_error = np.zeros(n), np.zeros(n - 1), 0.0
-        if len(sources):
-            last = sources[-1]
-            taps[n - 1 - last:] = unit_inflow(last)[0][1:last + 1]
-        # one work buffer: per-column temporaries would fragment the
-        # heap between the arrays the columns keep, raising peak memory
-        dev_buf = np.empty(n - 1)
-    frag_colsum = np.zeros(n)
-    # 0/0 where column and stencil are both empty gives nan, which
-    # fmax skips; a nonzero entry against a zero tap gives inf
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i in sources:
-            inflow, lost = unit_inflow(i)
-            for w in lost:
-                below[i] += rate[i] * w
-            if has_density:
-                head[i] = inflow[0]
-                dev = dev_buf[:i]
-                np.divide(inflow[1:i + 1], taps[n - 1 - i:], out=dev)
-                dev -= 1.0
-                np.abs(dev, out=dev)
-                stencil_error = max(stencil_error, float(
-                    np.fmax.reduce(dev, initial=0.0)))
-            frag_colsum[i] = emit(i, inflow * rate[i])
-    expected = rate * (p_mass - 1.0)
+    cum = np.zeros(n + 1)
+    if measure.density is not None:
+        # edges / x > 0, so capping at 1 is the clip to [0, 1]
+        cum = np.interp(np.minimum(edges / centers[top], 1.0),
+                        *measure.cdf_table())
+    lattice = np.diff(cum)
+    for u, w in measure.atoms:
+        y = u * centers[top]
+        cell = grid.locate(y) if y >= edges[0] else -1
+        if cell >= 0:
+            lattice[cell] += w
+        cum[cell + 1:] += w
+    # column i: row 0 takes all below edge top - i + 1, rows 1..i read
+    # lattice[top - i + 1:], and what lands below edge top - i is lost
+    head = cum[:0:-1].copy()   # contiguous, for a fast dot in apply
+    below = rate * cum[top::-1]
+    tails = np.append(np.cumsum(lattice[::-1])[::-1], 0.0)
+    frag_colsum = rate * (cum + tails)[:0:-1] - rate
+    expected = rate * (measure.mass() - 1.0)
     if np.max(np.abs(frag_colsum - expected)) > 1e-8 * (1.0 + np.max(
             np.abs(expected))):
         raise DomainError(
             "fragmentation column sums disagree with K(x)(p((0,1))-1)")
-    if has_density:
-        stencil = ExchangeStencil(rate=rate, out=out, head=head,
-                                  taps=taps)
+    band = np.flatnonzero(lattice[1:]) + 1
+    lo, hi = (int(band[0]), int(band[-1]) + 1) if len(band) else (1, 2)
+    stencil = ExchangeStencil(rate=rate, out=out, drain=-(rate + out),
+                              head=head, taps=lattice[lo:hi][::-1].copy(),
+                              offset=lo)
 
-    matrix = sparse.csr_matrix(sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n)))
+    # the same numbers as CSR: row 0 spans every column, and row j >= 1
+    # spans columns j - 1..top, transport from j - 1 and then the exchange
+    # from each column i >= j, lattice[top + j - i]
+    first = np.maximum(np.arange(n) - 1, 0)
+    counts = n - first
+    indptr = np.append(0, np.cumsum(counts))
+    idx = np.int32 if indptr[-1] < 2 ** 31 else np.int64
+    cols = np.arange(indptr[-1], dtype=idx)
+    cols -= np.repeat((indptr[:-1] - first).astype(idx), counts)
+    k = np.repeat(np.arange(top, top + n, dtype=idx), counts)
+    k -= cols
+    values = np.append(lattice, 0.0)[k]   # column j - 1 reads the 0
+    del k
+    values *= rate[cols]
+    values[:n] = rate * head
+    values[indptr[1:n]] = out[:-1]
+    diag = indptr[:-1] + np.arange(n) - first
+    values[diag] += stencil.drain
+    matrix = sparse.csr_matrix((values, cols, indptr), shape=(n, n))
+    matrix.eliminate_zeros()
     cfl_dt = _CFL_FACTOR / float(np.max(out + rate))
     if cfl_dt < _MIN_DT:
         raise CFLUnsatisfiable(
             f"stable time step {cfl_dt:g} below {_MIN_DT:g}")
     return DiscreteOperator(grid=grid, matrix=matrix, below_inflow=below,
-                            cfl_dt=cfl_dt, stencil=stencil,
-                            stencil_error=stencil_error)
+                            cfl_dt=cfl_dt, stencil=stencil)
 
 
 @dataclass
@@ -275,15 +248,13 @@ class Trajectory:
     """Checkpointed solver output.
 
     steps counts the time steps taken; floored_mass is the total of the
-    cell masses the floor set to 0; stencil_error is the operator's when
-    the march used the Toeplitz stencil and None on the sparse path.
+    cell masses the floor set to 0.
     """
 
     states: List[DensityState]
     below_domain_mass: float = 0.0
     steps: int = 0
     floored_mass: float = 0.0
-    stencil_error: Optional[float] = None
 
     @property
     def final(self):
@@ -336,8 +307,7 @@ def solve(model: ModelSpec, grid: SizeGrid, u0, t_end: float,
                    | {float(t_end)})
     if any(t < state.time or t > t_end for t in marks):
         raise DomainError("checkpoints must lie in [t0, t_end]")
-    product = (operator.stencil.apply if operator.uses_stencil
-               else operator.matrix.__matmul__)
+    product = operator.stencil.apply
     below = operator.below_inflow
     m = state.masses
     t = state.time
@@ -356,13 +326,14 @@ def solve(model: ModelSpec, grid: SizeGrid, u0, t_end: float,
                 pred = m + step * rate0
                 m_new = m + 0.5 * step * (rate0 + product(pred))
             total = m.sum()
-            if np.min(m_new) < -1e-9 * max(total, 1e-300):
+            low = m_new.min()
+            if low < -1e-9 * max(total, 1e-300):
                 raise NegativeMass(
-                    f"negative cell mass {np.min(m_new):g} at t={t + step:g}")
-            tiny = m_new < _MASS_FLOOR * total
-            if tiny.any():
+                    f"negative cell mass {low:g} at t={t + step:g}")
+            if low < _MASS_FLOOR * total:
+                tiny = m_new < _MASS_FLOOR * total
                 floored += float(m_new[tiny].sum())
-                m_new[tiny] = 0.0
+                np.putmask(m_new, tiny, 0.0)
             leak += step * float(below @ m)
             m = m_new
             t += step
@@ -374,6 +345,4 @@ def solve(model: ModelSpec, grid: SizeGrid, u0, t_end: float,
             f"fragmentation inflow below x_min reached {leak:g} "
             f"({leak / total:.2%} of final mass)", BoundaryLeak)
     return Trajectory(states=out, below_domain_mass=leak, steps=steps,
-                      floored_mass=floored,
-                      stencil_error=(operator.stencil_error
-                                     if operator.uses_stencil else None))
+                      floored_mass=floored)

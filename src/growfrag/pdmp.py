@@ -26,7 +26,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -475,39 +475,45 @@ def _jackknife_se(vals: np.ndarray) -> float:
     return float(np.sqrt((n - 1) / n * np.sum((leave_one_out - mean) ** 2)))
 
 
-def mc_semigroup(model: ModelSpec, law: TiltedJumpLaw, f: Callable,
-                 x0: float, t: float, n_paths: int, seed: int = 0
-                 ) -> Tuple[float, float, PathTrace]:
-    """Monte Carlo estimate of T_t f(x0) = e^{bt} h(x0) E[f/h(X_t); alive].
+def mc_semigroup(model: ModelSpec, law: TiltedJumpLaw,
+                 fs: Sequence[Callable], x0: float, t: float, n_paths: int,
+                 seed: int = 0
+                 ) -> Tuple[List[Tuple[float, float]], PathTrace]:
+    """Monte Carlo estimates of T_t f(x0) = e^{bt} h(x0) E[f/h(X_t); alive]
+    for each functional f of fs, over the same paths.
 
-    Returns (estimate, jackknife standard error, trace of path 0).  Paths
-    use independent streams (seed, path-index), so the result is
-    reproducible and independent of evaluation order.
+    Returns one (estimate, jackknife standard error) per functional and
+    the trace of path 0.  Paths use independent streams (seed,
+    path-index), so the result is reproducible and independent of
+    evaluation order.
     """
     if n_paths < 2:
         raise DomainError("mc_semigroup needs at least two paths")
     h = law.h
-    vals = np.empty(n_paths)
+    vals = np.zeros((len(fs), n_paths))
     for i in range(n_paths):
         trace = simulate_path(model, law, x0, t, seed=seed, stream_id=i)
         if i == 0:
             first = trace
         if trace.alive:
             y = trace.endpoint
-            vals[i] = f(y) / h(y)
-        else:
-            vals[i] = 0.0
+            h_y = h(y)
+            for k, f in enumerate(fs):
+                vals[k, i] = f(y) / h_y
     scale = float(np.exp(law.b * t)) * h(x0)
-    estimate = scale * float(vals.mean())
-    std_error = scale * _jackknife_se(vals)
-    contributing = int(np.count_nonzero(vals))
-    if contributing < 2:
-        warnings.warn(
-            f"only {contributing} of {n_paths} paths contribute a nonzero "
-            f"value; estimate {estimate:g}, standard error {std_error:g}",
-            VarianceBlowup)
-    elif estimate != 0.0 and std_error / abs(estimate) > 1.0:
-        warnings.warn(
-            f"standard error {std_error:g} exceeds estimate {estimate:g}",
-            VarianceBlowup)
-    return estimate, std_error, first
+    results = []
+    for v in vals:
+        estimate = scale * float(v.mean())
+        std_error = scale * _jackknife_se(v)
+        contributing = int(np.count_nonzero(v))
+        if contributing < 2:
+            warnings.warn(
+                f"only {contributing} of {n_paths} paths contribute a "
+                f"nonzero value; estimate {estimate:g}, standard error "
+                f"{std_error:g}", VarianceBlowup)
+        elif estimate != 0.0 and std_error / abs(estimate) > 1.0:
+            warnings.warn(
+                f"standard error {std_error:g} exceeds estimate "
+                f"{estimate:g}", VarianceBlowup)
+        results.append((estimate, std_error))
+    return results, first

@@ -30,7 +30,6 @@ from growfrag.model import (
 from growfrag.pde import SizeGrid, build_discrete_operator, pairing, solve
 from growfrag.pdmp import (
     TiltedJumpLaw,
-    _jackknife_se,
     mc_semigroup,
     simulate_path,
 )
@@ -84,12 +83,12 @@ def test_acceptance_exact_identities():
     law_c = TiltedJumpLaw(conserving, identity_weight(conserving.growth),
                           1.0, flow_c)
     for t in (0.5, 1.0, 2.0):
-        est, se, _ = mc_semigroup(mitosis, law_m, lambda y: 1.0, 1.0, t,
-                                  n_paths=64, seed=1)
+        [(est, se)], _ = mc_semigroup(mitosis, law_m, [lambda y: 1.0], 1.0,
+                                      t, n_paths=64, seed=1)
         assert est == pytest.approx(np.exp(t), rel=1e-12)
         assert se == 0.0
-        est, se, _ = mc_semigroup(conserving, law_c, lambda y: y, 1.0, t,
-                                  n_paths=64, seed=1)
+        [(est, se)], _ = mc_semigroup(conserving, law_c, [lambda y: y], 1.0,
+                                      t, n_paths=64, seed=1)
         assert est == pytest.approx(np.exp(t), rel=1e-12)
         assert se == 0.0
 
@@ -106,21 +105,6 @@ def test_acceptance_exact_identities():
 
 # -- 3: stochastic/deterministic duality ------------------------------------------
 
-def _mc_multi(model, law, fs, x0, t, n_paths, seed):
-    """Semigroup estimates for several functionals over shared paths."""
-    h = law.h
-    vals = np.zeros((len(fs), n_paths))
-    for i in range(n_paths):
-        trace = simulate_path(model, law, x0, t, seed=seed, stream_id=i)
-        if trace.alive:
-            y = trace.endpoint
-            for k, f in enumerate(fs):
-                vals[k, i] = f(y) / h(y)
-    scale = float(np.exp(law.b * t)) * h(x0)
-    return [(scale * float(v.mean()), scale * _jackknife_se(v))
-            for v in vals]
-
-
 @pytest.mark.filterwarnings("ignore::growfrag.pde.BoundaryLeak")
 def test_acceptance_duality(canonical_model, canonical_weight):
     h, b = canonical_weight
@@ -130,7 +114,8 @@ def test_acceptance_duality(canonical_model, canonical_weight):
     fs = [lambda y: 1.0, lambda y: y,
           lambda y: 1.0 if 1.0 <= y <= 2.0 else 0.0]
     sup_near_zero = [1.0, 0.0, 0.0]   # |f| on (0, x_min]: leak exposure
-    mc = _mc_multi(canonical_model, law, fs, 1.0, t, n_paths=2000, seed=21)
+    mc, _ = mc_semigroup(canonical_model, law, fs, 1.0, t, n_paths=2000,
+                         seed=21)
 
     pde_vals = {}
     leak = {}
@@ -165,8 +150,8 @@ def test_acceptance_duality_singular_power_kernel():
     law = TiltedJumpLaw(model, h, root2)
     t = 0.5
     exact = np.cosh(root2 * t) + np.sinh(root2 * t) / root2
-    est, se, _ = mc_semigroup(model, law, lambda y: y, 1.0, t,
-                              n_paths=2000, seed=21)
+    [(est, se)], _ = mc_semigroup(model, law, [lambda y: y], 1.0, t,
+                                  n_paths=2000, seed=21)
     assert abs(est - exact) <= 3.0 * se
 
     pde_vals = {}
@@ -315,13 +300,14 @@ def test_acceptance_h_independence(canonical_model, canonical_weight):
     h2 = build_h_pseudo_entrance(canonical_model, 2.0)
     b2 = verify_assumption1(canonical_model, h2).b
     law_entrance = TiltedJumpLaw(canonical_model, h2, b2, flow)
-    est_a, se_a, _ = mc_semigroup(canonical_model, law_eigen, lambda y: y,
-                                  1.0, 1.0, n_paths=800, seed=37)
+    [(est_a, se_a)], _ = mc_semigroup(canonical_model, law_eigen,
+                                      [lambda y: y], 1.0, 1.0, n_paths=800,
+                                      seed=37)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        est_b, se_b, _ = mc_semigroup(canonical_model, law_entrance,
-                                      lambda y: y, 1.0, 1.0, n_paths=2500,
-                                      seed=37)
+        [(est_b, se_b)], _ = mc_semigroup(canonical_model, law_entrance,
+                                          [lambda y: y], 1.0, 1.0,
+                                          n_paths=2500, seed=37)
     assert abs(est_a - est_b) <= 3.0 * float(np.hypot(se_a, se_b))
 
 
@@ -334,7 +320,7 @@ def test_acceptance_bitwise_reruns(canonical_model, canonical_weight):
         flow = FlowEngine(canonical_model.growth,
                           *canonical_model.domain_hint)
         law = TiltedJumpLaw(canonical_model, h, b, flow)
-        mc_runs.append(mc_semigroup(canonical_model, law, lambda y: y,
+        mc_runs.append(mc_semigroup(canonical_model, law, [lambda y: y],
                                     1.0, 0.5, n_paths=100, seed=41))
         law_kill = TiltedJumpLaw(canonical_model, h, b + 0.2, flow)
         fv_runs.append(qsd.fv_run(canonical_model, law_kill,

@@ -144,7 +144,7 @@ def test_paths_do_not_depend_on_scale_table_widening(monkeypatch):
 
     monkeypatch.setattr(flow_module, "_panel", counted)
     law = _tilted_law(make_canonical())
-    mc_semigroup(law.model, law, lambda y: y, 1.0, 1.0, n_paths=1000,
+    mc_semigroup(law.model, law, [lambda y: y], 1.0, 1.0, n_paths=1000,
                  seed=1)
     own = [(a, b) for c, a, b in panels if c is law.model.growth.c]
     assert len(set(own)) == len(own) == len(law.flow._xs) - 1
@@ -191,7 +191,8 @@ def visited_law(request):
     with warnings.catch_warnings():
         # most power-kernel paths are killed before t = 1
         warnings.simplefilter("ignore", pdmp.VarianceBlowup)
-        mc_semigroup(model, law, lambda y: y, 1.0, 1.0, n_paths=300, seed=3)
+        mc_semigroup(model, law, [lambda y: y], 1.0, 1.0, n_paths=300,
+                     seed=3)
     return law
 
 
@@ -510,7 +511,7 @@ def test_kill_test_rarely_needs_the_exact_mass(monkeypatch):
         return outcomes[-1]
 
     monkeypatch.setattr(pdmp, "post_jump_sample", recorded)
-    mc_semigroup(model, law, lambda y: y, 1.0, 0.5, n_paths=60, seed=11)
+    mc_semigroup(model, law, [lambda y: y], 1.0, 0.5, n_paths=60, seed=11)
     work = law.work_counters()
     kills = sum(1 for c in outcomes if c is CEMETERY)
     assert (work["jumps"], work["kills"]) == (len(outcomes) - kills, kills)
@@ -602,8 +603,8 @@ def test_semigroup_identity_number_growth():
     model = make_mitosis()
     law = _law(model, b=1.0)
     for t in (0.5, 1.0, 2.0):
-        est, se, _ = mc_semigroup(model, law, lambda y: 1.0, 1.0, t,
-                                  n_paths=64, seed=5)
+        [(est, se)], _ = mc_semigroup(model, law, [lambda y: 1.0], 1.0, t,
+                                      n_paths=64, seed=5)
         assert est == pytest.approx(np.exp(t), rel=1e-12)
         assert se == 0.0
 
@@ -615,8 +616,8 @@ def test_semigroup_identity_mass_growth():
     flow = FlowEngine(model.growth, *model.domain_hint)
     law = TiltedJumpLaw(model, identity_weight(model.growth), 1.0, flow)
     for t in (0.5, 1.0, 2.0):
-        est, se, _ = mc_semigroup(model, law, lambda y: y, 1.0, t,
-                                  n_paths=64, seed=5)
+        [(est, se)], _ = mc_semigroup(model, law, [lambda y: y], 1.0, t,
+                                      n_paths=64, seed=5)
         assert est == pytest.approx(np.exp(t), rel=1e-12)
         assert se == 0.0
 
@@ -627,10 +628,10 @@ def test_semigroup_estimate_independent_of_weight():
     flow = FlowEngine(model.growth, *model.domain_hint)
     exact_law = TiltedJumpLaw(model, identity_weight(model.growth), 1.0, flow)
     flat_law = TiltedJumpLaw(model, constant_weight(1.0), 1.0, flow)
-    est_a, se_a, _ = mc_semigroup(model, exact_law, lambda y: y, 1.0, 1.0,
-                                  n_paths=64, seed=7)
-    est_b, se_b, _ = mc_semigroup(model, flat_law, lambda y: y, 1.0, 1.0,
-                                  n_paths=600, seed=7)
+    [(est_a, se_a)], _ = mc_semigroup(model, exact_law, [lambda y: y], 1.0,
+                                      1.0, n_paths=64, seed=7)
+    [(est_b, se_b)], _ = mc_semigroup(model, flat_law, [lambda y: y], 1.0,
+                                      1.0, n_paths=600, seed=7)
     combined = np.hypot(se_a, se_b)
     assert abs(est_a - est_b) <= 3.0 * combined
 
@@ -638,8 +639,10 @@ def test_semigroup_estimate_independent_of_weight():
 def test_semigroup_bitwise_reproducible():
     model = make_mitosis()
     law = _law(model, b=1.0)
-    a = mc_semigroup(model, law, lambda y: y, 1.0, 1.0, n_paths=50, seed=13)
-    b = mc_semigroup(model, law, lambda y: y, 1.0, 1.0, n_paths=50, seed=13)
+    a = mc_semigroup(model, law, [lambda y: y], 1.0, 1.0, n_paths=50,
+                     seed=13)
+    b = mc_semigroup(model, law, [lambda y: y], 1.0, 1.0, n_paths=50,
+                     seed=13)
     assert a == b
     # the returned trace is path 0's, so callers need not simulate it again
-    assert a[2] == simulate_path(model, law, 1.0, 1.0, seed=13, stream_id=0)
+    assert a[1] == simulate_path(model, law, 1.0, 1.0, seed=13, stream_id=0)

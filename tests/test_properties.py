@@ -1,6 +1,9 @@
 """Property-based tests (hypothesis)."""
 
+import contextlib
+import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -8,8 +11,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
-from growfrag.cli import _KNOWN_KEYS, dumps_stable, load_config
-from growfrag.errors import ConfigError
+from growfrag.cli import _KNOWN_KEYS, dumps_stable, load_config, main
+from growfrag.errors import ConfigError, DomainError
 from growfrag.flow import FlowEngine
 from growfrag.model import (FragmentationKernel, GrowthSpec, ModelSpec,
                             RatioMeasure, mitosis_ratio, power_ratio,
@@ -130,6 +133,53 @@ def test_operator_columns_sum_to_branching_rate(atoms, density, rate, speed,
                   <= 1e-8 * np.abs(m).sum(axis=0))
 
 
+def _reference_operator(model, grid):
+    """M integrated column by column, each column at its own center: the
+    density part through P(min(e_{j+1}/x_i, 1)) - P(min(e_j/x_i, 1)),
+    each atom located per column; returns M, the sum of the absolute
+    terms of each entry, and the rate of mass leaving below x_min."""
+    measure = model.frag.ratio_measure
+    edges, centers, n = grid.edges, grid.centers, grid.n_cells
+    inflow, lost = np.zeros((n, n)), np.zeros(n)
+    for i, x in enumerate(centers):
+        if measure.density is not None:
+            cum = np.interp(np.minimum(edges / x, 1.0), *measure.cdf_table())
+            inflow[:, i] = np.diff(cum)
+            inflow[0, i] += cum[0]
+            lost[i] = cum[0]
+        for u, w in measure.atoms:
+            if u * x < edges[0]:
+                inflow[0, i] += w
+                lost[i] += w
+            else:
+                inflow[grid.locate(u * x), i] += w
+    rate = np.array([model.frag.loss_rate(x) for x in centers])
+    out = np.array([model.growth.c(e) for e in edges[1:]]) / grid.widths
+    exchange = inflow * rate
+    transport = np.diag(out[:-1], -1)
+    drain = np.diag(rate + out)
+    return exchange + transport - drain, exchange + transport + drain, \
+        rate * lost
+
+
+@settings(max_examples=100, deadline=None)
+@given(atoms=_ATOMS, density=_DENSITIES, rate=_COEFFICIENTS,
+       speed=_COEFFICIENTS, n=st.integers(8, 48),
+       x_min=st.floats(1e-3, 0.5), x_max=st.floats(2.0, 100.0))
+@example(atoms=[(0.3, 0.7)], density=-0.5, rate=(1.0, 1.0),
+         speed=(1.0, 0.0), n=1024, x_min=0.01, x_max=40.0)
+def test_operator_matches_per_column_reference(atoms, density, rate, speed,
+                                               n, x_min, x_max):
+    # the operator reads one lattice column; every column must agree with
+    # its own integration to 1e-12 of the entry's terms
+    model = _relative_model(atoms, density, rate, speed, x_min, x_max)
+    grid = SizeGrid.log_uniform(x_min, x_max, n)
+    op = build_discrete_operator(model, grid)
+    want, scale, below = _reference_operator(model, grid)
+    assert np.all(np.abs(op.matrix.toarray() - want) <= 1e-12 * scale)
+    assert np.all(np.abs(op.below_inflow - below) <= 1e-12 * below)
+
+
 def _masses(seed, n):
     """Random non-negative cell masses spanning 300 decades, with zeros."""
     rng = np.random.default_rng(seed)
@@ -145,41 +195,46 @@ def _masses(seed, n):
        seed=st.integers(0, 2 ** 32 - 1))
 def test_stencil_product_matches_matrix(atoms, density, rate, speed, n,
                                         x_min, x_max, seed):
+    # atom-only measures included: every kernel marches on the stencil
     model = _relative_model(atoms, density, rate, speed, x_min, x_max)
     grid = SizeGrid.log_uniform(x_min, x_max, n)
     op = build_discrete_operator(model, grid)
-    if density is None:
-        # atoms only: no stencil, the march uses the matrix
-        assert op.stencil is None and op.stencil_error is None
-        assert not op.uses_stencil
-        return
-    # an atom may land on either side of a cell edge from column to
-    # column; a density alone is Toeplitz on a log grid
-    assert op.uses_stencil or atoms
-    if op.uses_stencil:
-        m = _masses(seed, n)
-        got, want = op.stencil.apply(m), op.matrix @ m
-        assert np.all(np.abs(got - want) <= 1e-10 * (abs(op.matrix) @ m))
+    m = _masses(seed, n)
+    got, want = op.stencil.apply(m), op.matrix @ m
+    assert np.all(np.abs(got - want) <= 1e-10 * (abs(op.matrix) @ m))
+
+
+def test_grid_that_is_not_log_uniform_is_rejected():
     # interior edges moved by 1e-6 break the Toeplitz structure
+    grid = SizeGrid.log_uniform(0.01, 40.0, 24)
     edges = grid.edges.copy()
-    edges[1:-1] *= 1.0 + 1e-6 * np.where(np.arange(n - 1) % 2, 1.0, -1.0)
-    bent = build_discrete_operator(model, SizeGrid(edges))
-    assert bent.stencil_error > 1e-10 and not bent.uses_stencil
+    edges[1:-1] *= 1.0 + 1e-6 * np.where(np.arange(23) % 2, 1.0, -1.0)
+    model = _relative_model([], "uniform", (1.0, 1.0), (1.0, 0.0), 0.01,
+                            40.0)
+    with pytest.raises(DomainError):
+        build_discrete_operator(model, SizeGrid(edges))
 
 
 @pytest.mark.filterwarnings("ignore::growfrag.pde.BoundaryLeak")
-def test_general_kernel_takes_the_matrix_path():
-    # mitosis, the CLI kernel with no density part, has no Toeplitz
-    # stencil and marches on the sparse matrix
+def test_atom_kernel_marches_on_one_tap():
+    # mitosis, the CLI kernel with no density part, keeps the one tap of
+    # its atom: the cell of x_top / 2.  Its march agrees with Euler steps
+    # on the sparse matrix
     model = ModelSpec(
         growth=GrowthSpec.from_speed(lambda x: 1.0),
         frag=FragmentationKernel.relative(lambda x: 1.0, mitosis_ratio()),
         domain_hint=(0.01, 40.0))
     grid = SizeGrid.log_uniform(0.01, 40.0, 24)
     op = build_discrete_operator(model, grid)
-    assert op.stencil is None and not op.uses_stencil
-    traj = solve(model, grid, 1.0, 0.1, operator=op)
-    assert traj.stencil_error is None and traj.steps > 0
+    assert list(op.stencil.taps) == [2.0]
+    assert op.stencil.offset == grid.locate(grid.centers[-1] / 2.0)
+    dt = op.cfl_dt
+    traj = solve(model, grid, 1.0, 20 * dt, dt=dt, operator=op)
+    m = DensityState.point_mass(grid, 1.0).masses
+    for _ in range(20):
+        m = m + dt * (op.matrix @ m)
+    assert traj.steps == 20
+    assert np.allclose(traj.final.masses, m, rtol=1e-12, atol=1e-300)
 
 
 # total(t) + floored_mass + outflow through x_max equals total(0) plus the
@@ -209,8 +264,6 @@ def test_march_balances_mass(atoms, density, rate, speed, n, x_min, x_max,
     traj = solve(model, grid, DensityState(grid=grid, masses=m0), marks[-1],
                  dt=dt, method=method, checkpoints=marks, operator=op)
     assert traj.steps == 20
-    assert traj.stencil_error == (op.stencil_error if op.uses_stencil
-                                  else None)
     states = [m0] + [s.masses for s in traj.states]
     gained = lost = scale = 0.0
     for m in states[:-1]:
@@ -241,3 +294,58 @@ def test_flow_round_trip_on_power_speeds(c0, g, xs, ts):
             s_x = flow.s_of(x)
             s_end = flow.s_of(flow.flow_at(x, t))
             assert abs(s_end - (s_x + t)) <= 1e-9 * (1.0 + abs(s_x + t))
+
+
+# [numerics] values: ordinary ones in most draws, so that many runs get
+# past config loading and the CFL bound, plus malformed ones (nan, inf,
+# signs, words, blanks, extreme magnitudes).  grid_n stays <= 256 and dt
+# >= t_end / 1e4, with dt always given (the CFL default can take 1e10
+# steps on a grid that reaches down to 1e-10), so that no example runs
+# for more than seconds or holds more than ~1 MB of matrix
+_T_END = 0.5
+_MALFORMED = st.sampled_from(["", "many", "nan", "inf", "-inf", "-1", "0",
+                              "1e400", "0x10", "1,5"])
+
+
+def _mostly(ordinary, wild):
+    """ordinary in 8 draws of 10, else wild or malformed."""
+    return st.integers(0, 9).flatmap(
+        lambda k: wild if k == 0 else _MALFORMED if k == 1 else ordinary)
+
+
+_NUMERICS = st.fixed_dictionaries({
+    "grid_n": _mostly(st.integers(2, 64), st.integers(-3, 256)),
+    "x_min": _mostly(st.floats(0.05, 0.9), st.floats(1e-300, 10.0)),
+    "x_max": _mostly(st.floats(1.5, 20.0), st.floats(0.5, 1e300)),
+    "dt": _mostly(st.floats(np.log10(_T_END / 1e4), -1.0).map(
+        lambda e: max(10.0 ** e, _T_END / 1e4)), st.floats(_T_END / 1e4)),
+    "method": _mostly(st.sampled_from(["euler", "heun"]),
+                      st.sampled_from([" heun ", "Euler", "rk4"])),
+})
+_KERNELS = st.sampled_from([
+    "kernel = uniform\nrate = linear\n",
+    "kernel = mitosis\nrate = constant\n",
+])
+
+
+@settings(max_examples=100, deadline=None)
+@given(numerics=_NUMERICS, kernel=_KERNELS,
+       command=st.sampled_from(["pde", "spectral"]))
+def test_numerics_config_runs_or_exits_with_a_json_error(
+        tmp_path_factory, numerics, kernel, command):
+    base = tmp_path_factory.getbasetemp()
+    path = base / "numerics.ini"
+    path.write_text(
+        "[model]\ngrowth = constant\n" + kernel + "[numerics]\n"
+        + "".join(f"{k} = {v}\n" for k, v in numerics.items())
+        + f"[run]\nt_end = {_T_END}\nx0 = 1.0\n")
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("ignore")
+        code = main([command, "--config", str(path),
+                     "--out", str(base / "numerics-out")])
+    assert code in (0, 1, 2)
+    if code:
+        # stderr holds the one JSON error object, which names the error
+        assert "error" in json.loads(err.getvalue())
