@@ -117,6 +117,10 @@ class RunConfig:
                 a, b = (float(v) for v in name.split(":")[1:])
             except ValueError:
                 raise ConfigError(f"bad indicator spec {name!r}", key="f")
+            # finite, a < b and b > 0, else the functional vanishes on sizes
+            if not (-np.inf < a < b < np.inf and b > 0.0):
+                raise ConfigError(f"indicator {name!r} needs finite a < b "
+                                  "with b > 0", key="f")
             return lambda x: 1.0 if a <= x <= b else 0.0
         raise ConfigError(f"unknown functional {name!r}", key="f")
 
@@ -274,6 +278,10 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
     if cfg.regime == "pseudo-entrance" and cfg.alpha <= 1.0:
         raise ConfigError(f"[run] alpha = {cfg.alpha}: the pseudo-entrance "
                           "construction needs alpha > 1", key="alpha")
+    for key in ("alpha", "beta"):
+        if cfg.regime == "powerlaw" and getattr(cfg, key) < 0.0:
+            raise ConfigError(f"[run] {key} = {getattr(cfg, key)}: power-law "
+                              "exponents must be non-negative", key=key)
     return cfg
 
 

@@ -2,25 +2,23 @@
 
 The scale s is strictly increasing with s(1) = 0, and the semi-flow is
 phi(x, t) = s^{-1}(s(x) + t).  s is a cumulative-quadrature table,
-widened by appending panels, with exact node derivatives 1/c and cubic
-Hermite interpolation; inversion goes through the inverse Hermite table
-(derivative c) followed by one Newton polish, so the round trip
-s(phi(x,t)) = s(x) + t holds to near machine precision by construction.
-Queries read the splines through HermiteTable, a plain-Python evaluator
-that returns scipy's bits without its per-call overhead.  c may be
-infinite (1/c = 0): lyapunov builds G = int_1^x K s(dy) as the scale of c/K.
+widened by appending panels, with exact node derivatives 1/c; on each
+piece between nodes it is the cubic Hermite interpolant, with the
+coefficients and summation order of scipy's cubic Hermite spline, kept as
+plain Python floats.  flow_at finds the piece whose values hold s(x) + t
+and solves its cubic by Newton from the secant, so the round trip
+s(phi(x,t)) = s(x) + t holds to _INV_TOL.  c may be infinite (1/c = 0):
+lyapunov builds G = int_1^x K s(dy) as the scale of c/K.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from array import array
 from bisect import bisect_right
 
 import numpy as np
 from scipy import integrate
-from scipy.interpolate import CubicHermiteSpline
 
 from .errors import DomainError, QuadratureDivergence, RangeExtensionFailure
 from .model import GrowthSpec
@@ -101,42 +99,6 @@ def _panel_integral(c, a, b):
         f"scale integral on ({a:.6g},{b:.6g}) diverged")
 
 
-class HermiteTable:
-    """Scalar evaluator of a piecewise quadratic or cubic scipy ``PPoly``.
-
-    Returns the same bits as ``ppoly(x)`` (extrapolation included): the
-    interval is scipy's, half-open except the closed last one and clamped
-    to the end pieces outside the knots, and the local polynomial is
-    summed in the order of scipy's ``evaluate_poly1``.  A NaN query
-    gives NaN.
-    """
-
-    __slots__ = ("_x", "_c0", "_c1", "_c2", "_c3", "_top")
-
-    def __init__(self, ppoly):
-        rows = [array("d", row) for row in ppoly.c[::-1]]  # constant first
-        if len(rows) not in (3, 4):
-            raise DomainError("HermiteTable needs a quadratic or cubic PPoly")
-        self._x = array("d", ppoly.x)
-        self._c0, self._c1, self._c2 = rows[:3]
-        self._c3 = rows[3] if len(rows) == 4 else None
-        self._top = len(self._x) - 2
-
-    def __call__(self, x):
-        xs = self._x
-        i = bisect_right(xs, x) - 1
-        if i < 0:
-            i = 0
-        elif i > self._top:
-            i = self._top
-        s = x - xs[i]
-        z = s * s
-        res = 0.0 + self._c0[i] + self._c1[i] * s + self._c2[i] * z
-        if self._c3 is not None:
-            res += self._c3[i] * (z * s)
-        return res
-
-
 def _lattice(k):
     """The lattice node 10^(k/320); 10^0 = 1 is the anchor."""
     return 10.0 ** (k / _NODES_PER_DECADE)
@@ -165,9 +127,11 @@ class FlowEngine:
     integrals summed outward from s(1) = 0.  Widening the table only
     integrates and appends the new panels: the nodes, values and Hermite
     coefficients already in it keep their bits, so s(x) does not depend
-    on which earlier queries widened the table.  Only the inverse table,
-    built at the first inversion after a widening, needs s strictly
-    increasing; a scale flat in floating point is still read forward.
+    on which earlier queries widened the table.  An inversion needs only
+    the piece it lands on to be increasing, so a scale flat in floating
+    point elsewhere (G far below 1) is still read.  s_of and flow_at
+    never return NaN or inf: a piece whose cubic is not finite is a
+    DomainError naming x.
     """
 
     def __init__(self, growth: GrowthSpec, x_min=1e-4, x_max=1e4):
@@ -177,7 +141,6 @@ class FlowEngine:
         self._xs, self._svals = [1.0], [0.0]
         self._slow = [_slowness(growth.c, 1.0)]   # 1/c at the nodes
         self._k_lo = self._k_hi = 0   # lattice indices of the table ends
-        self._s_memo = (np.nan, 0.0)   # (x, s(x)) of the last flow_at
         self._build_table(x_min, x_max)
 
     # -- table construction -----------------------------------------------
@@ -217,20 +180,26 @@ class FlowEngine:
         self._install()
 
     def _install(self):
+        """Each piece's cubic s_i + c1 d + c2 d^2 + c3 d^3, d = x - x_i,
+        computed as scipy's cubic Hermite spline computes it."""
         xs, svals = np.array(self._xs), np.array(self._svals)
         deriv = np.array(self._slow)
-        # a node where 1/c is negative, NaN or above 1e300 (c vanishes)
-        # takes the secant of its neighbours, so that Hermite stays
-        # monotone and the slope stays local
-        bad = np.flatnonzero(~((deriv >= 0.0) & (deriv < 1e300)))
-        left = np.maximum(bad - 1, 0)
-        right = np.minimum(bad + 1, len(xs) - 1)
-        deriv[bad] = (svals[right] - svals[left]) / (xs[right] - xs[left])
-        fwd = CubicHermiteSpline(xs, svals, deriv)
-        self._fwd = HermiteTable(fwd)
-        self._fwd_slope = HermiteTable(fwd.derivative())
-        self._inv = None   # built at the first inversion
-        # plain floats: numpy scalars cost more per comparison
+        with np.errstate(all="ignore"):
+            # a node where 1/c is negative, NaN or above 1e300 (c vanishes)
+            # takes the secant of its neighbours, so that Hermite stays
+            # monotone and the slope stays local
+            bad = np.flatnonzero(~((deriv >= 0.0) & (deriv < 1e300)))
+            left = np.maximum(bad - 1, 0)
+            right = np.minimum(bad + 1, len(xs) - 1)
+            deriv[bad] = (svals[right] - svals[left]) / (xs[right] - xs[left])
+            width = np.diff(xs)
+            secant = np.diff(svals) / width
+            t = (deriv[:-1] + deriv[1:] - 2 * secant) / width
+            c2 = (secant - deriv[:-1]) / width - t
+            c3 = t / width
+        # plain floats: numpy scalars cost more per operation
+        self._c1, self._c2, self._c3 = \
+            deriv[:-1].tolist(), c2.tolist(), c3.tolist()
         self._x_lo, self._x_hi = self._xs[0], self._xs[-1]
         self._s_hi = self._svals[-1]
 
@@ -256,7 +225,18 @@ class FlowEngine:
             return 0.0
         if not self._x_lo <= x <= self._x_hi:
             self._extend(x)
-        return float(self._fwd(x))
+        # the piece holding x: half-open, the last one closed
+        i = bisect_right(self._xs, x, 1, len(self._xs) - 1) - 1
+        s = self._cubic(i, x - self._xs[i])
+        if not math.isfinite(s):
+            raise DomainError(f"scale not finite at x={x:g}")
+        return s
+
+    def _cubic(self, i, d):
+        """Piece i at x_i + d, summed in the order of scipy's PPoly."""
+        z = d * d
+        return 0.0 + self._svals[i] + self._c1[i] * d + self._c2[i] * z \
+            + self._c3[i] * (z * d)
 
     def s_lower_limit(self):
         """s(0+): finite value if the integral converges, else -inf.
@@ -277,8 +257,8 @@ class FlowEngine:
     def flow_at(self, x, t):
         """phi(x, t) = s^{-1}(s(x) + t).
 
-        s(x) of the last x queried is kept, so a run of queries from one
-        x reads it once.
+        Newton on the cubic of the piece whose node values hold s(x) + t,
+        from the secant, each step kept on the piece.
         """
         if x <= 0.0:
             raise DomainError(f"flow queried at x={x} <= 0")
@@ -286,35 +266,28 @@ class FlowEngine:
             raise DomainError(f"flow queried at negative duration t={t}")
         if t == 0.0:
             return x
-        memo_x, s_x = self._s_memo
-        if x != memo_x:
-            s_x = self.s_of(x)
-            self._s_memo = (x, s_x)
-        return self._invert(s_x + t)
-
-    def _invert(self, target):
+        target = self.s_of(x) + t
         while target > self._s_hi:
             self._extend(self._x_hi * 4.0)
-        if self._inv is None:
-            svals = self._svals
-            if any(b <= a for a, b in zip(svals[:-1], svals[1:])):
-                raise DomainError("scale is not strictly increasing")
-            # node derivatives c, 0 where c is 0 or infinite
-            speed = [1.0 / g if g > 0.0 else 0.0 for g in self._slow]
-            self._inv = HermiteTable(CubicHermiteSpline(
-                np.array(svals), np.array(self._xs), np.array(speed)))
-        y = float(self._inv(target))
-        y = min(max(y, self._x_lo), self._x_hi)
-        # one Newton polish on the forward spline
-        for _ in range(3):
-            resid = float(self._fwd(y)) - target
+        xs, svals = self._xs, self._svals
+        i = bisect_right(svals, target, 1, len(svals) - 1) - 1
+        lo, hi, s_lo = xs[i], xs[i + 1], svals[i]
+        if not s_lo < svals[i + 1]:
+            raise DomainError(f"flow from x={x:g} lands on the flat scale "
+                              f"piece ({lo:g}, {hi:g})")
+        y = lo + (hi - lo) * ((target - s_lo) / (svals[i + 1] - s_lo))
+        c1, c2, c3 = self._c1[i], self._c2[i], self._c3[i]
+        for _ in range(4):
+            d = y - lo
+            resid = self._cubic(i, d) - target
+            if not math.isfinite(resid):
+                raise DomainError(f"scale not finite on the piece "
+                                  f"({lo:g}, {hi:g}) of the flow from "
+                                  f"x={x:g}")
             if abs(resid) <= _INV_TOL:
                 break
-            slope = float(self._fwd_slope(y))
-            if slope <= 0.0:
+            slope = c1 + (2.0 * c2 + 3.0 * c3 * d) * d
+            if not slope > 0.0:
                 break
-            y_new = y - resid / slope
-            if not self._x_lo <= y_new <= self._x_hi:
-                break
-            y = y_new
+            y = min(max(y - resid / slope, lo), hi)
         return y

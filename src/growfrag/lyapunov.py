@@ -275,7 +275,7 @@ def build_h_pseudo_entrance(model: ModelSpec, alpha: float) -> WeightFunction:
                 tilted = measure.integral(
                     lambda u: u ** (cand * (epsilon(u) + base)))
                 if tilted < p_alpha:
-                    a_inf = cand
+                    a_inf = float(cand)   # a numpy scalar, via epsilon
                     break
         if a_inf is not None:
             break

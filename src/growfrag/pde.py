@@ -70,7 +70,8 @@ class SizeGrid:
 
     @property
     def centers(self):
-        return np.sqrt(self.edges[:-1] * self.edges[1:])
+        # e_i sqrt(e_{i+1}/e_i): the product e_i e_{i+1} overflows above 1e154
+        return self.edges[:-1] * np.sqrt(self.edges[1:] / self.edges[:-1])
 
     @property
     def widths(self):

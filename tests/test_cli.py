@@ -253,6 +253,12 @@ def test_nonpositive_path_count_rejected(tmp_path, capsys):
     ("pde", "x0 = 1.0", "x0 = 100", (), "x0"),
     ("converge", "x0 = 1.0", "x0 = 0.005", (), "x0"),
     ("pde", "x_max = 40.0", "x_max = 40.0\ndt = 5", (), "dt"),
+    ("simulate", "f = id", "f = indicator:nan:inf", (), "f"),
+    ("qsd", "f = id", "f = indicator:2:1", (), "f"),
+    ("simulate", "regime = pseudo-entrance", "regime = powerlaw\nbeta = -1",
+     (), "beta"),
+    ("check", "pseudo-entrance\nalpha = 2.0", "powerlaw\nalpha = -0.5", (),
+     "alpha"),
 ])
 def test_bad_value_exits_2_naming_key(tmp_path, capsys, command, old, new,
                                       argv, key):
@@ -374,6 +380,27 @@ def test_overflowing_weight_warns_nothing_and_names_x(tmp_path, capsys):
     assert "at x=1.27" in payload["message"]
 
 
+@pytest.mark.parametrize("x0, code", [("1e-30", 0), ("1e-300", 1)])
+def test_start_far_below_the_domain_names_x_or_runs(tmp_path, capsys, x0,
+                                                    code):
+    # below about 1e-16 the scale of c = 1 is flat in floating point, which
+    # the flow never inverts there; below about 1e-300 the cubic of a
+    # scale piece overflows, and the run names x instead of reading NaN
+    cfg = _write(tmp_path, CANONICAL.replace("x0 = 1.0", f"x0 = {x0}"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got, out, err = _run(capsys, "simulate", "--config", cfg, "--out",
+                             str(tmp_path))
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] \
+        == []
+    assert got == code
+    if code:
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "DomainError"
+        assert f"x={x0}" in payload["message"]
+
+
 @pytest.mark.parametrize("seed, warns", [(1, True), (3, True), (5, False)])
 def test_simulate_warns_when_few_paths_contribute(tmp_path, capsys, seed,
                                                   warns):
@@ -458,6 +485,21 @@ def test_pde_runs_and_reports(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["summary"][-1]["t"] == pytest.approx(0.5)
     assert (tmp_path / "density.csv").exists()
+
+
+def test_pde_runs_on_a_grid_whose_edges_multiply_past_overflow(tmp_path,
+                                                              capsys):
+    # edges up to 1e200: a cell center as sqrt(e_i e_{i+1}) would overflow
+    cfg = _write(tmp_path, MITOSIS.replace("x_max = 40.0", "x_max = 1e200")
+                 .replace("grid_n = 96", "grid_n = 64"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, _ = _run(capsys, "pde", "--config", cfg, "--out",
+                            str(tmp_path))
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] \
+        == []
+    assert code == 0
+    assert json.loads(out)["summary"][-1]["t"] == pytest.approx(1.0)
 
 
 def test_qsd_reports_rate_identity(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Deterministic growth flow: scale function, inversion, transport."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.interpolate import CubicHermiteSpline
 
 from growfrag import flow as flow_module
 from growfrag.errors import DomainError
-from growfrag.flow import FlowEngine, HermiteTable
+from growfrag.flow import FlowEngine
 from growfrag.model import GrowthSpec
 
 
@@ -130,12 +131,12 @@ def test_widening_the_scale_table_keeps_its_bits():
     xs = [float(x) for x in np.geomspace(1e-2, 3.0, 200)]
     s_before = [flow.s_of(x) for x in xs]
     before = flow.flow_at(2.0, 0.1)
-    nodes, coef = list(flow._xs), list(flow._fwd._c3)
+    nodes, coef = list(flow._xs), list(flow._c3)
     flow.flow_at(2.0, 5.0)
     flow.s_of(1e-4)
     lo = flow._xs.index(nodes[0])
     assert flow._xs[lo:lo + len(nodes)] == nodes
-    assert list(flow._fwd._c3)[lo:lo + len(coef)] == coef
+    assert flow._c3[lo:lo + len(coef)] == coef
     assert [flow.s_of(x) for x in xs] == s_before
     wide = FlowEngine(growth, 1e-5, 24.0)
     assert [wide.s_of(x) for x in xs] == s_before
@@ -167,42 +168,81 @@ def test_flow_rejects_nonpositive_start():
         flow.flow_at(0.0, 1.0)
 
 
-def _table_queries(knots, rng):
-    lo, hi = knots[0], knots[-1]
-    span = hi - lo
-    beyond = span * np.exp(rng.uniform(np.log(1e-12), np.log(1e3), 2000))
-    queries = [rng.uniform(lo, hi, 20000), knots,
-               np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
-               lo - beyond, hi + beyond]
-    if lo > 0.0:
-        queries.append(np.exp(rng.uniform(np.log(lo), np.log(hi), 20000)))
-    return np.concatenate(queries + [[np.nan]])
+# speeds with a node where 1/c is infinite (the root at its kink 1) or
+# jumps (the step at its kink 2), where the node slope is the secant
+KINKED_SPEEDS = {
+    "root": (lambda x: abs(x - 1.0) ** 0.5, (1.0,)),
+    "step": (lambda x: 1.0 if x < 2.0 else 3.0, (2.0,)),
+}
 
 
-@pytest.mark.parametrize("speed", [lambda x: 1.0, lambda x: np.sqrt(x),
-                                   lambda x: x / (1.0 + x)],
-                         ids=["unit", "sqrt", "saturating"])
-def test_hermite_table_returns_scipy_bits(speed):
-    # the same knots, values and slopes a scale table is built from; any
-    # change of scipy's interval search or summation order fails here
-    knots = np.unique(np.append(np.geomspace(1e-3, 1e3, 1920), 1.0))
-    slopes = np.array([1.0 / speed(x) for x in knots])
-    mids = 0.5 * (knots[:-1] + knots[1:])
-    panels = np.diff(knots) / np.array([speed(x) for x in mids])
-    values = np.concatenate([[0.0], np.cumsum(panels)])
+@pytest.mark.parametrize("speed, kinks", [
+    (lambda x: 1.0, ()), (lambda x: x / (1.0 + x), ()),
+    KINKED_SPEEDS["root"]], ids=["unit", "saturating", "root"])
+def test_scale_returns_the_bits_of_scipys_hermite_spline(speed, kinks):
+    # the table's own pieces against scipy's spline through its nodes and
+    # values, with slope 1/c, or the secant of the neighbouring nodes where
+    # 1/c is negative, NaN or above 1e300; any change of the piece
+    # arithmetic, the interval search or the summation order fails here
+    flow = FlowEngine(GrowthSpec.from_speed(speed, kinks=kinks), 1e-3, 1e3)
+    knots, values = np.array(flow._xs), np.array(flow._svals)
+    with np.errstate(divide="ignore"):
+        slopes = 1.0 / np.array([speed(x) for x in knots])
+    bad = np.flatnonzero(~((slopes >= 0.0) & (slopes < 1e300)))
+    assert bool(len(bad)) == bool(kinks)   # c = 0 at the root's kink
+    for i in bad:
+        lo, hi = max(i - 1, 0), min(i + 1, len(knots) - 1)
+        slopes[i] = (values[hi] - values[lo]) / (knots[hi] - knots[lo])
     spline = CubicHermiteSpline(knots, values, slopes)
-    inverse = CubicHermiteSpline(values, knots, 1.0 / slopes)
     rng = np.random.default_rng(7)
-    for ppoly in (spline, spline.derivative(), inverse):
-        table = HermiteTable(ppoly)
-        queries = _table_queries(ppoly.x, rng)
-        got = np.array([table(float(q)) for q in queries])
-        want = ppoly(queries)
-        assert np.isnan(got[-1]) and np.isnan(want[-1])
-        assert got[:-1].tobytes() == want[:-1].tobytes()
+    queries = np.concatenate([
+        knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
+        rng.uniform(knots[0], knots[-1], 20000),
+        np.exp(rng.uniform(np.log(knots[0]), np.log(knots[-1]), 20000))])
+    queries = queries[(knots[0] <= queries) & (queries <= knots[-1])]
+    got = np.array([flow.s_of(float(q)) for q in queries])
+    assert len(flow._xs) == len(knots)   # no query widened the table
+    assert got.tobytes() == spline(queries).tobytes()
 
 
-def test_hermite_table_rejects_other_degrees():
-    line = CubicHermiteSpline([0.0, 1.0], [0.0, 1.0], [1.0, 1.0])
-    with pytest.raises(DomainError):
-        HermiteTable(line.derivative(2))
+@pytest.mark.parametrize("name", sorted(KINKED_SPEEDS))
+def test_flow_round_trip_next_to_nodes_and_kinks(name):
+    # s(phi(x, t)) - s(x) - t within the inversion tolerance, from and to
+    # the nodes of the kink cluster and their floating-point neighbours
+    speed, kinks = KINKED_SPEEDS[name]
+    flow = FlowEngine(GrowthSpec.from_speed(speed, kinks=kinks), 1e-3, 1e3)
+    kink = kinks[0]
+    near = [x for x in flow._xs if abs(x - kink) < 0.1]
+    starts = sorted({y for x in near[::7] for y in (
+        x, math.nextafter(x, 0.0), math.nextafter(x, math.inf))})
+    s_near = [flow.s_of(x) for x in near]
+    worst = 0.0
+    for x in starts:
+        s_x = flow.s_of(x)
+        # durations to every 11th node of the cluster above x, then a few
+        # that end between nodes
+        ts = [s - s_x for s in s_near[::11] if s > s_x] + [1e-9, 1e-4, 0.3]
+        for t in ts:
+            worst = max(worst, abs(flow.s_of(flow.flow_at(x, t)) - s_x - t))
+    assert worst <= flow_module._INV_TOL
+
+
+def test_scale_and_flow_never_return_nan_or_inf():
+    # below about 1e-300 the pieces of c = 1 are so narrow that their cubic
+    # coefficient overflows: s and the flow raise naming x, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        flow = FlowEngine(GrowthSpec.from_speed(lambda x: 1.0), 1e-3, 1e3)
+        with pytest.raises(DomainError, match="x=1e-300"):
+            flow.s_of(1e-300)
+        with pytest.raises(DomainError, match="x=1e-300"):
+            flow.flow_at(1e-300, 1.0)
+        # flat in floating point there, but finite
+        assert flow.s_of(1e-30) == pytest.approx(-1.0, abs=1e-14)
+        assert flow.flow_at(1e-30, 1.5) == pytest.approx(1.5, abs=1e-12)
+    # c is infinite from 2 on, so s is flat there: the flow to s(10) from
+    # 1 lands on the flat top piece, which the scale cannot invert
+    flat = FlowEngine(GrowthSpec.from_speed(
+        lambda x: 1.0 if x < 2.0 else math.inf, kinks=(2.0,)), 0.5, 10.0)
+    with pytest.raises(DomainError, match="x=1 lands on the flat"):
+        flat.flow_at(1.0, flat.s_of(10.0))

@@ -312,6 +312,20 @@ def test_post_jump_sample_evaluates_h_at_x_at_most_three_times():
         assert at.count(x) <= 3
 
 
+def test_pseudo_entrance_law_returns_python_floats():
+    # a numpy scalar costs more per operation than a float; a_inf, picked
+    # through np.log, once made r, every majorant and every jump time one
+    model = make_canonical()
+    law = _tilted_law(model)
+    for stream, x in enumerate((0.5, 1.0, 3.0)):
+        tau = next_jump_time(PdmpState.fresh(x, seed=3, stream_id=stream),
+                             law, 10.0)
+        assert tau is not NO_JUMP
+        values = [law.h.log_value(x), law.h.log_slope(x), law.r(x), tau,
+                  law.flow.flow_at(x, 0.3)]
+        assert [type(v) for v in values] == [float] * 5
+
+
 # -- the k_h table behind the kill test ----------------------------------------
 
 def _power_model():

@@ -307,9 +307,9 @@ _MALFORMED = st.sampled_from(["", "many", "nan", "inf", "-inf", "-1", "0",
                               "1e400", "0x10", "1,5"])
 
 
-def _mostly(ordinary, wild):
-    """ordinary in 8 draws of 10, else wild or malformed."""
-    return st.integers(0, 9).flatmap(
+def _mostly(ordinary, wild, draws=10):
+    """ordinary in draws - 2 of draws, else wild or malformed."""
+    return st.integers(0, draws - 1).flatmap(
         lambda k: wild if k == 0 else _MALFORMED if k == 1 else ordinary)
 
 
@@ -349,3 +349,80 @@ def test_numerics_config_runs_or_exits_with_a_json_error(
     if code:
         # stderr holds the one JSON error object, which names the error
         assert "error" in json.loads(err.getvalue())
+
+
+# [run] values for check, simulate and qsd, on CANONICAL (c = 1, K(x) = x,
+# p(du) = 2 du) or MITOSIS (c = 1, K = 1, u = 1/2) over (0.01, 40): each
+# key ordinary in 18 draws of 20, else wild or malformed, so that about a
+# third of the examples run whole and exit 0.  t_end <= 1, n_paths <= 40
+# and n_particles <= 130 keep every run under about a second
+def _run_key(ordinary, wild):
+    return _mostly(ordinary, wild, draws=20)
+
+
+_RUN = st.fixed_dictionaries({
+    "seed": _run_key(st.integers(0, 2 ** 32), st.integers(-5, 2 ** 70)),
+    "x0": _run_key(st.floats(0.05, 20.0), st.floats(1e-320, 1e300)),
+    "f": _run_key(st.sampled_from(["one", "id", "indicator:0.5:2"]),
+                  st.sampled_from(["indicator:nan:inf", "indicator:2:1",
+                                   "indicator:-1:0", "indicator:1",
+                                   "indicator:0:1e300", "sqrt"])),
+    "regime": _run_key(st.sampled_from(["pseudo-entrance", "constant"]),
+                       st.sampled_from(["powerlaw", "entrance",
+                                        "K-constant", "lnx", "PowerLaw",
+                                        " constant "])),
+    "alpha": _run_key(st.floats(1.1, 3.0), st.floats(-5.0, 50.0)),
+    "beta": _run_key(st.floats(0.0, 2.0), st.floats(-5.0, 50.0)),
+    "burn_in": _run_key(st.floats(0.01, 0.04), st.floats(1e-300, 10.0)),
+    "t_end": _run_key(st.floats(0.05, 1.0), st.floats(1e-300, 1.0)),
+    "n_paths": _run_key(st.integers(2, 40), st.integers(-3, 40)),
+    "n_particles": _run_key(st.integers(2, 130), st.integers(-3, 130)),
+    "checkpoints": _run_key(st.just("0.01, 0.02"), st.lists(
+        st.floats(), max_size=3).map(lambda v: ", ".join(map(str, v)))),
+})
+_CANONICAL_RUN = "kernel = uniform\nrate = linear\n"
+_RUN_MODELS = st.sampled_from([_CANONICAL_RUN,
+                               "kernel = mitosis\nrate = constant\n"])
+_RUN_EXAMPLE = {"seed": 1, "x0": 1.0, "f": "id", "regime": "pseudo-entrance",
+                "alpha": 2.0, "beta": 0.0, "burn_in": 0.1, "t_end": 0.5,
+                "n_paths": 20, "n_particles": 40, "checkpoints": ""}
+
+
+# two inputs that once exited 0 with an identically-zero functional, and
+# one that ended in a DomainError, not a config error naming beta
+@settings(max_examples=100, deadline=None)
+@given(run=_RUN, model=_RUN_MODELS,
+       command=st.sampled_from(["check", "simulate", "qsd"]))
+@example(run=dict(_RUN_EXAMPLE, f="indicator:nan:inf"),
+         model=_CANONICAL_RUN, command="simulate")
+@example(run=dict(_RUN_EXAMPLE, f="indicator:2:1"), model=_CANONICAL_RUN,
+         command="qsd")
+@example(run=dict(_RUN_EXAMPLE, regime="powerlaw", beta=-1),
+         model=_CANONICAL_RUN, command="simulate")
+def test_run_config_runs_or_exits_with_a_json_error(tmp_path_factory, run,
+                                                    model, command):
+    assert set(run) == _KNOWN_KEYS["run"] - {"lambda0_estimate",
+                                             "spectral_json"}
+    base = tmp_path_factory.getbasetemp()
+    path = base / "run.ini"
+    path.write_text(
+        "[model]\ngrowth = constant\n" + model
+        + "[numerics]\nx_min = 0.01\nx_max = 40.0\n[run]\n"
+        + "".join(f"{k} = {v}\n" for k, v in run.items()))
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("ignore")
+        code = main([command, "--config", str(path),
+                     "--out", str(base / "run-out")])
+    assert code in (0, 1, 2)
+    if code == 1 and command == "check" and not err.getvalue():
+        # a check that ran and failed reports on stdout
+        assert json.loads(out.getvalue())["passed"] is False
+    elif code:
+        # stderr holds the one JSON error object; a config error names a
+        # [run] key
+        payload = json.loads(err.getvalue())
+        assert "error" in payload
+        if code == 2:
+            assert payload["key"] in _KNOWN_KEYS["run"]
