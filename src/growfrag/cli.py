@@ -24,7 +24,8 @@ import numpy as np
 from . import lyapunov, pde, qsd, spectral
 from .errors import (CFLViolation, ConfigError, CriterionViolated,
                      DomainError, GrowfragError, MomentDivergence,
-                     QuadratureDivergence, UnboundedAbove)
+                     QuadratureDivergence, Reducible, UnboundedAbove)
+from .flow import _EXTENSION_CEILING
 from .model import (FragmentationKernel, GrowthSpec, ModelSpec,
                     constant_weight, mitosis_ratio, power_ratio,
                     uniform_ratio)
@@ -321,6 +322,15 @@ def _check_start(cfg: RunConfig):
             f"[{cfg.x_min:g}, {cfg.x_max:g}]", key="x0")
 
 
+def _check_ceiling(cfg: RunConfig):
+    """Reject a Monte Carlo start above the flow table's hard ceiling."""
+    ceiling = cfg.x_max * _EXTENSION_CEILING
+    if cfg.x0 > ceiling:
+        raise ConfigError(
+            f"x0 = {cfg.x0:g} lies above the flow table's ceiling "
+            f"x_max * {_EXTENSION_CEILING:g} = {ceiling:g}", key="x0")
+
+
 def _solve(cfg: RunConfig, grid, marks, operator=None):
     """pde.solve on the configured start, horizon, dt and method; a dt
     above the positivity bound is a config error naming dt."""
@@ -393,6 +403,7 @@ def cmd_check(cfg: RunConfig, out_dir: str) -> dict:
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: str) -> dict:
+    _check_ceiling(cfg)
     h, report = _build_weight(cfg)
     law = TiltedJumpLaw(cfg.model, h, b=report.b)
     [(estimate, std_error)], trace = mc_semigroup(
@@ -435,7 +446,14 @@ def cmd_pde(cfg: RunConfig, out_dir: str) -> dict:
 def _spectral_triple(cfg: RunConfig):
     grid = _grid(cfg)
     op = pde.build_discrete_operator(cfg.model, grid)
-    triple = spectral.principal_eigen(op, constant_weight(1.0))
+    try:
+        triple = spectral.principal_eigen(op, constant_weight(1.0))
+    except Reducible as exc:
+        if not cfg.model.irreducible:
+            raise
+        # the model is declared irreducible, so the grid lost the coupling
+        raise ConfigError(f"[numerics] grid_n = {cfg.grid_n} is too coarse "
+                          f"for the kernel: {exc}", key="grid_n") from exc
     return grid, op, triple
 
 
@@ -454,6 +472,7 @@ def cmd_spectral(cfg: RunConfig, out_dir: str) -> dict:
 
 
 def cmd_qsd(cfg: RunConfig, out_dir: str) -> dict:
+    _check_ceiling(cfg)
     h, report = _build_weight(cfg)
     law = TiltedJumpLaw(cfg.model, h, b=report.b)
     res = qsd.fv_run(cfg.model, law, cfg.n_particles, cfg.t_end,

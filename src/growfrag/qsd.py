@@ -33,6 +33,7 @@ _N_SNAPSHOTS = 200
 _ETA_DRIFT_TOL = 0.10
 _MIN_PARTICLES = 100
 _ETA_STREAM_STRIDE = 2 ** 20   # eta stream ids are (k+1)*stride + path
+_RULE_OF_THREE = float(np.log(20.0))   # -ln 0.05, Poisson 95% bound
 
 
 class StallWarning(UserWarning):
@@ -119,7 +120,11 @@ def fv_run(model: ModelSpec, law: TiltedJumpLaw, n_particles: int,
     events; each kill respawns the particle at the position of a
     uniformly chosen other particle at the kill instant.  lambda0X is
     the post-burn-in kill count per particle-time, with a batch-means
-    confidence interval over 20 equal time batches.
+    confidence interval over 20 equal time batches.  A run with no kill
+    after burn-in bounds lambda0X only by the Poisson 95% limit
+    -ln(0.05) / (N (t_end - burn_in)); it is reported supported only if
+    that limit lies below the law's rate b, so that a kill rate of b
+    would have shown about three kills.
     """
     if n_particles < 2:
         raise DomainError("Fleming-Viot needs at least two particles")
@@ -176,6 +181,8 @@ def fv_run(model: ModelSpec, law: TiltedJumpLaw, n_particles: int,
     lambda0X = kills_post / (n_particles * elapsed)
     if kills_post == 0:
         warnings.warn("no kills after burn-in: lambda0X ~ 0", StallWarning)
+        supported = supported and \
+            _RULE_OF_THREE < law.b * n_particles * elapsed
 
     # batch means over 20 equal post-burn-in windows
     edges = np.linspace(burn_in, t_end, _N_BATCHES + 1)

@@ -9,6 +9,7 @@ import pytest
 from growfrag.cli import dumps_stable, main
 from growfrag.errors import ConfigError
 from growfrag.pdmp import VarianceBlowup
+from growfrag.qsd import StallWarning
 
 CANONICAL = """
 [model]
@@ -259,6 +260,8 @@ def test_nonpositive_path_count_rejected(tmp_path, capsys):
      (), "beta"),
     ("check", "pseudo-entrance\nalpha = 2.0", "powerlaw\nalpha = -0.5", (),
      "alpha"),
+    ("simulate", "x0 = 1.0", "x0 = 1.22683e217", (), "x0"),
+    ("qsd", "x0 = 1.0", "x0 = 1.22683e217", (), "x0"),
 ])
 def test_bad_value_exits_2_naming_key(tmp_path, capsys, command, old, new,
                                       argv, key):
@@ -500,6 +503,42 @@ def test_pde_runs_on_a_grid_whose_edges_multiply_past_overflow(tmp_path,
         == []
     assert code == 0
     assert json.loads(out)["summary"][-1]["t"] == pytest.approx(1.0)
+
+
+def test_qsd_without_kills_in_a_short_window_is_unsupported(tmp_path,
+                                                          capsys):
+    # 120 particles for 7e-301 after burn-in: at the law's rate b = 3.39
+    # they would expect 3e-298 kills, so a kill-free run identifies nothing
+    cfg = _write(tmp_path, CANONICAL.replace("t_end = 0.5", "t_end = 1e-300"))
+    with pytest.warns(StallWarning):
+        code, out, _ = _run(capsys, "qsd", "--config", cfg, "--out",
+                            str(tmp_path))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["kills"] == 0
+    assert payload["supported"] is False
+
+
+@pytest.mark.parametrize("command, irreducible, code", [
+    ("spectral", "true", 2), ("converge", "true", 2), ("spectral", "false", 1),
+])
+def test_grid_too_coarse_for_an_irreducible_kernel_names_grid_n(
+        tmp_path, capsys, command, irreducible, code):
+    # cells of 3.2 decades keep every mitosis child in its parent's cell,
+    # so the assembled operator has 64 strong components
+    cfg = _write(tmp_path, MITOSIS.replace("x_max = 40.0", "x_max = 1e200")
+                 .replace("grid_n = 96", "grid_n = 64")
+                 .replace("rate = constant",
+                          f"rate = constant\nirreducible = {irreducible}"))
+    got, out, err = _run(capsys, command, "--config", cfg, "--out",
+                         str(tmp_path))
+    assert got == code
+    assert out == ""
+    payload = json.loads(err)
+    if code == 2:
+        assert payload["key"] == "grid_n"
+    else:
+        assert payload["error"] == "Reducible"
 
 
 def test_qsd_reports_rate_identity(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import warnings
 
 import numpy as np
@@ -202,6 +203,50 @@ def test_stencil_product_matches_matrix(atoms, density, rate, speed, n,
     m = _masses(seed, n)
     got, want = op.stencil.apply(m), op.matrix @ m
     assert np.all(np.abs(got - want) <= 1e-10 * (abs(op.matrix) @ m))
+
+
+# one atom, an atom plus a density, or a power density alone
+_ATOM = st.lists(st.tuples(st.floats(0.01, 0.99), st.floats(0.01, 3.0)),
+                 min_size=1, max_size=1)
+_THETA = st.floats(-0.95, 3.0, exclude_min=True, exclude_max=True)
+_STENCIL_KERNELS = st.one_of(
+    st.tuples(_ATOM, st.none()),
+    st.tuples(_ATOM, st.one_of(st.just("uniform"), _THETA)),
+    st.tuples(st.just([]), _THETA))
+
+
+# n below the 64-row block, across it and past several 256-row products
+@settings(max_examples=100, deadline=None)
+@given(kernel=_STENCIL_KERNELS, rate=_COEFFICIENTS, speed=_COEFFICIENTS,
+       n=st.integers(2, 600), x_min=st.floats(1e-3, 0.5),
+       x_max=st.floats(2.0, 100.0), seed=st.integers(0, 2 ** 32 - 1))
+@example(kernel=([], "uniform"), rate=(1.0, 1.0), speed=(1.0, 0.0), n=1024,
+         x_min=0.01, x_max=40.0, seed=0)
+@example(kernel=([(0.5, 2.0)], None), rate=(1.0, 0.0), speed=(1.0, 0.0),
+         n=1024, x_min=0.01, x_max=40.0, seed=1)
+def test_blocked_exchange_matches_its_row_sums(kernel, rate, speed, n, x_min,
+                                               x_max, seed):
+    # row j >= 1 of the exchange is sum_{i >= j} lattice[top + j - i] K_i
+    # m_i, summed here term by term; apply must agree to 1e-13 of the sum
+    # of each row's absolute terms
+    model = _relative_model(*kernel, rate, speed, x_min, x_max)
+    stencil = build_discrete_operator(
+        model, SizeGrid.log_uniform(x_min, x_max, n)).stencil
+    lattice = np.zeros(n)
+    lattice[stencil.offset:stencil.offset + len(stencil.taps)] = \
+        stencil.taps[::-1]
+    m = _masses(seed, n)
+    v = stencil.rate * m
+    got = stencil.apply(m)
+    for j in range(n):
+        if j == 0:
+            terms = np.append(stencil.head * v, stencil.drain[0] * m[0])
+        else:
+            terms = np.append(lattice[j:][::-1] * v[j:],
+                              [stencil.out[j - 1] * m[j - 1],
+                               stencil.drain[j] * m[j]])
+        want = math.fsum(terms)
+        assert abs(got[j] - want) <= 1e-13 * np.abs(terms).sum()
 
 
 def test_grid_that_is_not_log_uniform_is_rejected():
