@@ -534,6 +534,11 @@ def cmd_converge(cfg: RunConfig, out_dir: str) -> dict:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", pde.BoundaryLeak)
         traj = _solve(cfg, grid, marks, operator=op)
+    if traj.steps == 0:
+        # every checkpoint holds the start: a fit window of zero length
+        raise ConfigError(f"[run] t_end = {cfg.t_end:g} ends before the "
+                          "march's first step: no decay to fit",
+                          key="t_end")
     f = cfg.functional()
     rate_positive = False
     gamma = r_squared = None

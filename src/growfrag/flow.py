@@ -5,10 +5,11 @@ phi(x, t) = s^{-1}(s(x) + t).  s is a cumulative-quadrature table,
 widened by appending panels, with exact node derivatives 1/c; on each
 piece between nodes it is the cubic Hermite interpolant, with the
 coefficients and summation order of scipy's cubic Hermite spline, kept as
-plain Python floats.  flow_at finds the piece whose values hold s(x) + t
-and solves its cubic by Newton from the secant, so the round trip
-s(phi(x,t)) = s(x) + t holds to _INV_TOL.  c may be infinite (1/c = 0):
-lyapunov builds G = int_1^x K s(dy) as the scale of c/K.
+plain Python floats for the scalar reads and as numpy arrays for the array
+reads, which return the scalar reads' bits.  flow_at finds the piece whose
+values hold s(x) + t and solves its cubic by Newton from the secant, so the
+round trip s(phi(x,t)) = s(x) + t holds to _INV_TOL.  c may be infinite
+(1/c = 0): lyapunov builds G = int_1^x K s(dy) as the scale of c/K.
 """
 
 from __future__ import annotations
@@ -97,6 +98,17 @@ def _panel_integral(c, a, b):
                 return val
     raise QuadratureDivergence(
         f"scale integral on ({a:.6g},{b:.6g}) diverged")
+
+
+def _cubic_sum(s, c1, c2, c3, d):
+    """s + c1 d + c2 d^2 + c3 d^3 on arrays, in FlowEngine._cubic's order."""
+    z = d * d
+    return 0.0 + s + c1 * d + c2 * z + c3 * (z * d)
+
+
+def _first(values, bad):
+    """The first of values where the boolean array bad holds."""
+    return values[np.argmax(bad)]
 
 
 def _lattice(k):
@@ -200,6 +212,8 @@ class FlowEngine:
         # plain floats: numpy scalars cost more per operation
         self._c1, self._c2, self._c3 = \
             deriv[:-1].tolist(), c2.tolist(), c3.tolist()
+        # the same pieces as arrays, for s_of_array and flow_at_array
+        self._pieces = (xs, svals, deriv[:-1], c2, c3)
         self._x_lo, self._x_hi = self._xs[0], self._xs[-1]
         self._s_hi = self._svals[-1]
 
@@ -237,6 +251,31 @@ class FlowEngine:
         z = d * d
         return 0.0 + self._svals[i] + self._c1[i] * d + self._c2[i] * z \
             + self._c3[i] * (z * d)
+
+    def s_of_array(self, xs):
+        """s_of at every point of xs, with the bits s_of returns.
+
+        The table is widened to the least and the greatest point first, as
+        reads of them one by one would widen it.
+        """
+        shape = np.shape(xs)
+        x = np.asarray(xs, dtype=float).ravel()
+        if np.any(x <= 0.0):
+            raise DomainError(f"s queried at x={_first(x, x <= 0.0)} <= 0")
+        if x.size:
+            for end in (float(x.min()), float(x.max())):
+                if not self._x_lo <= end <= self._x_hi:
+                    self._extend(end)
+        nodes, svals, c1, c2, c3 = self._pieces
+        i = np.clip(np.searchsorted(nodes, x, side="right"),
+                    1, len(nodes) - 1) - 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = _cubic_sum(svals[i], c1[i], c2[i], c3[i], x - nodes[i])
+        s[x == 1.0] = 0.0
+        bad = ~np.isfinite(s)
+        if bad.any():
+            raise DomainError(f"scale not finite at x={_first(x, bad):g}")
+        return s.reshape(shape)
 
     def s_lower_limit(self):
         """s(0+): finite value if the integral converges, else -inf.
@@ -290,4 +329,64 @@ class FlowEngine:
             if not slope > 0.0:
                 break
             y = min(max(y - resid / slope, lo), hi)
+        return y
+
+    def flow_at_array(self, xs, ts):
+        """flow_at at every pair of the broadcast xs and ts, with the bits
+        flow_at returns: the same piece, the same secant start and the
+        same at most four clamped Newton steps, each point frozen where
+        flow_at would stop."""
+        x, t = np.broadcast_arrays(np.asarray(xs, dtype=float),
+                                   np.asarray(ts, dtype=float))
+        shape = x.shape
+        x, t = x.ravel(), t.ravel()
+        if np.any(x <= 0.0):
+            raise DomainError(f"flow queried at x={_first(x, x <= 0.0)} <= 0")
+        if np.any(t < 0.0):
+            raise DomainError(f"flow queried at negative duration "
+                              f"t={_first(t, t < 0.0)}")
+        y = x.copy()
+        move = np.flatnonzero(t != 0.0)
+        if move.size:
+            x = x[move]
+            target = self.s_of_array(x) + t[move]
+            while target.max() > self._s_hi:
+                self._extend(self._x_hi * 4.0)
+            y[move] = self._invert(x, target)
+        return y.reshape(shape)
+
+    def _invert(self, x, target):
+        """s^{-1}(target) for flow_at_array, from the starts x."""
+        nodes, svals, c1, c2, c3 = self._pieces
+        i = np.clip(np.searchsorted(svals, target, side="right"),
+                    1, len(svals) - 1) - 1
+        lo, hi, s_lo, s_hi = nodes[i], nodes[i + 1], svals[i], svals[i + 1]
+        flat = ~(s_lo < s_hi)
+        if flat.any():
+            k = np.argmax(flat)
+            raise DomainError(f"flow from x={x[k]:g} lands on the flat scale "
+                              f"piece ({lo[k]:g}, {hi[k]:g})")
+        y = lo + (hi - lo) * ((target - s_lo) / (s_hi - s_lo))
+        c1, c2, c3 = c1[i], c2[i], c3[i]
+        live = np.arange(len(y))   # the points still stepping
+        yl = y
+        for _ in range(4):
+            with np.errstate(over="ignore", invalid="ignore"):
+                d = yl - lo
+                resid = _cubic_sum(s_lo, c1, c2, c3, d) - target
+                bad = ~np.isfinite(resid)
+                if bad.any():
+                    k = np.argmax(bad)
+                    raise DomainError(
+                        f"scale not finite on the piece ({lo[k]:g}, "
+                        f"{hi[k]:g}) of the flow from x={x[live[k]]:g}")
+                slope = c1 + (2.0 * c2 + 3.0 * c3 * d) * d
+            step = (np.abs(resid) > _INV_TOL) & (slope > 0.0)
+            live, lo, hi, s_lo, c1, c2, c3, target, resid, slope, yl = [
+                a[step] for a in (live, lo, hi, s_lo, c1, c2, c3, target,
+                                  resid, slope, yl)]
+            if not live.size:
+                break
+            yl = np.minimum(np.maximum(yl - resid / slope, lo), hi)
+            y[live] = yl
         return y

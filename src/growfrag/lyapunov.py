@@ -96,7 +96,10 @@ class AssumptionReport:
             "lambda1": self.lambda1,
             "lambda2": self.lambda2,
             "L": [self.compact_set[0], self.compact_set[1]],
-            "checks": [{"name": name, "margin": margin, "pass": ok}
+            # numpy margins and flags (atom sums of a ratio measure) as
+            # the Python numbers the JSON writer takes
+            "checks": [{"name": name, "margin": float(margin),
+                        "pass": bool(ok)}
                        for name, margin, ok in self.checks],
         }
 

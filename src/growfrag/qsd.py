@@ -14,6 +14,7 @@ independent survival Monte Carlo.
 from __future__ import annotations
 
 import csv
+import heapq
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -30,6 +31,7 @@ from .pde import SizeGrid
 _BURN_IN_FRACTION = 0.3
 _N_BATCHES = 20
 _N_SNAPSHOTS = 200
+_SNAPSHOT_CHUNK = 25   # snapshot rows per array flow read
 _ETA_DRIFT_TOL = 0.10
 _MIN_PARTICLES = 100
 _ETA_STREAM_STRIDE = 2 ** 20   # eta stream ids are (k+1)*stride + path
@@ -118,7 +120,13 @@ def fv_run(model: ModelSpec, law: TiltedJumpLaw, n_particles: int,
 
     All particles start at x0 and evolve independently between kill
     events; each kill respawns the particle at the position of a
-    uniformly chosen other particle at the kill instant.  lambda0X is
+    uniformly chosen other particle at the kill instant.  The pending
+    kills sit in a heap of (kill time, index), which yields the earliest
+    kill, the lowest index among equal times, and the other particles
+    dying at that instant, which cannot be respawn sources; Extinction
+    is raised when no other particle survives it.  The snapshots are
+    replayed from the particles' anchors after the last kill (see
+    _replay).  lambda0X is
     the post-burn-in kill count per particle-time, with a batch-means
     confidence interval over 20 equal time batches.  A run with no kill
     after burn-in bounds lambda0X only by the Poisson 95% limit
@@ -152,15 +160,18 @@ def fv_run(model: ModelSpec, law: TiltedJumpLaw, n_particles: int,
                                    positions=[float(x0)], next_kill=np.inf))
         particles[-1].run(model, law, t_end)
 
+    # (next_kill, index) of the particles with a pending kill: the top is
+    # the earliest kill, the lowest index first among equal times
+    pending = [(p.next_kill, i) for i, p in enumerate(particles)
+               if p.next_kill < np.inf]
+    heapq.heapify(pending)
     kill_times = []
-    while True:
-        i_star = int(np.argmin([p.next_kill for p in particles]))
-        t_kill = particles[i_star].next_kill
-        if not np.isfinite(t_kill):
-            break
-        others_alive = sum(1 for j, p in enumerate(particles)
-                           if j != i_star and p.next_kill > t_kill)
-        if others_alive == 0:
+    while pending:
+        t_kill, i_star = heapq.heappop(pending)
+        # the others dying by t_kill tie with it, since it is the least
+        ties = sum(1 for t, _ in pending if t <= t_kill) \
+            if pending and pending[0][0] <= t_kill else 0
+        if n_particles - 1 - ties == 0:
             raise Extinction(
                 f"no surviving particle to respawn from at t={t_kill:g}")
         kill_times.append(t_kill)
@@ -174,6 +185,8 @@ def fv_run(model: ModelSpec, law: TiltedJumpLaw, n_particles: int,
         victim.times.append(t_kill)
         victim.positions.append(float(x_new))
         victim.run(model, law, t_end)
+        if victim.next_kill < np.inf:
+            heapq.heappush(pending, (victim.next_kill, i_star))
 
     kill_times = np.array(kill_times)
     kills_post = int(np.sum(kill_times > burn_in))
@@ -196,10 +209,7 @@ def fv_run(model: ModelSpec, law: TiltedJumpLaw, n_particles: int,
     ci = (float(lambda0X - half), float(lambda0X + half))
 
     obs_times = np.linspace(burn_in, t_end, _N_SNAPSHOTS + 1)[1:]
-    # filled row by row: one nested list would hold N * 200 float objects
-    snapshots = np.empty((_N_SNAPSHOTS, n_particles))
-    for row, t in zip(snapshots, obs_times):
-        row[:] = [p.position_at(t, law.flow) for p in particles]
+    snapshots = _replay(particles, obs_times, law.flow)
     if np.any(snapshots <= 0.0):
         raise DomainError("all ensemble positions must be positive")
     return FVResult(nu_hat=snapshots.ravel(), lambda0X=float(lambda0X),
@@ -207,6 +217,30 @@ def fv_run(model: ModelSpec, law: TiltedJumpLaw, n_particles: int,
                     burn_in=float(burn_in), t_end=float(t_end),
                     supported=supported, snapshots=snapshots,
                     kill_times=kill_times)
+
+
+def _replay(particles, obs_times, flow):
+    """Positions of the particles at obs_times, one row per time.
+
+    Each particle's position is the flow from its last anchor at or
+    before the time, as _Particle.position_at reads it; the rows are read
+    _SNAPSHOT_CHUNK at a time, by one flow_at_array call each, so that no
+    temporary spans every row.
+    """
+    anchors = [(np.array(p.times), np.array(p.positions)) for p in particles]
+    out = np.empty((len(obs_times), len(particles)))
+    starts = np.empty((_SNAPSHOT_CHUNK, len(particles)))
+    durations = np.empty_like(starts)
+    for r0 in range(0, len(obs_times), _SNAPSHOT_CHUNK):
+        ts = obs_times[r0:r0 + _SNAPSHOT_CHUNK]
+        rows = len(ts)
+        for col, (times, positions) in enumerate(anchors):
+            k = np.searchsorted(times, ts, side="right") - 1
+            starts[:rows, col] = positions[k]
+            durations[:rows, col] = ts - times[k]
+        out[r0:r0 + rows] = flow.flow_at_array(starts[:rows],
+                                               durations[:rows])
+    return out
 
 
 @dataclass

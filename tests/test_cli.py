@@ -179,6 +179,27 @@ def test_check_criterion_reports_are_pinned(tmp_path, capsys, regime,
     assert (tmp_path / "check.json").read_text() == out
 
 
+def test_check_on_an_atom_kernel_writes_its_report(tmp_path, capsys):
+    # MITOSIS's ratio measure sums its one atom in numpy, so the K-constant
+    # criterion's margins and pass flags are numpy numbers: they reach the
+    # JSON report as numbers and booleans, and the failed criterion exits 1
+    cfg = _write(tmp_path, MITOSIS.replace("regime = constant",
+                                           "regime = K-constant"))
+    code, out, err = _run(capsys, "check", "--config", cfg, "--out",
+                          str(tmp_path))
+    assert code == 1
+    assert err == ""
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    assert payload["report"]["regime"] == "K-constant-critical"
+    assert payload["checks"] == payload["report"]["checks"]
+    failed = {c["name"] for c in payload["checks"] if c["pass"] is False}
+    assert {"speed-ratio-below-entropy-at-infinity",
+            "speed-ratio-above-entropy-at-zero"} <= failed
+    assert all(type(c["margin"]) in (int, float) for c in payload["checks"])
+    assert (tmp_path / "check.json").read_text() == out
+
+
 def test_check_constant_regime_reports_unbounded_ratio(tmp_path, capsys):
     # with h = 1, A h/h = x on CANONICAL, so it rises from about 4 to 40
     # over the last probe decade; the failed check is written, not raised
@@ -262,6 +283,7 @@ def test_nonpositive_path_count_rejected(tmp_path, capsys):
      "alpha"),
     ("simulate", "x0 = 1.0", "x0 = 1.22683e217", (), "x0"),
     ("qsd", "x0 = 1.0", "x0 = 1.22683e217", (), "x0"),
+    ("converge", "t_end = 0.5", "t_end = 1e-300", (), "t_end"),
 ])
 def test_bad_value_exits_2_naming_key(tmp_path, capsys, command, old, new,
                                       argv, key):

@@ -242,7 +242,70 @@ def test_scale_and_flow_never_return_nan_or_inf():
         assert flow.flow_at(1e-30, 1.5) == pytest.approx(1.5, abs=1e-12)
     # c is infinite from 2 on, so s is flat there: the flow to s(10) from
     # 1 lands on the flat top piece, which the scale cannot invert
+        # the array reads raise as the scalar reads do
+        with pytest.raises(DomainError, match="x=1e-300"):
+            flow.s_of_array([2.0, 1e-300])
+        with pytest.raises(DomainError, match="x=1e-300"):
+            flow.flow_at_array([2.0, 1e-300], 1.0)
     flat = FlowEngine(GrowthSpec.from_speed(
         lambda x: 1.0 if x < 2.0 else math.inf, kinks=(2.0,)), 0.5, 10.0)
     with pytest.raises(DomainError, match="x=1 lands on the flat"):
         flat.flow_at(1.0, flat.s_of(10.0))
+    with pytest.raises(DomainError, match="x=1 lands on the flat"):
+        flat.flow_at_array([1.5, 1.0], [0.1, flat.s_of(10.0)])
+
+
+# the canonical growth c = 1, its pseudo-entrance G table (the scale of
+# c/K = 1/x), and the two kinked speeds
+ARRAY_TABLES = {"canonical": (lambda x: 1.0, ()),
+                "pseudo-entrance G": (lambda x: 1.0 / x, ()),
+                **KINKED_SPEEDS}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_TABLES))
+def test_array_reads_return_the_scalar_bits(name):
+    # s_of_array and flow_at_array against s_of and flow_at, each on a
+    # fresh table: at every node, both its floating-point neighbours and
+    # 10^4 log-uniform points, for durations 0, 1e-300, log-uniform ones
+    # and ones whose flow leaves the table, which both reads widen
+    speed, kinks = ARRAY_TABLES[name]
+    growth = GrowthSpec.from_speed(speed, kinks=kinks)
+    nodes = np.array(FlowEngine(growth, 1e-2, 40.0)._xs)
+    rng = np.random.default_rng(21)
+    xs = np.concatenate([
+        nodes, np.nextafter(nodes, 0.0), np.nextafter(nodes, np.inf),
+        np.exp(rng.uniform(np.log(1e-2), np.log(40.0), 10_000))])
+    ts = np.exp(rng.uniform(np.log(1e-9), np.log(5.0), len(xs)))
+    # s(400) - s(1) carries every start past 100
+    ts[::5], ts[1::5] = 0.0, 1e-300
+    ts[2::97] = FlowEngine(growth, 1.0, 400.0).s_of(400.0)
+    arrays, scalars = FlowEngine(growth, 1e-2, 40.0), \
+        FlowEngine(growth, 1e-2, 40.0)
+    got = arrays.s_of_array(xs)
+    assert got.tobytes() == np.array(
+        [scalars.s_of(float(x)) for x in xs]).tobytes()
+    top = arrays._xs[-1]
+    got = arrays.flow_at_array(xs, ts)
+    assert arrays._xs[-1] > top   # the long durations widened the table
+    assert got.tobytes() == np.array(
+        [scalars.flow_at(float(x), float(t)) for x, t in zip(xs, ts)]
+    ).tobytes()
+    # one x against many t keeps the broadcast shape
+    assert arrays.flow_at_array(2.0, ts[:7].reshape(1, 7)).tobytes() == \
+        np.array([[scalars.flow_at(2.0, float(t)) for t in ts[:7]]]).tobytes()
+
+
+@pytest.mark.parametrize("x, t", [(0.0, 1.0), (-2.0, 0.0), (1.0, -1e-300)])
+def test_array_flow_rejects_what_the_scalar_flow_rejects(x, t):
+    flow = FlowEngine(GrowthSpec.from_speed(lambda x: 1.0), 1e-3, 1e3)
+    with pytest.raises(DomainError) as scalar:
+        flow.flow_at(x, t)
+    with pytest.raises(DomainError) as array:
+        flow.flow_at_array([1.0, x], [0.5, t])
+    assert str(array.value) == str(scalar.value)
+    if x <= 0.0:
+        with pytest.raises(DomainError) as scalar:
+            flow.s_of(x)
+        with pytest.raises(DomainError) as array:
+            flow.s_of_array([1.0, x])
+        assert str(array.value) == str(scalar.value)

@@ -426,15 +426,16 @@ _RUN = st.fixed_dictionaries({
         st.floats(), max_size=3).map(lambda v: ", ".join(map(str, v)))),
 })
 _CANONICAL_RUN = "kernel = uniform\nrate = linear\n"
-_RUN_MODELS = st.sampled_from([_CANONICAL_RUN,
-                               "kernel = mitosis\nrate = constant\n"])
+_MITOSIS_RUN = "kernel = mitosis\nrate = constant\n"
+_RUN_MODELS = st.sampled_from([_CANONICAL_RUN, _MITOSIS_RUN])
 _RUN_EXAMPLE = {"seed": 1, "x0": 1.0, "f": "id", "regime": "pseudo-entrance",
                 "alpha": 2.0, "beta": 0.0, "burn_in": 0.1, "t_end": 0.5,
                 "n_paths": 20, "n_particles": 40, "checkpoints": ""}
 
 
-# two inputs that once exited 0 with an identically-zero functional, and
-# one that ended in a DomainError, not a config error naming beta
+# two inputs that once exited 0 with an identically-zero functional, one
+# that ended in a DomainError, not a config error naming beta, and one whose
+# numpy pass flags once made check exit 2 naming no key
 @settings(max_examples=100, deadline=None)
 @given(run=_RUN, model=_RUN_MODELS,
        command=st.sampled_from(["check", "simulate", "qsd"]))
@@ -444,6 +445,8 @@ _RUN_EXAMPLE = {"seed": 1, "x0": 1.0, "f": "id", "regime": "pseudo-entrance",
          command="qsd")
 @example(run=dict(_RUN_EXAMPLE, regime="powerlaw", beta=-1),
          model=_CANONICAL_RUN, command="simulate")
+@example(run=dict(_RUN_EXAMPLE, regime="K-constant"), model=_MITOSIS_RUN,
+         command="check")
 def test_run_config_runs_or_exits_with_a_json_error(tmp_path_factory, run,
                                                     model, command):
     assert set(run) == _KNOWN_KEYS["run"] - {"lambda0_estimate",

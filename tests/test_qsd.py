@@ -1,12 +1,14 @@
 """Fleming-Viot particle system and quasi-stationary reconstruction."""
 
+import hashlib
 import warnings
 
 import numpy as np
 import pytest
 
-from growfrag.errors import DomainError
+from growfrag.errors import DomainError, Extinction
 from growfrag.flow import FlowEngine
+from growfrag.lyapunov import build_h_pseudo_entrance, verify_assumption1
 from growfrag.model import (
     WeightFunction,
     constant_weight,
@@ -18,12 +20,13 @@ from growfrag.qsd import (
     ParticleEnsemble,
     StallWarning,
     UnsupportedModel,
+    _Particle,
     eta_estimate,
     fv_run,
     reconstruct_m_phi,
 )
 
-from conftest import make_mitosis
+from conftest import make_canonical, make_mitosis
 
 
 def _mitosis_law(b):
@@ -146,6 +149,92 @@ def test_fv_run_reproducible():
     b = fv_run(model, law, n_particles=150, t_end=2.0, seed=4)
     assert a.lambda0X == b.lambda0X
     assert np.array_equal(a.nu_hat, b.nu_hat)
+
+
+# sha256 of snapshots.tobytes() + kill_times.tobytes(), pinned to the bits
+# of the scalar position_at replay and the argmin kill scan: the canonical
+# model under the pseudo-entrance weight (130 kills), mitosis under b = 1.3
+# (13 kills)
+@pytest.mark.parametrize("name, n, t_end, seed, digest", [
+    ("canonical", 40, 1.5, 3,
+     "d2af09b5d65fdcaf8f930874583067888f928fb5e678544c0dd27a36cea53c6a"),
+    ("mitosis", 40, 2.0, 5,
+     "c5cdc03588f7ae4aa465b9682198f5dc62eb62e2811bbf7e445864292e5ff4dc"),
+])
+def test_fv_run_bits_are_pinned(name, n, t_end, seed, digest):
+    if name == "canonical":
+        model = make_canonical()
+        h = build_h_pseudo_entrance(model, 2.0)
+        law = TiltedJumpLaw(model, h, verify_assumption1(model, h).b)
+    else:
+        model, law = _mitosis_law(1.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnsupportedModel)
+        res = fv_run(model, law, n_particles=n, t_end=t_end, seed=seed)
+    assert hashlib.sha256(res.snapshots.tobytes()
+                          + res.kill_times.tobytes()).hexdigest() == digest
+
+
+def _script_kills(monkeypatch, kills):
+    """Replace _Particle.run: the k-th run of particle i ends in a kill at
+    kills[i][k] (inf: it survives), and the first run anchors particle i
+    at 1 + i at time 0, so that respawn sources can be told apart.
+    Returns the particles, in index order, and the log of respawns,
+    (particle, clock, position)."""
+    particles, respawns = [], []
+
+    def run(self, model, law, t_end):
+        if len(self.times) == 1:
+            particles.append(self)
+        i = next(k for k, p in enumerate(particles) if p is self)
+        if len(self.times) == 1:
+            self.times.append(0.0)
+            self.positions.append(1.0 + i)
+        else:
+            respawns.append((i, self.state.clock, self.positions[-1]))
+        self.next_kill = kills[i][len(self.times) - 2]
+
+    monkeypatch.setattr(_Particle, "run", run)
+    return particles, respawns
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tied_kills_go_in_index_order_and_respawn_on_survivors(
+        monkeypatch, seed):
+    # particles 1, 2 and 4 die at the same instant 0.5: they die in index
+    # order, and the first respawns on 0 or 3, never on a particle dying
+    # then; the later ones may also land on a particle already respawned.
+    # With no burn-in one snapshot falls on 0.5, where the respawn anchors
+    # count; every snapshot is the scalar position_at replay
+    inf = np.inf
+    particles, respawns = _script_kills(monkeypatch, [
+        [inf], [0.5, inf], [0.5, inf], [inf], [0.5, inf]])
+    model, law = _mitosis_law(1.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnsupportedModel)
+        res = fv_run(model, law, n_particles=5, t_end=1.0, burn_in=0.0,
+                     seed=seed)
+    assert res.kills == 3
+    assert res.kill_times.tolist() == [0.5, 0.5, 0.5]
+    assert [i for i, _, _ in respawns] == [1, 2, 4]
+    assert [clock for _, clock, _ in respawns] == [0.5, 0.5, 0.5]
+    survivors = {law.flow.flow_at(1.0 + j, 0.5) for j in (0, 3)}
+    assert {x for _, _, x in respawns} <= survivors
+    obs_times = np.linspace(0.0, 1.0, 201)[1:]
+    assert 0.5 in obs_times
+    replay = [[p.position_at(t, law.flow) for p in particles]
+              for t in obs_times]
+    assert res.snapshots.tobytes() == np.array(replay).tobytes()
+
+
+def test_extinction_when_every_other_particle_dies_at_once(monkeypatch):
+    inf = np.inf
+    _script_kills(monkeypatch, [[0.5, inf], [0.5, inf], [0.5, inf]])
+    model, law = _mitosis_law(1.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnsupportedModel)
+        with pytest.raises(Extinction, match="t=0.5"):
+            fv_run(model, law, n_particles=3, t_end=1.0, seed=0)
 
 
 # -- guardrails ---------------------------------------------------------------
