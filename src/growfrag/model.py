@@ -63,42 +63,31 @@ class GrowthSpec:
         return GrowthSpec(c=c, kinks=tuple(kinks))
 
 
-def _elementwise(f):
-    """f applied to each entry of a 1-d array, called on Python floats
-    (as np.vectorize calls it, without its per-element overhead)."""
-    return lambda x: np.fromiter(map(f, x.tolist()), float, len(x))
-
-
-def _gauss8(f, a, b):
-    """8-point Gauss-Legendre integral of f over (a, b), elementwise."""
-    half, mid = 0.5 * (b - a), 0.5 * (a + b)
-    total = 0
-    for g, w in zip(*np.polynomial.legendre.leggauss(8)):
-        total = total + w * f(mid + half * g)
-    return half * total
-
-
 class RatioMeasure:
-    """Measure p on (0,1): atoms plus an absolutely continuous part.
+    """Measure p on (0,1): atoms plus, when theta is given, the power
+    density (theta+2) u^theta du with theta > -1.
 
-    Densities may be sigma-finite near 0 as long as the moments actually
-    requested converge; divergent moment integrals raise MomentDivergence.
-    density_inverse_cdf, when given, maps U(0,1) to an exact draw from the
-    normalized density part; otherwise draws invert cdf_table().
+    The density part has the exact cumulative P(u) = p((0,u]) =
+    (theta+2)/(theta+1) u^(theta+1), read by cdf(); its normalized law
+    has CDF u^(theta+1), which draws invert in closed form.  The density
+    is singular at 0 for theta < 0; moments of it that diverge raise
+    MomentDivergence.
     """
 
-    def __init__(self, atoms: Sequence[tuple] = (), density=None,
-                 density_singular_at_zero=False, density_inverse_cdf=None):
+    def __init__(self, atoms: Sequence[tuple] = (), theta=None):
         self.atoms = tuple((float(u), float(w)) for u, w in atoms)
         for u, w in self.atoms:
             if not 0.0 < u < 1.0:
                 raise DomainError(f"ratio atom at u={u} outside (0,1)")
             if w < 0.0:
                 raise DomainError("ratio atom weights must be non-negative")
-        self.density = density
-        self.density_singular_at_zero = density_singular_at_zero
-        self.density_inverse_cdf = density_inverse_cdf
-        self._cdf_table = None
+        self.theta, self.density = theta, None
+        if theta is not None:
+            if not -1.0 < theta < np.inf:
+                raise DomainError(
+                    f"power density needs finite theta > -1, got {theta}")
+            coef = theta + 2.0
+            self.density = lambda u: coef * u ** theta
         self._mass = None
 
     def integral(self, g, rtol=QUAD_RTOL, kinks=()):
@@ -139,26 +128,10 @@ class RatioMeasure:
     def mean(self):
         return self.moment(1.0)
 
-    def cdf_table(self):
-        """Cumulative P(u) = p((0,u]) of the density part, as (grid, P).
-
-        Built once per measure: 8-point Gauss panels on (0, 1e-12], on
-        2047 geometric cells up to 1e-2 and on 8191 uniform cells up
-        to 1; interval masses follow by interpolating P.  For a density
-        singular at 0 the Gauss nodes miss most of the first panel's
-        mass, so that panel is integrated adaptively.
-        """
-        if self._cdf_table is None:
-            # geometric refinement near 0 to absorb integrable singularities
-            left = np.geomspace(1e-12, 1e-2, 2048)
-            right = np.linspace(1e-2, 1.0, 8192)[1:]
-            grid = np.concatenate([[0.0], left, right])
-            panel = _gauss8(_elementwise(self.density), grid[:-1], grid[1:])
-            if self.density_singular_at_zero:
-                panel[0] = _quad(self.density, 0.0, grid[1])
-            self._cdf_table = (grid,
-                               np.concatenate([[0.0], np.cumsum(panel)]))
-        return self._cdf_table
+    def cdf(self, u):
+        """P(u) = p((0,u]) of the density part, exact; u in [0, 1]."""
+        theta = self.theta
+        return (theta + 2.0) / (theta + 1.0) * u ** (theta + 1.0)
 
     def sample(self, rng_uniform):
         """Draw one ratio from the normalized measure.
@@ -170,17 +143,8 @@ class RatioMeasure:
             pick -= w
             if pick <= 0.0:
                 return u
-        if self.density_inverse_cdf is not None:
-            return float(self.density_inverse_cdf(rng_uniform()))
-        grid, cum = self.cdf_table()
-        v = rng_uniform() * cum[-1]
-        if v < cum[1]:
-            # the first panel (0, g1] has no inner nodes: invert the local
-            # power law P(u) = P(g1) (u/g1)^a, a read off the first two
-            # panels, which is exact for a power density
-            a = np.log(cum[2] / cum[1]) / np.log(grid[2] / grid[1])
-            return float(grid[1] * (v / cum[1]) ** (1.0 / a))
-        return float(np.interp(v, cum, grid))
+        # the normalized density (theta+1) u^theta has CDF u^(theta+1)
+        return float(rng_uniform() ** (1.0 / (self.theta + 1.0)))
 
 
 @dataclass
@@ -225,10 +189,9 @@ class FragmentationKernel:
 # Common ratio measures -------------------------------------------------
 
 def uniform_ratio():
-    """p(du) = 2 du: mass-conserving uniform repartition."""
-    # the normalized density is uniform, so U(0,1) is already a draw
-    return RatioMeasure(density=lambda u: 2.0,
-                        density_inverse_cdf=lambda v: v)
+    """p(du) = 2 du: mass-conserving uniform repartition, the power
+    density at theta = 0; its draw u = U returns U's own bits."""
+    return power_ratio(0.0)
 
 
 def mitosis_ratio():
@@ -237,14 +200,23 @@ def mitosis_ratio():
 
 
 def power_ratio(theta):
-    """p(du) = (theta+2) u^theta du, mass-conserving for theta > -1."""
-    if theta <= -1.0:
-        raise DomainError("power ratio needs theta > -1")
-    coef, expo = theta + 2.0, 1.0 / (theta + 1.0)
-    # the normalized density (theta+1) u^theta has CDF u^(theta+1)
-    return RatioMeasure(density=lambda u: coef * u ** theta,
-                        density_singular_at_zero=theta < 0.0,
-                        density_inverse_cdf=lambda v: v ** expo)
+    """p(du) = (theta+2) u^theta du, mass-conserving for theta > -1.
+
+    Moments go through quadrature of the density, so theta must be one
+    it resolves: DomainError where the quadrature p((0,1)) fails or is
+    off the exact (theta+2)/(theta+1) by more than 1e-8 relative.
+    """
+    measure = RatioMeasure(theta=theta)
+    exact = measure.cdf(1.0)
+    try:
+        mass = measure.moment(0.0)
+    except MomentDivergence as exc:
+        raise DomainError(f"quadrature cannot resolve u^{theta}: {exc}") \
+            from exc
+    if abs(mass - exact) > 1e-8 * exact:
+        raise DomainError(f"quadrature gives p((0,1)) = {mass!r} for "
+                          f"u^{theta}, not {exact!r}")
+    return measure
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,8 @@ log-uniform grid; its evolution dm/dt = M m is the adjoint of the
 generator A: first-order donor-cell upwind transport (c > 0 moves mass
 rightward), fragmentation outflow at rate K(x_i), and inflow rows
 obtained by integrating the child kernel over destination cells.
-Atomic ratio kernels land in cells exactly; densities are integrated
-through the ratio measure's cumulative table, the one its draws invert.
+Atomic ratio kernels land in cells exactly; the power density's cell
+masses are differences of its closed-form cumulative P(u) = p((0,u]).
 
 The grid is log-uniform, so edges_j / x_i = r^(j-i-1/2) and the
 kernel's unit inflow from cell i into cell j >= 1 depends on i - j only:
@@ -227,15 +227,14 @@ def build_discrete_operator(model: ModelSpec,
     rate = np.array([model.frag.loss_rate(x) for x in centers])
 
     # the top cell's unit inflow: cum[k] is what lands below edge k and
-    # lattice[k] what lands in cell k.  The density part reads the
-    # cumulative table its draws invert; each atom is located once
+    # lattice[k] what lands in cell k.  The density part reads its exact
+    # cumulative P(u) = p((0,u]); each atom is located once
     top = n - 1
     measure = model.frag.ratio_measure
     cum = np.zeros(n + 1)
     if measure.density is not None:
         # edges / x > 0, so capping at 1 is the clip to [0, 1]
-        cum = np.interp(np.minimum(edges / centers[top], 1.0),
-                        *measure.cdf_table())
+        cum = measure.cdf(np.minimum(edges / centers[top], 1.0))
     lattice = np.diff(cum)
     for u, w in measure.atoms:
         y = u * centers[top]

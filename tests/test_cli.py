@@ -284,6 +284,11 @@ def test_nonpositive_path_count_rejected(tmp_path, capsys):
     ("simulate", "x0 = 1.0", "x0 = 1.22683e217", (), "x0"),
     ("qsd", "x0 = 1.0", "x0 = 1.22683e217", (), "x0"),
     ("converge", "t_end = 0.5", "t_end = 1e-300", (), "t_end"),
+    # exponents whose density the moment quadrature cannot resolve
+    ("pde", "kernel = uniform", "kernel = power\nkernel_theta = 1e10", (),
+     "kernel_theta"),
+    ("simulate", "kernel = uniform", "kernel = power\nkernel_theta = 1e5", (),
+     "kernel_theta"),
 ])
 def test_bad_value_exits_2_naming_key(tmp_path, capsys, command, old, new,
                                       argv, key):

@@ -76,33 +76,6 @@ def test_power_ratio_draws_follow_exact_cdf(theta):
     assert stat.pvalue > 1e-3
 
 
-def _power_density_without_inverse(theta):
-    return RatioMeasure(density=lambda u: (theta + 2.0) * u ** theta,
-                        density_singular_at_zero=theta < 0.0)
-
-
-def test_fallback_draw_inverts_the_cdf_table():
-    # without an exact inverse, draws invert cdf_table(), the table the
-    # finite-volume assembly reads
-    from scipy.stats import kstest
-    p = _power_density_without_inverse(-0.5)
-    rng = np.random.default_rng(11)
-    draws = np.array([p.sample(rng.random) for _ in range(200000)])
-    assert kstest(draws, lambda u: np.clip(u, 0, 1) ** 0.5).pvalue > 1e-3
-
-
-def test_fallback_draw_follows_the_law_in_the_first_panel():
-    # 1e-12^0.1, about 6%, of the theta = -0.9 law sits in the table's
-    # first panel (0, 1e-12]; a linear inversion there put 0.6% of the
-    # draws below 1e-13 instead of 5%, and the KS test failed at p ~ 1e-84
-    from scipy.stats import kstest
-    p = _power_density_without_inverse(-0.9)
-    rng = np.random.default_rng(13)
-    draws = np.array([p.sample(rng.random) for _ in range(200000)])
-    assert kstest(draws, lambda u: np.clip(u, 0, 1) ** 0.1).pvalue > 0.01
-    assert np.mean(draws < 1e-13) == pytest.approx(1e-13 ** 0.1, abs=0.003)
-
-
 def test_ratio_measure_sampling_integrates_mass_once():
     p = uniform_ratio()
     integral, calls = p.integral, []
@@ -141,7 +114,7 @@ def test_relative_kernel_integrate_and_mass():
 def test_mass_conserving_flag_validated():
     with pytest.raises(DomainError):
         FragmentationKernel.relative(lambda x: 1.0,
-                                     RatioMeasure(density=lambda u: 3.0),
+                                     RatioMeasure(atoms=[(0.5, 3.0)]),
                                      mass_conserving=True)
 
 

@@ -16,8 +16,7 @@ from growfrag.cli import _KNOWN_KEYS, dumps_stable, load_config, main
 from growfrag.errors import ConfigError, DomainError
 from growfrag.flow import FlowEngine
 from growfrag.model import (FragmentationKernel, GrowthSpec, ModelSpec,
-                            RatioMeasure, mitosis_ratio, power_ratio,
-                            uniform_ratio)
+                            RatioMeasure, mitosis_ratio)
 from growfrag.pde import (DensityState, SizeGrid,
                           build_discrete_operator, solve)
 
@@ -92,14 +91,8 @@ _COEFFICIENTS = st.tuples(st.floats(0.1, 10.0), st.floats(-1.0, 2.0))
 
 
 def _relative_model(atoms, density, rate, speed, x_min, x_max):
-    if density is None:
-        measure = RatioMeasure(atoms=atoms)
-    else:
-        base = uniform_ratio() if density == "uniform" else power_ratio(
-            density)
-        measure = RatioMeasure(
-            atoms=atoms, density=base.density,
-            density_singular_at_zero=base.density_singular_at_zero)
+    theta = 0.0 if density == "uniform" else density
+    measure = RatioMeasure(atoms=atoms, theta=theta)
     (k0, k_exp), (c0, c_exp) = rate, speed
     return ModelSpec(
         growth=GrowthSpec.from_speed(lambda x: c0 * x ** c_exp),
@@ -144,7 +137,7 @@ def _reference_operator(model, grid):
     inflow, lost = np.zeros((n, n)), np.zeros(n)
     for i, x in enumerate(centers):
         if measure.density is not None:
-            cum = np.interp(np.minimum(edges / x, 1.0), *measure.cdf_table())
+            cum = measure.cdf(np.minimum(edges / x, 1.0))
             inflow[:, i] = np.diff(cum)
             inflow[0, i] += cum[0]
             lost[i] = cum[0]
