@@ -14,7 +14,9 @@ The tilted mass only enters the kill test at accepted jumps, and there
 it is read from a second lazily built table that brackets it; the exact
 quadrature runs only when the uniform of the test falls inside the
 bracket (the squeeze principle, Devroye 1986, II.5), so the outcome is
-the exact test's.
+the exact test's.  A child is drawn by rejection from the tilted
+kernel (Devroye 1986, II.3), against a bound of the tilt h(ux)/h(x)
+read from a third table, of the running maximum of ln h.
 
 The semigroup is recovered through the h-transform
 T_t f(x) = e^{bt} h(x) E_x[ f(X_t)/h(X_t); t < zeta ].
@@ -22,6 +24,7 @@ T_t f(x) = e^{bt} h(x) E_x[ f(X_t)/h(X_t); t < zeta ].
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 import warnings
@@ -55,7 +58,11 @@ _MAJORANT_POINTS = 9   # points of a piece (or window) where r is read
 _JUMP_CAP = 10_000_000
 _REJECTION_CAP = 1_000_000
 _GUARD_FACTOR = 1e3
-_TILT_PROBES = tuple(np.geomspace(1e-6, 0.999999, 48).tolist())
+# the table of ln h behind the child sampler's tilt bound starts at the
+# lattice edge at or below _TILT_FLOOR * domain_hint[0], so that every x
+# from domain_hint[0] up has its bound over at least [1e-6 x, x)
+_TILT_FLOOR = 1e-6
+_TILT_SAFETY = 1.05
 # the tables of k_h and of the majorant of r have their panels between
 # the nodes 10^(j/32); a k_h piece is a cubic fitted at its ends and
 # log-thirds
@@ -101,6 +108,15 @@ class PdmpState:
                          rng=make_rng(seed, stream_id))
 
 
+def _piece_points(a, b):
+    """_MAJORANT_POINTS log-spaced points of the piece [a, b): a, the
+    interior points and the top, read just below b."""
+    t0, width = math.log(a), math.log(b / a)
+    last = _MAJORANT_POINTS - 1
+    return [a] + [math.exp(t0 + width * k / last) for k in range(1, last)] \
+        + [math.nextafter(b, a)]
+
+
 def _cubic(coef, s):
     """c0 + c1 s + c2 s^2 + c3 s^3 by Horner's rule."""
     c0, c1, c2, c3 = coef
@@ -131,11 +147,17 @@ class _LatticeTable:
                                     for a, b in zip(edges[:-1], edges[1:])]
         return got
 
-    def locate(self, x, build):
-        """(j, i) such that piece i of panel j holds x."""
+    @staticmethod
+    def panel(x):
+        """Index j of the panel that holds x."""
         j = math.floor(math.log10(x) * _PANELS_PER_DECADE)
         if x < 10.0 ** (j / _PANELS_PER_DECADE):   # log10 rounded up
             j -= 1
+        return j
+
+    def locate(self, x, build):
+        """(j, i) such that piece i of panel j holds x."""
+        j = self.panel(x)
         for i, (top, _) in enumerate(self.pieces(j, build)):
             if x < top:
                 return j, i
@@ -158,10 +180,18 @@ class TiltedJumpLaw:
     reads majorants of r, with s at the piece tops, from a second table,
     split at the kinks of h and of the growth, where r may jump.  Both
     are _LatticeTables, built piece by piece as paths reach them.
-    jumps, kills and kh_exact_calls count the outcomes of
+    sup_tilt_ratio reads the child sampler's tilt bound from a third,
+    split at the kinks of h: ln h at the points of each piece, with
+    their running maximum from a fixed lower end, 10^(j/32) at or below
+    _TILT_FLOOR * domain_hint[0] (1e-8 on the domain (0.01, 40)); the
+    bound is _TILT_SAFETY = 1.05 times the ratio read.  That table is
+    built the first time a child is drawn from a density, in piece order
+    up to the position, so that its contents depend on the piece index
+    alone.  jumps, kills and kh_exact_calls count the outcomes of
     post_jump_sample and the exact masses it needed; proposals and
     majorant_doublings count the thinning proposals of next_jump_time
-    and the windows it redid (see work_counters).
+    and the windows it redid; tilt_raises counts the child draws whose
+    tilt exceeded the bound (see work_counters).
     """
 
     def __init__(self, model: ModelSpec, h: WeightFunction, b: float,
@@ -177,8 +207,12 @@ class TiltedJumpLaw:
         self._edge_log_kh = {}
         self._majorants = _LatticeTable(set(h.kinks)
                                         | set(model.growth.kinks))
+        self._tilts = _LatticeTable(h.kinks)
+        self._tilt_next = _LatticeTable.panel(_TILT_FLOOR
+                                              * model.domain_hint[0])
+        self._tilt_points, self._tilt_peaks = [], []
         self.jumps = self.kills = self.kh_exact_calls = 0
-        self.proposals = self.majorant_doublings = 0
+        self.proposals = self.majorant_doublings = self.tilt_raises = 0
 
     def kh_mass(self, x: float) -> float:
         """k_h(x,(0,x)) = int h(y)/h(x) k(x,dy), split at the kinks of h."""
@@ -251,7 +285,8 @@ class TiltedJumpLaw:
                 "kh_max_eps": max(eps, default=0.0),
                 "r_pieces": len(self._majorants.contents()),
                 "proposals": self.proposals,
-                "majorant_doublings": self.majorant_doublings}
+                "majorant_doublings": self.majorant_doublings,
+                "tilt_raises": self.tilt_raises}
 
     def r(self, x: float) -> float:
         """Total jump rate r(x) = b + K(x) - d ln h/ds(x)."""
@@ -266,22 +301,60 @@ class TiltedJumpLaw:
         piece, its top read just below b; None where r raises or the bound
         passes _MAJORANT_CEILING."""
         s_top = self.flow.s_of(b)
-        t0, width = math.log(a), math.log(b / a)
-        last = _MAJORANT_POINTS - 1
-        xs = [a] + [math.exp(t0 + width * k / last) for k in range(1, last)]
         try:
-            peak = max(self.r(x) for x in xs + [math.nextafter(b, a)])
+            peak = max(self.r(x) for x in _piece_points(a, b))
         except GrowfragError:
             return s_top, None
         r_bar = _MAJORANT_SAFETY * peak
         return s_top, (r_bar if r_bar <= _MAJORANT_CEILING else None)
 
     def sup_tilt_ratio(self, x: float) -> float:
-        """Upper bound for h(ux)/h(x) over u in (0,1), with safety margin."""
-        atoms = tuple(u for u, _ in self.model.frag.ratio_measure.atoms)
-        tilt = self.h.tilt(x)
-        peak = max(tilt(u * x) for u in _TILT_PROBES + atoms)
-        return 1.2 * max(peak, 1e-300)
+        """Upper bound for h(ux)/h(x) over u in (0,1), in one table read.
+
+        sup_(0,x) h / h(x) is read as _TILT_SAFETY times the larger of 1
+        and exp(M - ln h(x)), M the running maximum of ln h over the
+        table's points below x, down to its lower end; below that end
+        the bound is _TILT_SAFETY.  Reading h(x) itself for the stretch
+        from the last point to x keeps the bound tight where h rises
+        steeply, which the maximum over the whole piece of x would not.
+        """
+        points, peaks = self._tilt_points, self._tilt_peaks
+        while not points or points[-1] < x:
+            for _, (ys, logs) in self._tilts.pieces(self._tilt_next,
+                                                    self._log_h_piece):
+                points.extend(ys)
+                top = peaks[-1] if peaks else -math.inf
+                for log_hy in logs:
+                    top = max(top, log_hy)
+                    peaks.append(top)
+            self._tilt_next += 1
+        i = bisect.bisect_left(points, x)
+        gap = peaks[i - 1] - self._log_h(x) if i else 0.0
+        try:
+            bound = _TILT_SAFETY * math.exp(max(gap, 0.0))
+        except OverflowError:
+            bound = math.inf
+        if bound == math.inf:
+            raise DomainError(f"tilt bound overflows at x={x:g}")
+        return bound
+
+    def _log_h_piece(self, a, b):
+        """(points, ln h at them): the _piece_points of [a, b)."""
+        ys = _piece_points(a, b)
+        return ys, [self._log_h(y) for y in ys]
+
+    def _log_h(self, y):
+        """ln h(y), from h.log_value where h has one; DomainError where it
+        raises or is not finite."""
+        h = self.h
+        try:
+            val = h.log_value(y) if h.log_value is not None \
+                else math.log(h(y))
+        except (GrowfragError, ArithmeticError, ValueError):
+            val = math.nan
+        if not math.isfinite(val):
+            raise DomainError(f"ln h not finite at x={y:g}")
+        return val
 
 
 def next_jump_time(state: PdmpState, law: TiltedJumpLaw, horizon: float):
@@ -351,7 +424,13 @@ def post_jump_sample(state: PdmpState, law: TiltedJumpLaw):
     from the normalized tilted kernel k_h(x,.)/k_h(x,(0,x)).  The test
     U r < max(q, 0) reads k_h from law.kh_bracket and calls the exact
     kh_mass only when the bracket leaves it open; the one uniform drawn
-    and the outcome are those of the exact test.
+    and the outcome are those of the exact test.  A child of an atomic
+    ratio measure is an exact categorical draw over the tilted weights;
+    one of a density is drawn by rejection against law.sup_tilt_ratio,
+    read from the running-maximum table of ln h.  A draw whose tilt
+    exceeds the bound raises it to 1.2 times that tilt and is counted
+    in law.tilt_raises, a last resort that the table's safety factor is
+    there to leave unused.
     """
     x, rng = state.position, state.rng
     if x is CEMETERY:
@@ -391,6 +470,8 @@ def post_jump_sample(state: PdmpState, law: TiltedJumpLaw):
         u = measure.sample(rng.random)
         ratio = tilt(u * x)
         if ratio > bound:
+            # the table's bound missed: raise it, as a last resort
+            law.tilt_raises += 1
             bound = 1.2 * ratio
             continue
         if rng.random() * bound <= ratio:

@@ -130,7 +130,8 @@ def fv_run(model: ModelSpec, law: TiltedJumpLaw, n_particles: int,
     the post-burn-in kill count per particle-time, with a batch-means
     confidence interval over 20 equal time batches.  A run with no kill
     after burn-in bounds lambda0X only by the Poisson 95% limit
-    -ln(0.05) / (N (t_end - burn_in)); it is reported supported only if
+    -ln(0.05) / (N (t_end - burn_in)), which is then its interval
+    (0, limit); it is reported supported only if
     that limit lies below the law's rate b, so that a kill rate of b
     would have shown about three kills.
     """
@@ -196,17 +197,18 @@ def fv_run(model: ModelSpec, law: TiltedJumpLaw, n_particles: int,
         warnings.warn("no kills after burn-in: lambda0X ~ 0", StallWarning)
         supported = supported and \
             _RULE_OF_THREE < law.b * n_particles * elapsed
-
-    # batch means over 20 equal post-burn-in windows
-    edges = np.linspace(burn_in, t_end, _N_BATCHES + 1)
-    counts, _ = np.histogram(kill_times, bins=edges)
-    rates = counts / (n_particles * np.diff(edges))
-    if rates.std(ddof=1) > 0.0:
-        half = (stats.t.ppf(0.975, _N_BATCHES - 1)
-                * rates.std(ddof=1) / np.sqrt(_N_BATCHES))
+        ci = (0.0, _RULE_OF_THREE / (n_particles * elapsed))
     else:
-        half = 0.0
-    ci = (float(lambda0X - half), float(lambda0X + half))
+        # batch means over 20 equal post-burn-in windows
+        edges = np.linspace(burn_in, t_end, _N_BATCHES + 1)
+        counts, _ = np.histogram(kill_times, bins=edges)
+        rates = counts / (n_particles * np.diff(edges))
+        if rates.std(ddof=1) > 0.0:
+            half = (stats.t.ppf(0.975, _N_BATCHES - 1)
+                    * rates.std(ddof=1) / np.sqrt(_N_BATCHES))
+        else:
+            half = 0.0
+        ci = (float(lambda0X - half), float(lambda0X + half))
 
     obs_times = np.linspace(burn_in, t_end, _N_SNAPSHOTS + 1)[1:]
     snapshots = _replay(particles, obs_times, law.flow)

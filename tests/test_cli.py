@@ -450,14 +450,17 @@ def test_simulate_warns_when_few_paths_contribute(tmp_path, capsys, seed,
 
 # outputs on CANONICAL and MITOSIS, pinned to the values the Monte Carlo
 # gives since jump times are thinned against the majorant table of r on
-# the append-only scale table, with r read from d ln h/ds
+# the append-only scale table, with r read from d ln h/ds, and children
+# are drawn against the running-maximum table of ln h.  The kill-free
+# MITOSIS run reports the Poisson 95% limit ln 20 / (N (t_end - burn_in))
 @pytest.mark.parametrize("config, command, pinned", [
-    (CANONICAL, "simulate", {"estimate": 1.3735490170377878,
-                             "std_error": 0.3074437985275784}),
-    (CANONICAL, "qsd", {"lambda0X": 2.357142857142857,
-                        "ci": [1.8642099365083347, 2.8500757777773797],
-                        "kills": 110}),
-    (MITOSIS, "qsd", {"lambda0X": 0.0, "ci": [0.0, 0.0], "kills": 0}),
+    (CANONICAL, "simulate", {"estimate": 1.4754911375393613,
+                             "std_error": 0.31489282563188004}),
+    (CANONICAL, "qsd", {"lambda0X": 1.8571428571428572,
+                        "ci": [1.2975250368844449, 2.4167606774012693],
+                        "kills": 88}),
+    (MITOSIS, "qsd", {"lambda0X": 0.0, "ci": [0.0, 0.03566347944707132],
+                      "kills": 0}),
 ])
 def test_monte_carlo_outputs_are_pinned(tmp_path, capsys, config, command,
                                         pinned):
@@ -485,6 +488,7 @@ def test_thinning_never_doubles_a_table_majorant(tmp_path, capsys, config,
     work = json.loads(out)["work"]
     assert work["proposals"] >= work["jumps"] + work["kills"]
     assert work["majorant_doublings"] == 0
+    assert work["tilt_raises"] == 0
 
 
 @pytest.mark.parametrize("command", ["simulate", "qsd"])
@@ -498,7 +502,7 @@ def test_monte_carlo_runs_end_with_work_counters(tmp_path, capsys, command):
     work = payload["work"]
     assert list(work) == ["jumps", "kills", "kh_panels", "kh_exact_calls",
                           "kh_max_eps", "r_pieces", "proposals",
-                          "majorant_doublings"]
+                          "majorant_doublings", "tilt_raises"]
     assert work["jumps"] + work["kills"] > work["kh_exact_calls"]
     assert work["kh_panels"] > 0
     assert 0.0 < work["kh_max_eps"] < 1.0

@@ -535,6 +535,151 @@ def test_kill_test_rarely_needs_the_exact_mass(monkeypatch):
     assert work["kh_exact_calls"] <= 0.25 * len(outcomes)
 
 
+# -- the tilt table behind the child sampler ------------------------------------
+
+def _power_weight():
+    """h(x) = x^(-1/2), largest at the table's lower end."""
+    return WeightFunction(value=lambda x: x ** -0.5,
+                          log_slope=lambda x: -0.5 / x,
+                          log_value=lambda x: -0.5 * np.log(x))
+
+
+@pytest.fixture(scope="module",
+                params=["pseudo-entrance", "power", "identity"])
+def tilt_law(request):
+    """A fresh canonical law under each weight; its tilt table is built by
+    the first bound asked of it."""
+    model = make_canonical()
+    if request.param == "pseudo-entrance":
+        return _tilted_law(model)
+    h = _power_weight() if request.param == "power" \
+        else identity_weight(model.growth)
+    return TiltedJumpLaw(model, h, 1.0)
+
+
+def _tilts_above_bound(law, n_points=10_000):
+    """Points of 10^4 seeded log-uniform draws in the domain where
+    max_u h(ux)/h(x) exceeds law.sup_tilt_ratio(x).  The u-grid is shared
+    by all x through y = ux: 2 10^5 log-spaced y from the table's lower
+    end, plus u = 1 - 1e-9, where the tilt tends to 1."""
+    lo, hi = law.model.domain_hint
+    xs = np.exp(np.random.default_rng(23).uniform(np.log(lo), np.log(hi),
+                                                  n_points))
+    bounds = [law.sup_tilt_ratio(float(x)) for x in xs]
+    ys = np.geomspace(law._tilt_points[0], hi, 200_000)
+    peaks = np.maximum.accumulate([law._log_h(float(y)) for y in ys])
+    above = []
+    for x, bound in zip(xs, bounds):
+        k = np.searchsorted(ys, x)   # ys[:k] lie below x
+        log_hx = law._log_h(float(x))
+        peak = max(peaks[k - 1], law._log_h(float(x) * (1.0 - 1e-9)))
+        if np.exp(peak - log_hx) > bound:
+            above.append(float(x))
+    return above
+
+
+def test_tilt_bound_dominates_the_largest_tilt(tilt_law):
+    assert _tilts_above_bound(tilt_law) == []
+    # the lower end is the lattice edge at or below 1e-6 of the domain's
+    lo = tilt_law.model.domain_hint[0]
+    assert 1e-6 * lo / 10.0 ** (1 / 32) < tilt_law._tilt_points[0] \
+        <= 1e-6 * lo
+
+
+def test_tilt_bound_below_the_largest_tilt_fails(tilt_law, monkeypatch):
+    # the dominance check has the power to see a bound that is too low
+    monkeypatch.setattr(pdmp, "_TILT_SAFETY", 0.99)
+    law = TiltedJumpLaw(tilt_law.model, tilt_law.h, tilt_law.b,
+                        tilt_law.flow)
+    assert _tilts_above_bound(law, n_points=200) != []
+
+
+def test_tilt_table_does_not_depend_on_query_order():
+    # each law has its own h, so the table of G behind h widens in the
+    # order of the queries too
+    model = make_canonical()
+    xs = [float(x) for x in np.geomspace(0.02, 30.0, 50)] + [1.0, 1e-9]
+    forward, backward = _tilted_law(model), _tilted_law(model)
+    ahead = [forward.sup_tilt_ratio(x) for x in xs]
+    behind = [backward.sup_tilt_ratio(x) for x in reversed(xs)][::-1]
+    assert ahead == behind
+    assert forward._tilt_points == backward._tilt_points
+    assert forward._tilt_peaks == backward._tilt_peaks
+    # below the lower end the bound is the safety factor alone
+    assert ahead[-1] == pdmp._TILT_SAFETY
+
+
+def test_tilt_table_is_built_lazily_and_only_for_a_density():
+    model = make_canonical()
+    law = _tilted_law(model)
+    assert law._tilt_points == []
+    law.sup_tilt_ratio(1.5)
+    built = len(law._tilt_points)
+    # nine points a piece, from the lower end 1e-8 up past 1.5
+    assert built == 9 * len(law._tilts.contents()) >= 9 * 256
+    law.sup_tilt_ratio(0.5)
+    assert len(law._tilt_points) == built
+    # the categorical branch of an atomic measure never reads the bound
+    mitosis = _law(make_mitosis(), b=1.0)
+    for i in range(50):
+        post_jump_sample(PdmpState.fresh(3.0, seed=1, stream_id=i), mitosis)
+    assert mitosis._tilt_points == [] and mitosis._tilts.panels == {}
+
+
+def test_tilt_table_rejects_a_non_finite_ln_h():
+    model = make_canonical()
+
+    def log_value(x):
+        return np.inf if 1e-3 < x < 2e-3 else 0.0
+
+    h = WeightFunction(value=lambda x: 1.0, log_slope=lambda x: 0.0,
+                       log_value=log_value)
+    law = TiltedJumpLaw(model, h, 1.0)
+    # the table is built in piece order up to the panel of 9e-4 alone
+    assert law.sup_tilt_ratio(9e-4) == pdmp._TILT_SAFETY
+    with pytest.raises(DomainError, match=r"ln h not finite at x=0\.00100"):
+        law.sup_tilt_ratio(0.5)
+    # a weight that vanishes has no logarithm
+    law = TiltedJumpLaw(model, WeightFunction(
+        value=lambda x: 0.0 if x < 1e-4 else 1.0, log_slope=lambda x: 0.0),
+        1.0)
+    with pytest.raises(DomainError, match="ln h not finite at x=1e-08"):
+        law.sup_tilt_ratio(0.5)
+    # nor may a bound that overflows reach the sampler
+    law = TiltedJumpLaw(model, WeightFunction(
+        value=lambda x: 1.0, log_slope=lambda x: 0.0,
+        log_value=lambda x: 800.0 if x < 1e-3 else 0.0), 1.0)
+    with pytest.raises(DomainError, match="tilt bound overflows at x=0.5"):
+        law.sup_tilt_ratio(0.5)
+
+
+@pytest.mark.parametrize("x", [0.3, 1.5, 4.0])
+def test_tilted_children_follow_the_tilted_law(x):
+    # children from x on the canonical pseudo-entrance law: u = child/x
+    # has density proportional to h(ux)/h(x) 2 du on (0, 1)
+    model = make_canonical()
+    law = _tilted_law(model)
+    draws, stream = [], 0
+    while len(draws) < 3000:
+        child = post_jump_sample(
+            PdmpState.fresh(x, seed=6, stream_id=stream), law)
+        stream += 1
+        if child is not CEMETERY:
+            draws.append(child / x)
+    assert law.tilt_raises == 0
+    tilt = law.h.tilt(x)
+    density = lambda u: tilt(u * x)  # noqa: E731
+    # the CDF at the sorted draws by quad between neighbours, split at the
+    # kink of h at 1
+    us = np.sort(draws)
+    cuts = np.union1d(us, [1.0 / x] if x > 1.0 else [])
+    pieces = [integrate.quad(density, a, b, epsabs=0.0, epsrel=1e-10)[0]
+              for a, b in zip(np.r_[0.0, cuts], np.r_[cuts, 1.0])]
+    cum = np.cumsum(pieces)
+    at = dict(zip(cuts, cum[:-1] / cum[-1]))
+    assert kstest(us, lambda u: np.array([at[v] for v in u])).pvalue > 0.01
+
+
 # -- whole paths --------------------------------------------------------------
 
 def test_jump_count_is_poisson():
