@@ -41,8 +41,7 @@ _KNOWN_KEYS = {
               "mass_conserving", "irreducible"},
     "numerics": {"grid_n", "x_min", "x_max", "dt", "method"},
     "run": {"seed", "n_paths", "n_particles", "t_end", "checkpoints", "x0",
-            "f", "regime", "alpha", "beta", "burn_in", "lambda0_estimate",
-            "spectral_json"},
+            "f", "regime", "alpha", "beta", "burn_in", "lambda0_estimate"},
 }
 
 
@@ -105,7 +104,6 @@ class RunConfig:
     beta: float
     burn_in: Optional[float]
     lambda0_estimate: float
-    spectral_json: Optional[str]
 
     def functional(self):
         name = self.f_name
@@ -270,7 +268,6 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
         beta=_get(parser, "run", "beta", float, 0.0),
         burn_in=_get(parser, "run", "burn_in", float, None, positive=True),
         lambda0_estimate=_get(parser, "run", "lambda0_estimate", float, 0.0),
-        spectral_json=_get(parser, "run", "spectral_json", str, None),
     )
     cfg.functional()   # raises ConfigError naming f for an unknown name
     if cfg.burn_in is not None and cfg.burn_in >= cfg.t_end:
@@ -496,41 +493,17 @@ def cmd_qsd(cfg: RunConfig, out_dir: str) -> dict:
 
 
 def cmd_converge(cfg: RunConfig, out_dir: str) -> dict:
-    lambda0 = None
-    if cfg.spectral_json:
-        try:
-            with open(cfg.spectral_json) as fh:
-                # integers too read as floats, so that any number passes
-                prior = json.load(fh, parse_int=float)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read spectral summary: {exc}",
-                              key="spectral_json")
-        if not isinstance(prior, dict) or \
-                prior.get("config_sha256") != cfg.sha256:
-            raise ConfigError("spectral summary is not a JSON object made "
-                              f"under this config (hash {cfg.sha256})",
-                              key="spectral_json")
-        lambda0 = prior.get("lambda0")
-        if type(lambda0) is not float or not np.isfinite(lambda0):
-            raise ConfigError(f"spectral summary has no finite lambda0, got "
-                              f"{lambda0!r}", key="spectral_json")
     horizon = cfg.t_end
     marks = cfg.checkpoints or list(np.linspace(
         0.25 * horizon, horizon, 12))
     _check_marks(marks, horizon)
     _check_start(cfg)
-    # the states that solve records past the burn-in, t_end included
-    kept = {t for t in marks
-            if spectral.BURN_IN_FRACTION * horizon < t <= horizon}
-    kept.add(horizon)
-    if len(kept) < 8:
-        raise ConfigError(
-            f"converge needs >= 8 checkpoints past the "
-            f"{spectral.BURN_IN_FRACTION:.0%} burn-in of t_end, got "
-            f"{len(kept)}", key="checkpoints")
+    try:
+        # the times solve records, t_end included
+        spectral.fit_window(sorted(set(marks) | {horizon}))
+    except DomainError as exc:
+        raise ConfigError(str(exc), key="checkpoints") from exc
     grid, op, triple = _spectral_triple(cfg)
-    if lambda0 is not None:
-        triple.lambda0 = lambda0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", pde.BoundaryLeak)
         traj = _solve(cfg, grid, marks, operator=op)
@@ -539,12 +512,11 @@ def cmd_converge(cfg: RunConfig, out_dir: str) -> dict:
         raise ConfigError(f"[run] t_end = {cfg.t_end:g} ends before the "
                           "march's first step: no decay to fit",
                           key="t_end")
-    f = cfg.functional()
     rate_positive = False
     gamma = r_squared = None
     try:
-        gamma, r_squared = spectral.fit_gap_rate(
-            traj.states, triple, f, constant_weight(1.0))
+        gamma, r_squared = spectral.fit_gap_rate(traj.states, triple,
+                                                 cfg.functional())
     except spectral.RatePositive:
         rate_positive = True
     return {

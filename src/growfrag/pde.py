@@ -280,9 +280,6 @@ def build_discrete_operator(model: ModelSpec,
     matrix = sparse.csr_matrix((values, cols, indptr), shape=(n, n))
     matrix.eliminate_zeros()
     cfl_dt = _CFL_FACTOR / float(np.max(out + rate))
-    if cfl_dt < _MIN_DT:
-        raise CFLUnsatisfiable(
-            f"stable time step {cfl_dt:g} below {_MIN_DT:g}")
     return DiscreteOperator(grid=grid, matrix=matrix, below_inflow=below,
                             cfl_dt=cfl_dt, stencil=stencil)
 
@@ -334,6 +331,9 @@ def solve(model: ModelSpec, grid: SizeGrid, u0, t_end: float,
     """
     if operator is None:
         operator = build_discrete_operator(model, grid)
+    if operator.cfl_dt < _MIN_DT:
+        raise CFLUnsatisfiable(
+            f"stable time step {operator.cfl_dt:g} below {_MIN_DT:g}")
     if isinstance(u0, DensityState):
         state = DensityState(grid=grid, masses=u0.masses.copy(),
                              time=u0.time)

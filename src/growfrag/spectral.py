@@ -29,6 +29,7 @@ _RAYLEIGH_TOL = 1e-10
 _RESIDUAL_TOL = 1e-9
 _MAX_ITER = 100_000
 BURN_IN_FRACTION = 0.2
+_MIN_FIT_STATES = 8
 
 
 @dataclass
@@ -40,7 +41,6 @@ class SpectralTriple:
     phi: np.ndarray
     m: np.ndarray
     residuals: Tuple[float, float]
-    normalization: dict
 
     def m_of(self, f: Callable) -> float:
         """m(f) = sum_i f(x_i) m_i (midpoint pairing)."""
@@ -125,6 +125,7 @@ def principal_eigen(op: DiscreteOperator, psi: WeightFunction
                 # tau crossed 1/lambda_max: the resolvent lost positivity
                 tau_ceiling = min(tau_ceiling, tau)
                 tau *= 0.25
+                lu = None   # free the old factors before the new are built
                 lu = factor(tau)
                 continue
             v = np.clip(v_new, 0.0, None)
@@ -145,6 +146,7 @@ def principal_eigen(op: DiscreteOperator, psi: WeightFunction
             tau_new = min(tau_new, 0.5 * tau_ceiling)
             if tau_new > tau * 1.2:
                 tau = tau_new
+                lu = None
                 lu = factor(tau)
     if not done:
         raise NoConvergence(
@@ -171,9 +173,6 @@ def principal_eigen(op: DiscreteOperator, psi: WeightFunction
         phi=phi,
         m=m,
         residuals=(right_res, left_res),
-        normalization={"m_psi": float(psi_vals @ m),
-                       "max_phi_over_psi": float(np.max(np.abs(phi / psi_vals))),
-                       "tau": tau},
     )
 
 
@@ -229,16 +228,30 @@ def loglinear_fit(ts: np.ndarray, values: np.ndarray
     return -float(slope), r_squared
 
 
+def fit_window(times: Sequence[float]) -> np.ndarray:
+    """Which states the gap fit keeps: those past the burn-in.
+
+    The burn-in is BURN_IN_FRACTION of the last time; fewer than
+    _MIN_FIT_STATES states past it is a DomainError.
+    """
+    times = np.asarray(times, dtype=float)
+    kept = times > BURN_IN_FRACTION * times.max()
+    count = int(np.count_nonzero(kept))
+    if count < _MIN_FIT_STATES:
+        raise DomainError(
+            f"the gap fit needs >= {_MIN_FIT_STATES} checkpoints past the "
+            f"{BURN_IN_FRACTION:.0%} burn-in of t_end, got {count}")
+    return kept
+
+
 def fit_gap_rate(checkpoints: Sequence[DensityState], triple: SpectralTriple,
-                 f: Callable, psi: WeightFunction,
-                 burn_in: float = BURN_IN_FRACTION
-                 ) -> Tuple[float, float]:
+                 f: Callable) -> Tuple[float, float]:
     """Spectral-gap rate from the decay of the projected residual.
 
     For each checkpoint the residual |e^{lambda0 t} <u_t, f> - a*m(f)/m(phi)|
     is formed, where a = e^{lambda0 t0} <u_{t0}, phi> is the (conserved)
-    phi-component of the solution; the log-residual slope past the
-    burn-in fraction of the horizon gives gamma = -slope.
+    phi-component of the solution; the log-residual slope over the
+    fit_window states gives gamma = -slope.
     """
     states = sorted(checkpoints, key=lambda s: s.time)
     if not states:
@@ -247,7 +260,6 @@ def fit_gap_rate(checkpoints: Sequence[DensityState], triple: SpectralTriple,
         if s.grid.n_cells != triple.grid.n_cells or not np.allclose(
                 s.grid.edges, triple.grid.edges):
             raise DomainError("checkpoint grid differs from the triple's")
-    horizon = states[-1].time
     lam0 = triple.lambda0
     first = states[0]
     phi_component = float(np.exp(lam0 * first.time)
@@ -256,12 +268,8 @@ def fit_gap_rate(checkpoints: Sequence[DensityState], triple: SpectralTriple,
     m_phi = float(triple.phi @ triple.m)
     limit = phi_component * m_f / m_phi
 
-    kept = [s for s in states if s.time > burn_in * horizon]
-    if len(kept) < 8:
-        raise DomainError(
-            f"need >= 8 checkpoints past the {burn_in:.0%} burn-in, "
-            f"got {len(kept)}")
-    ts = np.array([s.time for s in kept])
+    ts = np.array([s.time for s in states])
+    kept = fit_window(ts)
     resid = np.array([abs(np.exp(lam0 * s.time) * pairing(s, f) - limit)
-                      for s in kept])
-    return loglinear_fit(ts, resid)
+                      for s, keep in zip(states, kept) if keep])
+    return loglinear_fit(ts[kept], resid)

@@ -195,8 +195,7 @@ def _gap_fit(model):
         warnings.simplefilter("ignore")
         traj = solve(model, grid, 1.0, t_end=4.0, method="heun",
                      checkpoints=marks, operator=op)
-    return spectral.fit_gap_rate(traj.states, triple, lambda x: 1.0,
-                                 constant_weight(1.0))
+    return spectral.fit_gap_rate(traj.states, triple, lambda x: 1.0)
 
 
 def test_acceptance_gap_dichotomy():

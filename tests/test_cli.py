@@ -1,11 +1,14 @@
 """Command-line interface: exit codes, stable JSON, artifacts."""
 
-import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import growfrag
 from growfrag.cli import dumps_stable, main
 from growfrag.errors import ConfigError
 from growfrag.pdmp import VarianceBlowup
@@ -226,14 +229,16 @@ def test_check_constant_regime_reports_unbounded_ratio(tmp_path, capsys):
 # -- config validation ---------------------------------------------------------
 
 def test_unknown_key_rejected(tmp_path, capsys):
-    cfg = _write(tmp_path, CANONICAL + "\nbogus_knob = 1\n")
-    code, out, err = _run(capsys, "check", "--config", cfg, "--out",
-                          str(tmp_path))
-    assert code == 2
-    assert out == ""
-    payload = json.loads(err)
-    assert payload["error"] == "config"
-    assert payload["key"] == "bogus_knob"
+    # spectral_json once replaced converge's lambda0 by one read from a file
+    for key in ("bogus_knob", "spectral_json"):
+        cfg = _write(tmp_path, CANONICAL + f"\n{key} = 1\n")
+        code, out, err = _run(capsys, "check", "--config", cfg, "--out",
+                              str(tmp_path))
+        assert code == 2
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "config"
+        assert payload["key"] == key
 
 
 def test_nonpositive_path_count_rejected(tmp_path, capsys):
@@ -593,52 +598,23 @@ def test_converge_critical_has_no_gap(tmp_path, capsys):
     assert payload["rate_positive"] or payload["r_squared"] < 0.9
 
 
-def test_converge_refuses_foreign_spectral_summary(tmp_path, capsys):
-    cfg_a = _write(tmp_path, CANONICAL, "a.ini")
-    code, _, _ = _run(capsys, "spectral", "--config", cfg_a, "--out",
-                      str(tmp_path))
-    assert code == 0
-    other = CRITICAL + f"spectral_json = {tmp_path / 'spectral.json'}\n"
-    cfg_b = _write(tmp_path, other, "b.ini")
-    code, _, err = _run(capsys, "converge", "--config", cfg_b, "--out",
+def test_time_step_floor_binds_the_marching_commands_only(tmp_path, capsys):
+    # K(x) = 1e12 x puts the positivity step near 2e-14, below the 1e-12
+    # floor: only the commands that march refuse the operator
+    cfg = _write(tmp_path, CANONICAL.replace("rate_k0 = 1.0",
+                                             "rate_k0 = 1e12"))
+    code, out, _ = _run(capsys, "spectral", "--config", cfg, "--out",
                         str(tmp_path))
-    assert code == 2
-    assert json.loads(err)["key"] == "spectral_json"
-
-
-def _converge_with_summary(tmp_path, capsys, summary):
-    """converge on CANONICAL, given a spectral summary whose text is
-    summary(hash of the config that names it)."""
-    path = tmp_path / "summary.json"
-    cfg = _write(tmp_path, CANONICAL + f"spectral_json = {path}\n")
-    with open(cfg, "rb") as fh:
-        path.write_text(summary(hashlib.sha256(fh.read()).hexdigest()))
-    return _run(capsys, "converge", "--config", cfg, "--out", str(tmp_path))
-
-
-@pytest.mark.parametrize("summary", [
-    lambda sha: "[]",
-    lambda sha: json.dumps({"config_sha256": sha}),
-    lambda sha: json.dumps({"config_sha256": sha, "lambda0": "abc"}),
-], ids=["list", "no-lambda0", "text-lambda0"])
-def test_converge_rejects_malformed_spectral_summary(tmp_path, capsys,
-                                                     summary):
-    code, out, err = _converge_with_summary(tmp_path, capsys, summary)
-    assert code == 2
-    assert out == ""
-    assert "Traceback" not in err
-    assert json.loads(err)["key"] == "spectral_json"
-
-
-@pytest.mark.parametrize("lambda0", [-0.75, -1])
-def test_converge_reports_the_spectral_summary_lambda0(tmp_path, capsys,
-                                                       lambda0):
-    code, out, _ = _converge_with_summary(
-        tmp_path, capsys,
-        lambda sha: json.dumps({"config_sha256": sha, "lambda0": lambda0}))
     assert code == 0
-    assert json.loads(out)["lambda0"] == lambda0
-    assert (tmp_path / "converge.json").read_text() == out
+    payload = json.loads(out)
+    assert payload["lambda0"] == pytest.approx(-1.0329291862613903e10,
+                                               rel=1e-9)
+    assert max(payload["residuals"].values()) < 1e-12
+    for command in ("pde", "converge"):
+        code, out, err = _run(capsys, command, "--config", cfg, "--out",
+                              str(tmp_path))
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "CFLUnsatisfiable"
 
 
 # -- determinism --------------------------------------------------------------
@@ -664,6 +640,25 @@ def test_threading_does_not_change_results(tmp_path, capsys):
         assert code == 0
         results.append(out)
     assert results[0] == results[1]
+
+
+def test_blas_thread_count_does_not_change_results(tmp_path):
+    # at n = 2048 OpenBLAS splits the exchange products over two threads
+    cfg = _write(tmp_path, CANONICAL.replace("grid_n = 128", "grid_n = 2048")
+                 .replace("t_end = 0.5", "t_end = 0.02"))
+    src = os.path.dirname(os.path.dirname(growfrag.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    artifacts = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        for command in ("pde", "spectral"):
+            subprocess.run([sys.executable, "-m", "growfrag.cli", command,
+                            "--config", cfg, "--out", str(out)],
+                           env=env, check=True, capture_output=True)
+        artifacts.append([(out / name).read_bytes() for name in (
+            "pde.json", "density.csv", "spectral.json", "triple.csv")])
+    assert artifacts[0] == artifacts[1]
 
 
 def test_seed_override_changes_output(tmp_path, capsys):

@@ -442,8 +442,7 @@ _RUN_EXAMPLE = {"seed": 1, "x0": 1.0, "f": "id", "regime": "pseudo-entrance",
          command="check")
 def test_run_config_runs_or_exits_with_a_json_error(tmp_path_factory, run,
                                                     model, command):
-    assert set(run) == _KNOWN_KEYS["run"] - {"lambda0_estimate",
-                                             "spectral_json"}
+    assert set(run) == _KNOWN_KEYS["run"] - {"lambda0_estimate"}
     base = tmp_path_factory.getbasetemp()
     path = base / "run.ini"
     path.write_text(

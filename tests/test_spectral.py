@@ -148,8 +148,7 @@ def test_fit_gap_rate_on_synthetic_checkpoints(canonical_model):
         masses = np.exp(rho * t) * (triple.m + 1e-2 * np.exp(-gamma_true * t)
                                     * d)
         states.append(DensityState(grid=grid, masses=masses, time=float(t)))
-    gamma, r2 = fit_gap_rate(states, triple, lambda x: 1.0,
-                             constant_weight(1.0))
+    gamma, r2 = fit_gap_rate(states, triple, lambda x: 1.0)
     assert gamma == pytest.approx(gamma_true, rel=1e-3)
     assert r2 > 0.999
 
@@ -159,8 +158,7 @@ def test_fit_gap_rate_rejects_foreign_grid(canonical_model,
     grid = SizeGrid.log_uniform(0.01, 40.0, 64)
     state = DensityState.point_mass(grid, 1.0)
     with pytest.raises(DomainError):
-        fit_gap_rate([state] * 10, canonical_triple, lambda x: 1.0,
-                     constant_weight(1.0))
+        fit_gap_rate([state] * 10, canonical_triple, lambda x: 1.0)
 
 
 # -- artifacts ------------------------------------------------------------------
