@@ -465,6 +465,7 @@ def cmd_spectral(cfg: RunConfig, out_dir: str) -> dict:
         "grid_n": cfg.grid_n,
         "config_sha256": cfg.sha256,
         "seed": cfg.seed,
+        "work": triple.work,
     }
 
 

@@ -331,6 +331,9 @@ def solve(model: ModelSpec, grid: SizeGrid, u0, t_end: float,
     """
     if operator is None:
         operator = build_discrete_operator(model, grid)
+    if operator.stencil is None:
+        raise DomainError("solve marches on the operator's stencil: build "
+                          "the operator with build_discrete_operator")
     if operator.cfl_dt < _MIN_DT:
         raise CFLUnsatisfiable(
             f"stable time step {operator.cfl_dt:g} below {_MIN_DT:g}")

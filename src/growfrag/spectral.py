@@ -1,22 +1,27 @@
 """Principal eigen-elements of the discretized generator.
 
-The cell-mass generator M (dm/dt = M m) is a Metzler matrix, so the
-resolvent (I - tau*M)^{-1} is non-negative whenever tau times the
-dominant eigenvalue stays below 1 (Neumann series on the shifted
-non-negative part), and Perron-Frobenius applies on a strongly
-connected grid.  Power iteration on the resolvent and its transpose
-yields the dominant pair: the left eigenvector of M is the grid
-eigenfunction phi, the right eigenvector is the eigenmeasure m (cell
-weights).  lambda0 carries the killing-time sign convention:
-lambda0 = -(Perron eigenvalue of M), so a growing population has
-lambda0 < 0.
+The cell-mass generator M (dm/dt = M m) is a Metzler matrix, so for any
+sigma above its Perron root rho0 the resolvent (sigma*I - M)^{-1} is
+positive on a strongly connected grid (sigma*I - M is a non-singular
+M-matrix).  principal_eigen runs inverse iteration on that resolvent and
+its transpose: the left eigenvector of M is the grid eigenfunction phi,
+the right eigenvector is the eigenmeasure m (cell weights).  sigma starts
+above the max column sum of M, a bound on rho0, and after each round
+moves toward hi = max (M^T u)_i / u_i, which the left iterate u puts
+below sigma and the Collatz-Wielandt bound puts at or above rho0: every
+sigma stays above rho0, so every iterate stays positive.  The rounds
+stop once both reach rounding: the bracket [min (M^T u)_i / u_i, hi] of
+rho0, to 1e3 eps of |hi| + max drain, and the residual M m - rho m at
+the two-sided Rayleigh quotient rho, to 1e3 eps of max |M| m.  lambda0
+carries the killing-time sign convention: lambda0 = -rho, so a growing
+population has lambda0 < 0.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import csgraph
@@ -25,9 +30,10 @@ from .errors import BoundViolated, DomainError, NoConvergence, RatePositive, Red
 from .model import WeightFunction
 from .pde import DensityState, DiscreteOperator, SizeGrid, pairing
 
-_RAYLEIGH_TOL = 1e-10
-_RESIDUAL_TOL = 1e-9
-_MAX_ITER = 100_000
+_SOLVES = 12            # solves per vector on one factorization
+_SHIFT = 0.01           # sigma keeps this share of its distance above hi
+_TOL = 1e3 * np.finfo(float).eps
+_MAX_ROUNDS = 100
 BURN_IN_FRACTION = 0.2
 _MIN_FIT_STATES = 8
 
@@ -41,6 +47,7 @@ class SpectralTriple:
     phi: np.ndarray
     m: np.ndarray
     residuals: Tuple[float, float]
+    work: Dict[str, int]    # LU factorizations and triangular solves
 
     def m_of(self, f: Callable) -> float:
         """m(f) = sum_i f(x_i) m_i (midpoint pairing)."""
@@ -70,23 +77,18 @@ def _require_strongly_connected(matrix):
             f"operator sparsity graph has {n_comp} strong components")
 
 
-def _converged(matrix, matrix_t, u, v, rayleigh, scale):
-    right = float(np.max(np.abs(matrix_t @ u - rayleigh * u)))
-    left = float(np.max(np.abs(matrix @ v - rayleigh * v)))
-    return (right <= _RESIDUAL_TOL * scale * np.max(np.abs(u))
-            and left <= _RESIDUAL_TOL * scale * np.max(np.abs(v)))
-
-
 def principal_eigen(op: DiscreteOperator, psi: WeightFunction
                     ) -> SpectralTriple:
-    """Dominant eigenpair of the cell-mass generator by power iteration.
+    """Dominant eigenpair of the cell-mass generator by inverse iteration.
 
-    Runs resolvent power iteration v <- (I - tau*M)^{-1} v (and the
-    transpose solve for the left vector), enlarging tau adaptively while
-    the iterates stay non-negative; stops once successive Rayleigh
-    quotients agree to 1e-10 and both eigen-residuals fall below 1e-9.
+    Each round factors sigma*I - M once and takes _SOLVES solves for the
+    right vector (m) and for the left vector (phi).  The left vector u
+    brackets the Perron root between lo and hi, the least and largest
+    (M^T u)_i / u_i.  The rounds stop once hi - lo <= _TOL*(|hi| + max
+    drain) and max |M v - rho v| <= _TOL * max |M| v at the Rayleigh
+    quotient rho; otherwise sigma moves to hi + _SHIFT*(sigma - hi).
     """
-    from scipy.sparse import eye as speye
+    from scipy.sparse import identity
     from scipy.sparse.linalg import splu
 
     matrix = op.matrix.tocsr()
@@ -95,65 +97,44 @@ def principal_eigen(op: DiscreteOperator, psi: WeightFunction
         raise DomainError("operator matrix must be square with >= 2 cells")
     _require_strongly_connected(matrix.copy())
 
-    max_drain = float(np.max(-matrix.diagonal()))
+    drain = np.maximum(-matrix.diagonal(), 0.0)
+    max_drain = float(np.max(drain))
     if max_drain <= 0.0:
         raise DomainError("generator diagonal must contain drain terms")
-    matrix_t = matrix.T.tocsr()
-    # Perron upper bound: max column sum of a Metzler matrix
-    growth_ub = float(np.max(np.asarray(matrix.sum(axis=0))))
-
-    def factor(tau):
-        return splu((speye(n, format="csc") - tau * matrix.tocsc()))
-
-    tau = 0.5 / (abs(growth_ub) + 1.0)
-    lu = factor(tau)
-    v = np.full(n, 1.0 / n)          # right vector of M: eigenmeasure m
-    u = np.full(n, 1.0 / n)          # left vector of M: eigenfunction phi
-    rayleigh = rayleigh_prev = np.inf
-    tau_ceiling = np.inf           # smallest tau seen to break positivity
-    done = False
-    iters = 0
-    block = max(40, 2 * int(np.sqrt(n)))
-    while iters < _MAX_ITER and not done:
-        for _ in range(block):
-            iters += 1
-            v_new = lu.solve(v)
-            u_new = lu.solve(u, trans="T")
-            floor = -1e-12 * max(np.max(np.abs(v_new)), np.max(np.abs(u_new)))
-            if (not np.all(np.isfinite(v_new)) or not np.all(np.isfinite(u_new))
-                    or np.min(v_new) < floor or np.min(u_new) < floor):
-                # tau crossed 1/lambda_max: the resolvent lost positivity
-                tau_ceiling = min(tau_ceiling, tau)
-                tau *= 0.25
-                lu = None   # free the old factors before the new are built
-                lu = factor(tau)
-                continue
-            v = np.clip(v_new, 0.0, None)
-            u = np.clip(u_new, 0.0, None)
-            v /= v.sum()
+    matrix_c = matrix.tocsc()
+    matrix_t = matrix_c.T           # CSR on matrix_c's arrays
+    eye = identity(n, format="csc")
+    # the max column sum c of a Metzler matrix bounds its Perron root;
+    # doubling |c| + 1 keeps sigma - M_jj clear of the rounding of c
+    sigma = 2.0 * (abs(float(np.max(np.asarray(matrix.sum(axis=0))))) + 1.0)
+    v = np.ones(n)          # right vector of M: eigenmeasure m
+    u = np.ones(n)          # left vector of M: eigenfunction phi
+    for rounds in range(1, _MAX_ROUNDS + 1):
+        lu = None   # free the old factors before the new are built
+        lu = splu(sigma * eye - matrix_c)
+        for _ in range(_SOLVES):
+            v = lu.solve(v)
+            v /= v.max()
+            u = lu.solve(u, trans="T")
             u /= u.max()
-            rayleigh = float(u @ (matrix @ v)) / float(u @ v)
-            if abs(rayleigh - rayleigh_prev) < _RAYLEIGH_TOL and _converged(
-                    matrix, matrix_t, u, v, rayleigh,
-                    abs(rayleigh) + max_drain):
-                done = True
-                break
-            rayleigh_prev = rayleigh
-        if not done and np.isfinite(rayleigh):
-            # re-center the shift near (but safely below) 1/lambda
-            tau_new = (0.9 / rayleigh if rayleigh > 0.0
-                       else min(tau * 8.0, 1e3))
-            tau_new = min(tau_new, 0.5 * tau_ceiling)
-            if tau_new > tau * 1.2:
-                tau = tau_new
-                lu = None
-                lu = factor(tau)
-    if not done:
+        if np.any(u <= 0.0) or np.any(v < 0.0):
+            raise Reducible("dominant eigenvectors are not positive")
+        ratios = (matrix_t @ u) / u
+        lo, hi = float(ratios.min()), float(ratios.max())
+        product = matrix @ v
+        rayleigh = float(u @ product) / float(u @ v)
+        # |M| v = M v + 2 drain v scales the residual of m by m itself
+        if (hi - lo <= _TOL * (abs(hi) + max_drain)
+                and np.max(np.abs(product - rayleigh * v))
+                <= _TOL * np.max(product + 2.0 * drain * v)):
+            break
+        # u = (sigma - M^T)^{-1} w with w > 0 puts hi below sigma, and hi
+        # >= rho0, so the new sigma stays above rho0: the resolvent stays
+        # positive
+        sigma = hi + _SHIFT * (sigma - hi)
+    else:
         raise NoConvergence(
-            f"power iteration did not converge in {_MAX_ITER} iterations")
-
-    if np.any(u <= 0.0) or np.any(v < 0.0):
-        raise Reducible("dominant eigenvectors are not positive")
+            f"inverse iteration did not converge in {_MAX_ROUNDS} rounds")
 
     centers = op.grid.centers
     psi_vals = np.array([psi(x) for x in centers])
@@ -173,6 +154,7 @@ def principal_eigen(op: DiscreteOperator, psi: WeightFunction
         phi=phi,
         m=m,
         residuals=(right_res, left_res),
+        work={"factorizations": rounds, "solves": 2 * rounds * _SOLVES},
     )
 
 

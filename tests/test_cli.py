@@ -330,8 +330,19 @@ def test_spectral_reports_negative_lambda0(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["lambda0"] < 0.0
-    assert payload["residuals"]["right"] <= 1e-8
+    assert payload["residuals"]["right"] <= 1e-14
     assert (tmp_path / "triple.csv").exists()
+
+
+def test_spectral_ends_with_work_counters(tmp_path, capsys):
+    # three rounds of inverse iteration, twelve solves per vector each
+    cfg = _write(tmp_path, CANONICAL)
+    code, out, _ = _run(capsys, "spectral", "--config", cfg, "--out",
+                        str(tmp_path))
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload)[-1] == "work"
+    assert payload["work"] == {"factorizations": 3, "solves": 72}
 
 
 def test_spectral_assembles_singular_power_kernel(tmp_path, capsys):

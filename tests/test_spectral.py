@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy import sparse
 
 from growfrag.errors import DomainError, RatePositive, Reducible
-from growfrag.model import constant_weight, identity_weight
+from growfrag.model import (FragmentationKernel, GrowthSpec, ModelSpec,
+                            constant_weight, identity_weight, power_ratio)
 from growfrag.pde import DensityState, DiscreteOperator, SizeGrid, \
-    build_discrete_operator
+    build_discrete_operator, solve
 from growfrag.spectral import (
     SpectralTriple,
     fit_gap_rate,
@@ -17,7 +19,7 @@ from growfrag.spectral import (
 )
 from growfrag.errors import BoundViolated
 
-from conftest import make_canonical
+from conftest import make_canonical, make_critical, make_mitosis
 
 
 def _toy_operator(matrix):
@@ -44,6 +46,13 @@ def test_two_by_two_exact():
     assert np.allclose(triple.phi, phi_exact, atol=1e-12)
 
 
+def test_solve_refuses_an_operator_without_a_stencil(canonical_model):
+    # an operator made by hand has a matrix only; solve marches on stencils
+    op = _toy_operator(np.array([[-1.0, 2.0], [1.0, -1.0]]))
+    with pytest.raises(DomainError, match="build_discrete_operator"):
+        solve(canonical_model, op.grid, 1.0, 0.5, operator=op)
+
+
 def test_reducible_matrix_rejected():
     block = np.array([[-1.0, 0.0], [0.0, -2.0]])
     with pytest.raises(Reducible):
@@ -53,8 +62,8 @@ def test_reducible_matrix_rejected():
 def test_canonical_growth_is_supercritical(canonical_triple):
     # the population grows, so the killing-time exponent is negative
     assert canonical_triple.lambda0 < 0.0
-    assert canonical_triple.residuals[0] <= 1e-8
-    assert canonical_triple.residuals[1] <= 1e-8
+    assert canonical_triple.residuals[0] <= 1e-14
+    assert canonical_triple.residuals[1] <= 1e-14
 
 
 def test_normalizations(canonical_triple):
@@ -64,14 +73,40 @@ def test_normalizations(canonical_triple):
     assert np.all(canonical_triple.phi > 0.0)
 
 
-def test_matches_dense_eigensolver(canonical_model):
-    grid = SizeGrid.log_uniform(0.01, 40.0, 256)
-    op = build_discrete_operator(canonical_model, grid)
+def _power_kernel_model():
+    """CANONICAL with the singular ratio density p(du) = 1.5 u^-0.5 du."""
+    return ModelSpec(
+        growth=GrowthSpec.from_speed(lambda x: 1.0),
+        frag=FragmentationKernel.relative(lambda x: x, power_ratio(-0.5)),
+        domain_hint=(0.01, 40.0),
+        irreducible=True,
+    )
+
+
+def _shape_gap(got, want):
+    """Largest relative gap of two positive vectors, each scaled to sum 1,
+    on the cells at or above 1e-6 of want's maximum."""
+    got = got / got.sum()
+    want = np.abs(want) / np.abs(want).sum()
+    kept = want >= 1e-6 * want.max()
+    return float(np.max(np.abs(got[kept] - want[kept]) / want[kept]))
+
+
+@pytest.mark.parametrize("make_model, domain", [
+    (make_canonical, (0.01, 40.0)),
+    (make_mitosis, (0.01, 40.0)),
+    (_power_kernel_model, (0.01, 40.0)),
+    (make_critical, (0.02, 40.0)),      # the CLI's CRITICAL domain
+], ids=["canonical", "mitosis", "power", "critical"])
+def test_matches_dense_eigensolver(make_model, domain):
+    grid = SizeGrid.log_uniform(domain[0], domain[1], 256)
+    op = build_discrete_operator(make_model(), grid)
     triple = principal_eigen(op, constant_weight(1.0))
-    dense = op.matrix.toarray()
-    eigvals = np.linalg.eigvals(dense)
-    perron = float(np.max(eigvals.real))
-    assert triple.lambda0 == pytest.approx(-perron, abs=1e-8)
+    eigvals, left, right = scipy.linalg.eig(op.matrix.toarray(), left=True)
+    k = int(np.argmax(eigvals.real))
+    assert triple.lambda0 == pytest.approx(-eigvals[k].real, abs=1e-12)
+    assert _shape_gap(triple.m, right[:, k].real) <= 1e-7
+    assert _shape_gap(triple.phi, left[:, k].real) <= 1e-7
 
 
 def test_refinement_contracts(canonical_model):
