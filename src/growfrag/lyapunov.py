@@ -22,9 +22,9 @@ from .errors import (CriterionViolated, DomainError, EntranceBoundaryAbsent,
                      GrowfragError, MomentDivergence, QuadratureDivergence,
                      UnboundedAbove)
 from .flow import FlowEngine, _slowness
-from .model import (FragmentationKernel, GrowthSpec, ModelSpec,
+from .model import (FragmentationKernel, GrowthSpec, ModelSpec, ProbeRule,
                     WeightFunction, constant_weight, identity_weight,
-                    tilted_generator, _quad)
+                    tilted_generator, tilted_generator_batch, _quad)
 
 GOLDEN_TOL = 1e-10
 GOLDEN_MAX_ITER = 200
@@ -84,6 +84,7 @@ class AssumptionReport:
     lambda2: float
     compact_set: Tuple[float, float]
     checks: List[Tuple[str, float, bool]] = field(default_factory=list)
+    probe_rule: ProbeRule = ProbeRule()
 
     @property
     def passed(self):
@@ -101,6 +102,8 @@ class AssumptionReport:
             "checks": [{"name": name, "margin": float(margin),
                         "pass": bool(ok)}
                        for name, margin, ok in self.checks],
+            "probe_rule": {"max_rel_error": self.probe_rule.max_rel_error,
+                           "fallbacks": self.probe_rule.fallbacks},
         }
 
 
@@ -113,12 +116,13 @@ def _assumption4_fit(probes, ratio):
     """
     n = len(probes)
     mid = n // 2
-    j_max = min(mid, n - mid) - 2
+    js = np.arange(1, min(mid, n - mid) - 1)
+    # the max outside [mid - j, mid + j]: of the prefix before it and of
+    # the suffix after it
+    before = np.maximum.accumulate(ratio)[mid - js - 1]
+    after = np.maximum.accumulate(ratio[::-1])[::-1][mid + js + 1]
     best = None
-    for j in range(1, j_max + 1):
-        inside = np.zeros(n, dtype=bool)
-        inside[mid - j:mid + j + 1] = True
-        lam = -float(np.max(ratio[~inside]))
+    for j, lam in zip(js.tolist(), (-np.maximum(before, after)).tolist()):
         if best is None or lam > best[0] + 1e-12 * (1.0 + abs(lam)):
             best = (lam, (float(probes[mid - j]), float(probes[mid + j])))
     return best
@@ -162,7 +166,8 @@ class Lambda2Bound(float):
 
 
 def _probe_pass(model: ModelSpec, w: WeightFunction):
-    """k_w(x,(0,x))/w(x) and A w/w on the probe grid, from tilted_generator.
+    """k_w(x,(0,x))/w(x), A w/w on the probe grid and the ProbeRule of the
+    pass, from tilted_generator_batch.
 
     Values of w are read only to check that w is positive; one that
     overflows to inf is.
@@ -172,8 +177,7 @@ def _probe_pass(model: ModelSpec, w: WeightFunction):
         vals = np.array([w.value(x) for x in probes])
     if np.any(vals <= 0.0):
         raise DomainError("weight must be positive on the probe grid")
-    tilted, ratio = zip(*(tilted_generator(model, w, x) for x in probes))
-    return np.array(tilted), np.array(ratio)
+    return tilted_generator_batch(model, w, probes)
 
 
 def lambda2_bound(model: ModelSpec, psi_prime: WeightFunction):
@@ -187,24 +191,33 @@ def lambda2_bound(model: ModelSpec, psi_prime: WeightFunction):
     return Lambda2Bound(-float(np.min(ratio)), spread <= 1e-9, spread)
 
 
-def _report(model, regime, h, ahh, b, checks, psi_prime_ratio):
+def _report(model, regime, h, ahh, b, checks, psi_prime_pass, probe_rule):
     """Fit Assumption 4 with psi = h and assemble the regime's report,
-    given A h/h and A psi'/psi' on the probes."""
+    given A h/h on the probes, the probe pass of psi' and the ProbeRule of
+    h's pass."""
+    _, psi_prime_ratio, psi_prime_rule = psi_prime_pass
     lambda1, compact = _assumption4_fit(model.probe_grid(), ahh)
     return AssumptionReport(regime=regime, h=h, b=b, lambda1=lambda1,
                             lambda2=-float(np.min(psi_prime_ratio)),
-                            compact_set=compact, checks=checks)
+                            compact_set=compact, checks=checks,
+                            probe_rule=probe_rule.merge(psi_prime_rule))
 
 
 # -- weight constructions ------------------------------------------------
 
-def _two_sided_exp(left, right, scale, label, slope=lambda x: 1.0):
-    """w(x) = exp(coef scale(x)), coef = left for x < 1 and right from 1 on.
+def _two_sided_exp(left, right, flow, label, slope=lambda x: 1.0):
+    """w(x) = exp(coef scale(x)), coef = left for x < 1 and right from 1 on,
+    where scale is the scale s of the FlowEngine flow.
 
     slope(x) is dscale/ds, so d ln w/ds = coef slope(x).
     """
+    scale = flow.s_of
+
     def log_value(x):
         return (left if x < 1.0 else right) * scale(x)
+
+    def log_values(ys):
+        return np.where(ys < 1.0, left, right) * flow.s_of_array(ys)
 
     def value(x):
         return float(np.exp(log_value(x)))
@@ -213,7 +226,8 @@ def _two_sided_exp(left, right, scale, label, slope=lambda x: 1.0):
         return (left if x < 1.0 else right) * slope(x)
 
     return WeightFunction(value=value, log_slope=log_slope,
-                          label=label, kinks=(1.0,), log_value=log_value)
+                          label=label, kinks=(1.0,), log_value=log_value,
+                          log_values=log_values)
 
 
 def build_h_pseudo_entrance(model: ModelSpec, alpha: float) -> WeightFunction:
@@ -237,8 +251,8 @@ def build_h_pseudo_entrance(model: ModelSpec, alpha: float) -> WeightFunction:
         k = rate(y)
         return c(y) / k if k else math.inf
 
-    cum = FlowEngine(GrowthSpec.from_speed(rate_speed, model.growth.kinks),
-                     *model.domain_hint).s_of
+    cum = FlowEngine(GrowthSpec.from_speed(
+        rate_speed, (*model.growth.kinks, *frag.kinks)), *model.domain_hint)
 
     # precondition: int_(0,1) K(y) s(dy) < +infinity
     try:
@@ -258,7 +272,7 @@ def build_h_pseudo_entrance(model: ModelSpec, alpha: float) -> WeightFunction:
         base = current / (1.0 - p_alpha)
 
         def epsilon(u):
-            window = cum(x_probe) - cum(u * x_probe)
+            window = cum.s_of(x_probe) - cum.s_of(u * x_probe)
             return window / (-np.log(u)) - base
 
         # dyadic-window growth condition, with the failing probe reported
@@ -330,7 +344,7 @@ def build_h_powerlaw(model: ModelSpec, alpha: float,
     inf_inv_above = float(np.min((probes / speed)[~below]))
     measure.moment(alpha * inf_inv_below)
     measure.moment(beta * inf_inv_above)
-    return _two_sided_exp(alpha, beta, flow.s_of, "powerlaw")
+    return _two_sided_exp(alpha, beta, flow, "powerlaw")
 
 
 # -- closed-form thresholds ----------------------------------------------
@@ -508,11 +522,11 @@ def criterion_K_constant(model: ModelSpec) -> AssumptionReport:
     alpha = alpha if alpha is not None else 1e-3
     beta = beta if beta is not None else 1e-3
 
-    h = _two_sided_exp(-alpha, beta, flow.s_of, "K-constant")
-    ahh = _probe_pass(model, h)[1]
+    h = _two_sided_exp(-alpha, beta, flow, "K-constant")
+    _, ahh, rule = _probe_pass(model, h)
     b = _sup_generator_ratio(model, h, probes, ahh)
     return _report(model, "K-constant-critical", h, ahh, b, checks,
-                   _probe_pass(model, constant_weight(1.0))[1])
+                   _probe_pass(model, constant_weight(1.0)), rule)
 
 
 def criterion_entrance(model: ModelSpec,
@@ -530,7 +544,8 @@ def criterion_entrance(model: ModelSpec,
     probes = model.probe_grid()
     # with w = 1, k_w(x,(0,x))/w is the kernel mass and A w/w the net
     # growth k(x,(0,x)) - K(x), which is also A psi'/psi' for psi' = 1
-    kernel_mass, net = _probe_pass(model, constant_weight(1.0))
+    one_pass = _probe_pass(model, constant_weight(1.0))
+    kernel_mass, net, _ = one_pass
     margin = -lambda0_estimate - _tail_extreme(probes, net, "inf", np.max)
 
     limsup0 = _tail_extreme(probes, kernel_mass, "zero", np.max)
@@ -545,27 +560,40 @@ def criterion_entrance(model: ModelSpec,
             return float(np.exp(a * (flow.s_of(x) - s0)))
         return min(1.0, shift + flow.s_of(x))
 
+    def log_value(x):
+        if x < 1.0:
+            return a * (flow.s_of(x) - s0)
+        return float(np.log(min(1.0, shift + flow.s_of(x))))
+
+    def log_values(ys):
+        s, below = flow.s_of_array(ys), ys < 1.0
+        out = np.empty_like(s)
+        out[below] = a * (s[below] - s0)
+        out[~below] = np.log(np.minimum(1.0, shift + s[~below]))
+        return out
+
     def log_slope(x):
         if x < 1.0:
             return a
         return 1.0 / value(x) if x < x0 else 0.0
 
     h = WeightFunction(value=value, log_slope=log_slope,
-                       label="entrance", kinks=(1.0, x0))
-    ahh = _probe_pass(model, h)[1]
+                       label="entrance", kinks=(1.0, x0),
+                       log_value=log_value, log_values=log_values)
+    _, ahh, rule = _probe_pass(model, h)
     b = _sup_generator_ratio(model, h, probes, ahh)
     checks = [
         ("entrance-scale-finite", -s0, True),
         ("tail-killing-margin", margin, margin > 0.0),
     ]
-    return _report(model, "entrance", h, ahh, b, checks, net)
+    return _report(model, "entrance", h, ahh, b, checks, one_pass, rule)
 
 
 def verify_assumption1(model: ModelSpec, h: WeightFunction) -> AssumptionReport:
     """Probe-grid verification that A h / h is bounded above and the
     tilted kernel mass is finite on bounded sets."""
     probes = model.probe_grid()
-    tilted, ahh = _probe_pass(model, h)
+    tilted, ahh, rule = _probe_pass(model, h)
     tail = ahh[_tail_mask(probes, "inf", 1.0)]
     if len(tail) >= 3 and np.all(np.diff(tail) > 0.0):
         raise UnboundedAbove(
@@ -584,4 +612,4 @@ def verify_assumption1(model: ModelSpec, h: WeightFunction) -> AssumptionReport:
         checks.append((f"tilted-mass-sup-below-{level:g}", sup,
                        bool(np.isfinite(sup))))
     return _report(model, "custom", h, ahh, b, checks,
-                   _probe_pass(model, identity_weight(model.growth))[1])
+                   _probe_pass(model, identity_weight(model.growth)), rule)

@@ -12,16 +12,28 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy import integrate
+from scipy.special import roots_jacobi, roots_legendre
 
-from .errors import DomainError, MomentDivergence, QuadratureDivergence
+from .errors import (DomainError, GrowfragError, MomentDivergence,
+                     QuadratureDivergence)
 
 QUAD_RTOL = 1e-8
 QUAD_LIMIT = 50
 _N_PROBE = 256    # log-uniform probe points of every spot check
+_RULE_N = 8              # Gauss nodes per panel of the coarse sum; the value
+                         # sums 2 _RULE_N
+_RULE_PANELS = 8         # panels per piece, halving in width toward its top
+# their edges as fractions of the piece: 0, 1/2, 3/4, ..., 1
+_PANEL_FRACTIONS = np.append(1.0 - 0.5 ** np.arange(_RULE_PANELS), 1.0)
+_RULE_RTOL = 1e-10       # relative error estimate above which a probe falls
+                         # back to tilted_generator
+_RULE_BLOCK = 2 ** 13    # nodes read per block of probes, about 1 MB of
+                         # temporaries
 
 
 def _quad(func, a, b, rtol=QUAD_RTOL, limit=QUAD_LIMIT, points=None):
@@ -149,11 +161,16 @@ class RatioMeasure:
 
 @dataclass
 class FragmentationKernel:
-    """Relative child-size kernel: rate K times the ratio measure p."""
+    """Relative child-size kernel: rate K times the ratio measure p.
+
+    kinks lists x-locations where K is not smooth (a jump, a corner, a
+    zero it leaves); a table of int K s(dy) is densified there.
+    """
 
     rate: Callable[[float], float]
     ratio_measure: RatioMeasure
     mass_conserving: bool = False
+    kinks: tuple = ()
 
     def __post_init__(self):
         if self.mass_conserving:
@@ -164,9 +181,10 @@ class FragmentationKernel:
                 )
 
     @staticmethod
-    def relative(rate, ratio_measure, mass_conserving=False):
+    def relative(rate, ratio_measure, mass_conserving=False, kinks=()):
         return FragmentationKernel(rate=rate, ratio_measure=ratio_measure,
-                                   mass_conserving=mass_conserving)
+                                   mass_conserving=mass_conserving,
+                                   kinks=tuple(kinks))
 
     def integrate(self, x, f, kinks=()):
         """int_(0,x) f(y) k(x, dy) = K(x) int f(u x) p(du); quad splits
@@ -225,7 +243,9 @@ class WeightFunction:
     logarithmic derivative along the scale s.
 
     log_value, when supplied, evaluates ln f(x) directly so that ratios
-    f(y)/f(x) stay computable where f itself overflows.
+    f(y)/f(x) stay computable where f itself overflows.  log_values, when
+    supplied, is log_value at every point of an array, with log_value's
+    bits point by point.
     """
 
     value: Callable[[float], float]
@@ -233,6 +253,7 @@ class WeightFunction:
     label: str = ""
     kinks: tuple = ()
     log_value: Optional[Callable[[float], float]] = None
+    log_values: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __call__(self, x):
         return self.value(x)
@@ -251,12 +272,16 @@ def identity_weight(growth):
     """f(x) = x; d ln f/ds = c(x)/x, with c the speed of the given growth."""
     return WeightFunction(value=lambda x: x,
                           log_slope=lambda x: float(growth.c(x)) / x,
-                          label="id")
+                          label="id", log_value=lambda x: float(np.log(x)),
+                          log_values=np.log)
 
 
 def constant_weight(c=1.0):
+    log_c = float(np.log(c))
     return WeightFunction(value=lambda x: c, log_slope=lambda x: 0.0,
-                          label="one" if c == 1.0 else f"const:{c}")
+                          label="one" if c == 1.0 else f"const:{c}",
+                          log_value=lambda x: log_c,
+                          log_values=lambda ys: np.full(np.shape(ys), log_c))
 
 
 @dataclass
@@ -287,3 +312,132 @@ def tilted_generator(model: ModelSpec, w: WeightFunction, x: float):
     """
     tilted = model.frag.integrate(x, w.tilt(x), w.kinks)
     return tilted, w.log_slope(x) + tilted - model.frag.loss_rate(x)
+
+
+@dataclass(frozen=True)
+class ProbeRule:
+    """Record of the fixed rule over one or more probe passes: the largest
+    relative error estimate |I_n - I_2n| / |I_2n| among the probes it kept,
+    and the number of probes it sent to tilted_generator instead."""
+
+    max_rel_error: float = 0.0
+    fallbacks: int = 0
+
+    def merge(self, other):
+        return ProbeRule(max(self.max_rel_error, other.max_rel_error),
+                         self.fallbacks + other.fallbacks)
+
+
+@lru_cache(maxsize=None)
+def _rule_nodes(theta):
+    """(t, w) of Gauss-Legendre on [0, 1], then (t, w) of Gauss-Jacobi
+    for the weight t^theta on [0, 1]; each lists the n-point rule's nodes,
+    n = _RULE_N, then the 2n-point rule's."""
+    legendre, jacobi = [], []
+    for n in (_RULE_N, 2 * _RULE_N):
+        t, wt = roots_legendre(n)
+        legendre.append(((1.0 + t) / 2.0, wt / 2.0))
+        t, wt = roots_jacobi(n, 0.0, theta)
+        jacobi.append(((1.0 + t) / 2.0, wt / 2.0 ** (theta + 1.0)))
+    return tuple(np.concatenate(pair) for pair in zip(*legendre)) \
+        + tuple(np.concatenate(pair) for pair in zip(*jacobi))
+
+
+def _density_nodes(measure, xs, kinks):
+    """(u, weights, coarse) of the density part of p for the probes xs,
+    each with the kinks below it: (0, 1) is cut at kink/x into pieces,
+    each piece into _RULE_PANELS panels halving toward its top; the
+    panel at u = 0 takes Gauss-Jacobi for u^theta, the others
+    Gauss-Legendre times the density.  Arrays are (probes, panels, 3n);
+    coarse marks the n-point nodes along the last axis."""
+    theta = measure.theta
+    leg_t, leg_w, jac_t, jac_w = _rule_nodes(theta)
+    edges = np.stack([np.zeros_like(xs), *(k / xs for k in kinks),
+                      np.ones_like(xs)], axis=1)
+    a, b = edges[:, :-1, None], edges[:, 1:, None]
+    lo = (a + (b - a) * _PANEL_FRACTIONS[:-1]).reshape(len(xs), -1, 1)
+    hi = (a + (b - a) * _PANEL_FRACTIONS[1:]).reshape(len(xs), -1, 1)
+    u = lo + (hi - lo) * leg_t
+    weights = (theta + 2.0) * (hi - lo) * leg_w * u ** theta
+    top = hi[:, 0]
+    u[:, 0] = top * jac_t
+    weights[:, 0] = (theta + 2.0) * top ** (theta + 1.0) * jac_w
+    return u, weights, np.arange(3 * _RULE_N) < _RULE_N
+
+
+def _tilt_rows(w, xs, ys):
+    """w(ys[i]) / w(xs[i]) for each probe i; by log differences from one
+    log_values read where w has it, else point by point through w.tilt."""
+    if w.log_values is not None:
+        logs = w.log_values(np.concatenate([ys, xs[:, None]], axis=1))
+        return np.exp(logs[:, :-1] - logs[:, -1:])
+    rows = []
+    for x, row in zip(xs, ys):
+        tilt = w.tilt(x)
+        rows.append([tilt(y) for y in row])
+    return np.array(rows, dtype=float)
+
+
+def _rule_block(measure, w, xs, kinks):
+    """(int w(ux)/w(x) p(du), its relative error estimate) for the probes
+    xs, each with the kinks below it.  Atoms are summed exactly; the
+    density part sums 2n nodes a panel, estimated by the panels' summed
+    |I_n - I_2n|."""
+    atoms = np.array([u for u, _ in measure.atoms])
+    masses = np.array([m for _, m in measure.atoms])
+    if measure.density is None:
+        g = _tilt_rows(w, xs, atoms * xs[:, None])
+        return g @ masses, np.zeros(len(xs))
+    u, weights, coarse = _density_nodes(measure, xs, kinks)
+    shape = u.shape
+    ys = np.concatenate([(u * xs[:, None, None]).reshape(len(xs), -1),
+                         atoms * xs[:, None]], axis=1)
+    g = _tilt_rows(w, xs, ys)
+    terms = (g[:, :u[0].size] * weights.reshape(len(xs), -1)).reshape(shape)
+    fine = terms[:, :, ~coarse].sum(axis=2)
+    total = fine.sum(axis=1) + g[:, u[0].size:] @ masses
+    error = np.abs(terms[:, :, coarse].sum(axis=2) - fine).sum(axis=1)
+    return total, error / np.abs(total)
+
+
+def tilted_generator_batch(model: ModelSpec, w: WeightFunction, xs):
+    """tilted_generator at each point of the ascending array xs, by one
+    fixed rule on blocks of probes, and the ProbeRule of the pass.
+
+    The rule (_rule_block) sums the atoms of p exactly and the density
+    (theta+2) u^theta on panels split at kink/x for the kinks of w below
+    x: n- and 2n-point Gauss rules a panel, the 2n sum the value and
+    |I_n - I_2n| its error estimate.  A probe whose estimate exceeds
+    _RULE_RTOL relative, whose sum is not finite, or whose block's reads
+    of w raise goes through tilted_generator alone and is counted.
+    """
+    xs = np.asarray(xs, dtype=float)
+    measure = model.frag.ratio_measure
+    kinks = sorted({float(k) for k in w.kinks if k > 0.0})
+    integral = np.full(len(xs), np.nan)
+    error = np.full(len(xs), np.inf)
+    # probes past the same kinks share one layout of pieces
+    bounds = [0, *np.searchsorted(xs, kinks, side="right"), len(xs)]
+    for m, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
+        per_probe = (m + 1) * _RULE_PANELS * 3 * _RULE_N
+        step = max(1, _RULE_BLOCK // per_probe)
+        for i in range(start, stop, step):
+            block = slice(i, min(i + step, stop))
+            try:
+                with np.errstate(all="ignore"):
+                    integral[block], error[block] = _rule_block(
+                        measure, w, xs[block], kinks[:m])
+            except (GrowfragError, ArithmeticError, ValueError):
+                continue
+    kept = np.isfinite(integral) & (error <= _RULE_RTOL)
+    tilted = np.empty(len(xs))
+    ratio = np.empty(len(xs))
+    for i, x in enumerate(xs):
+        if kept[i]:
+            rate = model.frag.loss_rate(x)
+            tilted[i] = rate * integral[i]
+            ratio[i] = w.log_slope(x) + tilted[i] - rate
+        else:
+            tilted[i], ratio[i] = tilted_generator(model, w, x)
+    worst = float(np.max(error[kept])) if kept.any() else 0.0
+    return tilted, ratio, ProbeRule(worst, int(np.sum(~kept)))

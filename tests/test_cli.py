@@ -134,7 +134,10 @@ def test_check_critical_fails(tmp_path, capsys):
 # probe pass per weight, up to the last bits that b, lambda1 and the scale
 # margins moved by when the scale table went onto a fixed node lattice, and
 # b and lambda1 by about 1e-10 when the probe pass split its tilted mass at
-# the kinks of h; both fail, so `check` exits 1
+# the kinks of h.  probe_rule is the fixed probe rule's record: its largest
+# relative error estimate and no probe sent to the adaptive reference; b,
+# lambda1 and lambda2 kept their bits when the probe passes moved onto the
+# rule.  Both fail, so `check` exits 1
 ENTRANCE_REPORT = {
     "regime": "entrance", "b": 38.08855076223529,
     "lambda1": -38.08464229800549, "lambda2": -0.01,
@@ -144,6 +147,7 @@ ENTRANCE_REPORT = {
          "pass": True},
         {"name": "tail-killing-margin", "margin": -40, "pass": False},
     ],
+    "probe_rule": {"max_rel_error": 4.166460255610309e-16, "fallbacks": 0},
 }
 K_CONSTANT_REPORT = {
     "regime": "K-constant-critical", "b": 38.42798760145186,
@@ -161,6 +165,7 @@ K_CONSTANT_REPORT = {
         {"name": "left-tilt-window", "margin": -1, "pass": False},
         {"name": "right-tilt-window", "margin": -1, "pass": False},
     ],
+    "probe_rule": {"max_rel_error": 3.365259542244939e-16, "fallbacks": 0},
 }
 
 

@@ -10,6 +10,7 @@ from growfrag.errors import (
     UnboundedAbove,
 )
 from growfrag.lyapunov import (
+    _assumption4_fit,
     build_h_powerlaw,
     build_h_pseudo_entrance,
     criterion_entrance,
@@ -32,10 +33,14 @@ from growfrag.model import (
     constant_weight,
     identity_weight,
     mitosis_ratio,
+    power_ratio,
+    tilted_generator,
+    tilted_generator_batch,
     uniform_ratio,
 )
 
-from conftest import make_canonical, make_critical, make_mitosis
+from conftest import (eigenfunction_weight, make_canonical, make_critical,
+                      make_mitosis)
 
 
 # -- window thresholds ---------------------------------------------------
@@ -166,8 +171,10 @@ def test_entrance_net_growth_and_lambda2_on_canonical():
 # -- generic assumption verification ---------------------------------------
 
 def test_verify_assumption1_integrates_each_probe_once(monkeypatch):
-    # one kernel integral per probe for h, one per probe for lambda2 and a
-    # bounded number for the golden-section refinement of sup A h/h
+    # the probe passes of h and of the identity weight run the fixed rule,
+    # which calls no RatioMeasure.integral on the canonical model; only the
+    # golden-section refinement of sup A h/h integrates, a bounded number
+    # of times
     model = make_canonical()
     h = build_h_pseudo_entrance(model, 2.0)
     calls = []
@@ -179,7 +186,7 @@ def test_verify_assumption1_integrates_each_probe_once(monkeypatch):
 
     monkeypatch.setattr(RatioMeasure, "integral", counted)
     verify_assumption1(model, h)
-    assert len(calls) <= 2 * len(model.probe_grid()) + 128
+    assert len(calls) <= 128
 
 
 def test_verify_assumption1_bounds_ratio():
@@ -194,13 +201,17 @@ def test_verify_assumption1_bounds_ratio():
 
 
 def test_verify_assumption1_rejects_inverse_weight():
-    # h = 1/x blows up the tilted kernel mass for the uniform repartition
+    # h = 1/x blows up the tilted kernel mass for the uniform repartition:
+    # read point by point or on arrays, the fixed rule's estimate on the
+    # divergent int u^-1 2 du fails, and tilted_generator raises
     model = make_canonical()
-    h = WeightFunction(value=lambda x: 1.0 / x,
-                       log_slope=lambda x: -1.0 / x,
-                       log_value=lambda x: -np.log(x))
-    with pytest.raises((UnboundedAbove, QuadratureDivergence)):
-        verify_assumption1(model, h)
+    for log_values in (None, lambda ys: -np.log(ys)):
+        h = WeightFunction(value=lambda x: 1.0 / x,
+                           log_slope=lambda x: -1.0 / x,
+                           log_value=lambda x: -np.log(x),
+                           log_values=log_values)
+        with pytest.raises((UnboundedAbove, QuadratureDivergence)):
+            verify_assumption1(model, h)
 
 
 def test_report_json_shape():
@@ -208,10 +219,132 @@ def test_report_json_shape():
     report = verify_assumption1(model, build_h_pseudo_entrance(model, 2.0))
     payload = report.to_json()
     assert set(payload) == {"regime", "b", "lambda1", "lambda2", "L",
-                            "checks"}
+                            "checks", "probe_rule"}
     assert len(payload["L"]) == 2
     assert all({"name", "margin", "pass"} == set(c)
                for c in payload["checks"])
+    # the rule keeps every probe of h and of the identity weight here
+    assert payload["probe_rule"]["fallbacks"] == 0
+    assert 0.0 < payload["probe_rule"]["max_rel_error"] <= 1e-10
+
+
+# -- the fixed probe rule ---------------------------------------------------
+
+def _power_model():
+    return ModelSpec(
+        growth=GrowthSpec.from_speed(lambda x: 1.0),
+        frag=FragmentationKernel.relative(lambda x: x, power_ratio(-0.5)),
+        domain_hint=(1e-2, 40.0), irreducible=True)
+
+
+def _library_weights():
+    """(name, model, weight, fallbacks the rule takes) for each library
+    weight construction on the models of the tests."""
+    canonical, mitosis, power, critical = make_canonical(), make_mitosis(), \
+        _power_model(), make_critical()
+    return [
+        ("pseudo-entrance", canonical,
+         build_h_pseudo_entrance(canonical, 2.0), 0),
+        ("identity", canonical, identity_weight(canonical.growth), 0),
+        ("constant", canonical, constant_weight(1.0), 0),
+        ("power-pseudo-entrance", power, build_h_pseudo_entrance(power, 2.0),
+         0),
+        ("mitosis-pseudo-entrance", mitosis,
+         build_h_pseudo_entrance(mitosis, 2.0), 0),
+        ("entrance", canonical, criterion_entrance(canonical, 0.0).h, 0),
+        ("K-constant", canonical, criterion_K_constant(canonical).h, 0),
+        # on c = x the weight tilts by u^alpha, not smooth at u = 0: the
+        # n- and 2n-point sums disagree on every probe, all of which go
+        # through tilted_generator
+        ("powerlaw", critical, build_h_powerlaw(critical, 0.5, 1.5), 256),
+    ]
+
+
+def _assert_matches_oracle(model, w, tilted, ratio):
+    oracle = np.array([tilted_generator(model, w, x)
+                       for x in model.probe_grid()])
+    assert tilted == pytest.approx(oracle[:, 0], rel=1e-8, abs=0.0)
+    assert ratio == pytest.approx(oracle[:, 1], rel=1e-8,
+                                  abs=1e-8 * np.max(np.abs(oracle[:, 0])))
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_batched_rule_matches_tilted_generator(case):
+    name, model, w, fallbacks = _library_weights()[case]
+    tilted, ratio, rule = tilted_generator_batch(model, w,
+                                                 model.probe_grid())
+    _assert_matches_oracle(model, w, tilted, ratio)
+    assert rule.fallbacks == fallbacks, name
+    assert rule.max_rel_error <= 1e-10
+
+
+def test_batched_rule_reads_a_weight_without_log_values(canonical_model,
+                                                        canonical_triple):
+    # the eigen-interp weight has log_value only: the rule reads it point
+    # by point, and its spline knots send the probes the n- and 2n-point
+    # sums disagree on through tilted_generator
+    w = eigenfunction_weight(canonical_model, canonical_triple)
+    assert w.log_values is None
+    tilted, ratio, rule = tilted_generator_batch(
+        canonical_model, w, canonical_model.probe_grid())
+    _assert_matches_oracle(canonical_model, w, tilted, ratio)
+    assert 0 < rule.fallbacks < len(canonical_model.probe_grid())
+
+
+def test_batched_rule_falls_back_where_its_estimate_fails():
+    # w = exp(2 x^2) packs the tilted mass at large x into a layer far
+    # thinner than the top panel: those probes go to tilted_generator
+    model = make_canonical()
+    w = WeightFunction(value=lambda x: float(np.exp(2.0 * x * x)),
+                       log_slope=lambda x: 4.0 * x,
+                       log_value=lambda x: 2.0 * x * x,
+                       log_values=lambda ys: 2.0 * ys * ys)
+    tilted, ratio, rule = tilted_generator_batch(model, w,
+                                                 model.probe_grid())
+    assert 0 < rule.fallbacks < len(model.probe_grid())
+    assert rule.max_rel_error <= 1e-10
+    _assert_matches_oracle(model, w, tilted, ratio)
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_log_values_match_log_value_bit_for_bit(case):
+    name, model, w, _ = _library_weights()[case]
+    lo, hi = model.domain_hint
+    rng = np.random.default_rng(20261020 + case)
+    ys = np.exp(rng.uniform(np.log(lo * 1e-2), np.log(hi * 10.0), 10_000))
+    ys[:3] = (1.0, lo, hi)
+    scalar = [w.log_value(y) for y in ys]
+    assert np.array_equal(w.log_values(ys), scalar), name
+
+
+def _assumption4_fit_by_masks(probes, ratio):
+    """The per-j mask loop the prefix/suffix maxima replaced."""
+    n = len(probes)
+    mid = n // 2
+    best = None
+    for j in range(1, min(mid, n - mid) - 1):
+        inside = np.zeros(n, dtype=bool)
+        inside[mid - j:mid + j + 1] = True
+        lam = -float(np.max(ratio[~inside]))
+        if best is None or lam > best[0] + 1e-12 * (1.0 + abs(lam)):
+            best = (lam, (float(probes[mid - j]), float(probes[mid + j])))
+    return best
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_assumption4_fit_matches_the_mask_loop(seed):
+    # random ratios on a coarse grid of values, for exact ties, under 30
+    # peaks that fall away from the centre by relative steps of 0 and of
+    # sizes below, near and above the 1e-12 tie rule
+    rng = np.random.default_rng(seed)
+    probes = np.geomspace(1e-2, 40.0, 256)
+    ratio = np.round(rng.normal(size=256), 1)
+    peaks = rng.choice(256, 30, replace=False)
+    peaks = peaks[np.argsort(np.abs(peaks - 128), kind="stable")]
+    steps = rng.choice([0.0, 5e-14, 3e-13, 5e-12, 1e-9], size=30)
+    ratio[peaks] = 5.0 * np.cumprod(1.0 - steps)
+    assert _assumption4_fit(probes, ratio) == \
+        _assumption4_fit_by_masks(probes, ratio)
 
 
 # -- weight constructions --------------------------------------------------
@@ -260,12 +393,13 @@ def test_pseudo_entrance_weight_extends_exactly_past_the_domain():
 def test_pseudo_entrance_weight_of_a_rate_that_vanishes_below_one_half():
     # K(x) = max(x - 1/2, 0): the speed c/K of G is infinite below 1/2,
     # where G is flat; G(x) = (max(x, 1/2) - 1/2)^2 / 2 - 1/8, and the
-    # uniform kernel (mass 2) gives a0 = 2.  The table has no node at the
-    # kink 1/2 of K, so the points keep off its panel
+    # uniform kernel (mass 2) gives a0 = 2.  The kernel declares the kink
+    # 1/2 of K, so the table of G has a node there and reads exactly on
+    # both sides of it
     model = ModelSpec(
         growth=GrowthSpec.from_speed(lambda x: 1.0),
         frag=FragmentationKernel.relative(lambda x: max(x - 0.5, 0.0),
-                                          uniform_ratio()),
+                                          uniform_ratio(), kinks=(0.5,)),
         domain_hint=(1e-2, 40.0), irreducible=True)
     h = build_h_pseudo_entrance(model, 2.0)
 
@@ -273,7 +407,7 @@ def test_pseudo_entrance_weight_of_a_rate_that_vanishes_below_one_half():
         return (max(x, 0.5) - 0.5) ** 2 / 2.0 - 0.125
 
     a_inf = h.log_value(2.0) / G(2.0)
-    for x in (1e-3, 0.01, 0.3, 0.6, 0.9):
+    for x in (1e-3, 0.01, 0.3, 0.45, 0.5, 0.55, 0.6, 0.9):
         assert h.log_value(x) == pytest.approx(-2.0 * G(x), rel=1e-12)
     for x in (1.5, 3.0, 39.0, 1000.0):
         assert h.log_value(x) == pytest.approx(a_inf * G(x), rel=1e-12)
