@@ -6,16 +6,13 @@ generator A: first-order donor-cell upwind transport (c > 0 moves mass
 rightward), fragmentation outflow at rate K(x_i), and inflow rows
 obtained by integrating the child kernel over destination cells.
 Atomic ratio kernels land in cells exactly; the power density's cell
-masses are differences of its closed-form cumulative P(u) = p((0,u]).
+masses come from its closed-form cumulative P(u) = p((0,u]).
 
 The grid is log-uniform, so edges_j / x_i = r^(j-i-1/2) and the
 kernel's unit inflow from cell i into cell j >= 1 depends on i - j only:
-the assembly reads the top cell's column once and shifts it for every
-other.  The march applies the exchange as blocked Toeplitz matrix
-products of non-negative terms over the rows it keeps (each entry keeps
-its relative accuracy, unlike an FFT) instead of the ~n^2/2-entry
-sparse product; spectral factors the sparse matrix built from the same
-numbers.
+the assembly reads one lattice, the top cell's column, and spectral
+factors the sparse matrix built from it.  The density part of the
+lattice is geometric, so the march needs no matrix product: O(n) a step.
 
 Starting from a point mass at x0, pairing the solution against f gives
 the deterministic oracle for T_t f(x0).
@@ -29,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy import sparse
 
 from .errors import (CFLUnsatisfiable, CFLViolation, DomainError,
@@ -40,8 +36,7 @@ _CFL_FACTOR = 0.9
 _MIN_DT = 1e-12
 _LEAK_WARN_FRACTION = 1e-3
 _MASS_FLOOR = 1e-250      # cell masses below this fraction of the total
-_BLOCK = 64               # exchange rows per block of the Toeplitz product
-_CHUNK_BLOCKS = 4         # block rows per matmul of the exchange
+_SCAN_EXPONENT = 36.0     # largest |ln| of a scale factor in the exchange scan
 
 
 class BoundaryLeak(UserWarning):
@@ -122,70 +117,66 @@ def pairing(state: DensityState, f: Callable) -> float:
 
 @dataclass(frozen=True)
 class ExchangeStencil:
-    """M m as transport plus a Toeplitz fragmentation exchange.
+    """M m as transport plus the fragmentation exchange, in O(n).
 
-    lattice[k] is the top cell's unit inflow into cell k, and column i
-    reads it shifted by top - i: row 0 receives head @ (K m), row j >= 1
-    receives sum_i lattice[top + j - i] (K m)[i].  taps keeps only the
-    nonzero band of k >= 1, lattice[offset:offset + len(taps)], reversed,
-    so an atom costs one tap.  With L = len(taps) and k0 = n - offset - L,
-    row j is sum_t taps[t] (K m)[j + k0 + t], and rows offset + L on get
-    nothing.
-
-    apply computes rows 1..offset + L - 1 in blocks of b = min(_BLOCK, L)
-    as the matrix product Y = H @ C: row p of H is (K m)[1 + k0 + p b:]
-    over L + b - 1 entries, a Hankel view of a zero-padded copy, and C
-    is the banded Toeplitz block C[s, q] = taps[s - q].  Every
-    _CHUNK_BLOCKS block rows are one matmul that stops at the last column
-    of H that is nonzero for its first row, so the triangle the padding
-    zeroes is never multiplied.  All terms are non-negative, so the new
-    summation order moves a row by rounding only.  apply writes into
-    buffers the stencil owns: one stencil serves one march at a time.
+    lattice[k] is the top cell's unit inflow into cell k; row 0 receives
+    first @ m, row j >= 1 sum_{i >= j} lattice[top + j - i] (K m)[i].
+    lattice[top] holds the own cell's density part and atoms.  Below it
+    the density part is near g^-(d-1) at k = top - d, g = e^slope =
+    r^(theta+1), so row j gains near T_{j+1}, T_j = sum_{i >= j}
+    g^-(i-j) (K m)[i]: a reversed cumulative sum of g^(c-i) (K m)[i]
+    scaled back by g^-(c-j), c the top of a chunk of at most 36 / slope
+    rows, so no factor leaves [e^-36, e^36]; a doubling scan carries each
+    chunk's foot into the chunks below.  All terms are non-negative, so
+    each row keeps its relative accuracy.  Each atom in cells 1..top-1,
+    (top - cell, weight) in atoms, is one shifted axpy.  apply writes
+    into buffers the stencil owns: one stencil serves one march at a time.
     """
 
     rate: np.ndarray
     out: np.ndarray    # c(edge_{i+1}) / width_i: upwind outflow of cell i
-    drain: np.ndarray  # -(rate + out): what each cell loses
-    head: np.ndarray   # unit inflow of each column into the first cell
-    taps: np.ndarray
-    offset: int
+    first: np.ndarray  # K_i times column i's unit inflow into cell 0
+    lattice: np.ndarray
+    near: float        # density part of lattice[top - 1]; 0 without one
+    slope: float       # ln g
+    atoms: tuple
 
     def __post_init__(self):
-        n, span = len(self.rate), len(self.taps)
-        b = min(_BLOCK, span)
-        rows = self.offset + span - 1       # rows 1..offset + span - 1
-        blocks = -(-rows // b)
-        width = span + b - 1
-        block = sliding_window_view(
-            np.concatenate([np.zeros(b - 1), self.taps, np.zeros(b - 1)]),
-            b)[:, ::-1].copy()
-        # (K m)[i] sits at padded[i]; H row p starts at 1 + k0 + p b
-        padded = np.zeros(n - self.offset + blocks * b)
-        hankel = sliding_window_view(padded[n - self.offset - span + 1:],
-                                     width)[::b]
-        result = np.empty((blocks, b))
-        products = []
-        for p0 in range(0, blocks, _CHUNK_BLOCKS):
-            p1 = p0 + _CHUNK_BLOCKS
-            # padded[n:] is 0, so row p0 reads nothing past column cols
-            cols = min(width, rows - p0 * b)
-            if cols == width:
-                # the leading chunks that read every column are one product
-                products, p0 = [], 0
-            products.append((hankel[p0:p1, :cols], block[:cols],
-                             result[p0:p1]))
-        object.__setattr__(self, "_padded", padded[:n])
-        object.__setattr__(self, "_products", products)
-        object.__setattr__(self, "_rows", result.ravel()[:rows])
+        count = len(self.rate) - 2 if self.near > 0.0 else 0  # T_2..T_top
+        span = max(1, min(count, int(_SCAN_EXPONENT / (self.slope or 1.0))))
+        chunks = np.zeros((-(-count // span), span))  # top padding stays 0
+        q = np.arange(span - 1, -1, -1)      # distance to the chunk's top
+        vars(self).update(   # the factors carry K; row 0 reads all of first
+            _diag=self.lattice[-1] * np.append(0.0, self.rate[1:])
+            - (self.rate + self.out),
+            _chunks=chunks, _sums=chunks.reshape(-1)[:count],
+            _up=np.resize(np.exp(self.slope * q), count)
+            * self.rate[2:2 + count],
+            _down=self.near * np.exp(-self.slope * q),
+            _carry=np.exp(-self.slope * (q + 1)),
+            _doubling=[(d, np.exp(-self.slope * span * d)) for d in
+                       2 ** np.arange((len(chunks) - 1).bit_length())],
+            _atoms=[(shift, weight * self.rate[1 + shift:])
+                    for shift, weight in self.atoms])
 
     def apply(self, m):
-        v = np.multiply(self.rate, m, out=self._padded)
-        dm = self.drain * m
+        dm = self._diag * m
         dm[1:] += self.out[:-1] * m[:-1]
-        dm[0] += self.head @ v
-        for h, c, y in self._products:
-            np.matmul(h, c, out=y)
-        dm[1:len(self._rows) + 1] += self._rows
+        dm[0] += self.first @ m
+        sums, chunks = self._sums, self._chunks
+        if len(sums):
+            # sums[j - 1] becomes near T_{j+1}, row j's share
+            np.multiply(m[2:], self._up, out=sums)
+            np.add.accumulate(chunks[:, ::-1], axis=1, out=chunks[:, ::-1])
+            chunks *= self._down
+            if len(chunks) > 1:
+                ends = chunks[:, 0].copy()   # chunk c's foot, T from c up
+                for d, factor in self._doubling:
+                    ends[:-d] += factor * ends[d:]
+                chunks[:-1] += ends[1:, None] * self._carry
+            dm[1:-1] += sums
+        for shift, weights in self._atoms:
+            dm[1:-shift] += weights * m[1 + shift:]
         return dm
 
 
@@ -227,24 +218,34 @@ def build_discrete_operator(model: ModelSpec,
     rate = np.array([model.frag.loss_rate(x) for x in centers])
 
     # the top cell's unit inflow: cum[k] is what lands below edge k and
-    # lattice[k] what lands in cell k.  The density part reads its exact
-    # cumulative P(u) = p((0,u]); each atom is located once
+    # lattice[k] what lands in cell k, with P(u) = P(1) u^(theta+1) in
+    # closed form: P(u_{k+1}) (1 - 1/g) below the own cell, u_k = e_k /
+    # x_top = r^(k - top - 1/2), g = r^(theta+1).  Each atom is located once
     top = n - 1
     measure = model.frag.ratio_measure
-    cum = np.zeros(n + 1)
+    cum, lattice = np.zeros(n + 1), np.zeros(n)
+    near = slope = 0.0
     if measure.density is not None:
         # edges / x > 0, so capping at 1 is the clip to [0, 1]
         cum = measure.cdf(np.minimum(edges / centers[top], 1.0))
-    lattice = np.diff(cum)
+        slope = (measure.theta + 1.0) * float(
+            np.log(edges[-1]) - np.log(edges[0])) / n
+        lattice[:top] = measure.cdf(1.0) * -np.expm1(-slope) * np.exp(
+            -slope * (np.arange(top, 0, -1) - 0.5))
+        lattice[top] = measure.cdf(1.0) * -np.expm1(-0.5 * slope)
+        near = float(lattice[top - 1])
+    atoms = []
     for u, w in measure.atoms:
         y = u * centers[top]
         cell = grid.locate(y) if y >= edges[0] else -1
         if cell >= 0:
             lattice[cell] += w
+        if 0 < cell < top:
+            atoms.append((top - cell, w))
         cum[cell + 1:] += w
     # column i: row 0 takes all below edge top - i + 1, rows 1..i read
     # lattice[top - i + 1:], and what lands below edge top - i is lost
-    head = cum[:0:-1].copy()   # contiguous, for a fast dot in apply
+    first = rate * cum[:0:-1]
     below = rate * cum[top::-1]
     tails = np.append(np.cumsum(lattice[::-1])[::-1], 0.0)
     frag_colsum = rate * (cum + tails)[:0:-1] - rate
@@ -253,11 +254,9 @@ def build_discrete_operator(model: ModelSpec,
             np.abs(expected))):
         raise DomainError(
             "fragmentation column sums disagree with K(x)(p((0,1))-1)")
-    band = np.flatnonzero(lattice[1:]) + 1
-    lo, hi = (int(band[0]), int(band[-1]) + 1) if len(band) else (1, 2)
-    stencil = ExchangeStencil(rate=rate, out=out, drain=-(rate + out),
-                              head=head, taps=lattice[lo:hi][::-1].copy(),
-                              offset=lo)
+    stencil = ExchangeStencil(rate=rate, out=out, first=first,
+                              lattice=lattice, near=near, slope=slope,
+                              atoms=tuple(atoms))
 
     # the same numbers as CSR: row 0 spans every column, and row j >= 1
     # spans columns j - 1..top, transport from j - 1 and then the exchange
@@ -273,10 +272,10 @@ def build_discrete_operator(model: ModelSpec,
     values = np.append(lattice, 0.0)[k]   # column j - 1 reads the 0
     del k
     values *= rate[cols]
-    values[:n] = rate * head
+    values[:n] = stencil.first
     values[indptr[1:n]] = out[:-1]
     diag = indptr[:-1] + np.arange(n) - first
-    values[diag] += stencil.drain
+    values[diag] -= rate + out
     matrix = sparse.csr_matrix((values, cols, indptr), shape=(n, n))
     matrix.eliminate_zeros()
     cfl_dt = _CFL_FACTOR / float(np.max(out + rate))

@@ -659,7 +659,8 @@ def test_threading_does_not_change_results(tmp_path, capsys):
 
 
 def test_blas_thread_count_does_not_change_results(tmp_path):
-    # at n = 2048 OpenBLAS splits the exchange products over two threads
+    # the march does no BLAS product; at n = 2048 only spectral's SuperLU
+    # factorization can split its BLAS calls over two threads
     cfg = _write(tmp_path, CANONICAL.replace("grid_n = 128", "grid_n = 2048")
                  .replace("t_end = 0.5", "t_end = 0.02"))
     src = os.path.dirname(os.path.dirname(growfrag.__file__))

@@ -253,6 +253,23 @@ def test_march_reports_its_product_and_steps(monkeypatch):
         assert traj.steps == len(products) == int(np.ceil(0.5 / op.cfl_dt))
 
 
+@pytest.mark.filterwarnings("ignore::growfrag.pde.BoundaryLeak")
+def test_steep_power_kernel_marches_without_overflow():
+    # theta = 200 on (1e-3, 1e3): the scan's factor g^k over the whole
+    # grid would be e^2777; its chunks keep each within e^36
+    model = ModelSpec(
+        growth=GrowthSpec.from_speed(lambda x: 1.0),
+        frag=FragmentationKernel.relative(lambda x: x, power_ratio(200.0)),
+        domain_hint=(1e-3, 1e3))
+    grid = SizeGrid.log_uniform(1e-3, 1e3, 256)
+    with np.errstate(over="raise"):
+        op = build_discrete_operator(model, grid)
+        traj = solve(model, grid, 1.0, t_end=0.01, operator=op)
+    m = traj.final.masses
+    assert np.all(np.isfinite(m)) and np.all(m >= 0.0)
+    assert traj.final.total_mass() > 0.0
+
+
 def test_floor_zeroes_denormal_range_masses():
     grid = SizeGrid.log_uniform(0.01, 40.0, 64)
     m0 = np.zeros(64)

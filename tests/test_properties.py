@@ -16,7 +16,8 @@ from growfrag.cli import _KNOWN_KEYS, dumps_stable, load_config, main
 from growfrag.errors import ConfigError, DomainError
 from growfrag.flow import FlowEngine
 from growfrag.model import (FragmentationKernel, GrowthSpec, ModelSpec,
-                            RatioMeasure, mitosis_ratio)
+                            RatioMeasure, mitosis_ratio, power_ratio,
+                            uniform_ratio)
 from growfrag.pde import (DensityState, SizeGrid,
                           build_discrete_operator, solve)
 
@@ -208,7 +209,9 @@ _STENCIL_KERNELS = st.one_of(
     st.tuples(st.just([]), _THETA))
 
 
-# n below the 64-row block, across it and past several 256-row products
+# n from two cells up.  The fuzzed densities have (theta + 1) ln(x_max /
+# x_min) <= 46, so the scan runs in one or two chunks; theta = 200 on
+# (1e-3, 1e3) cuts it into 79, whose factors would overflow on one scale
 @settings(max_examples=100, deadline=None)
 @given(kernel=_STENCIL_KERNELS, rate=_COEFFICIENTS, speed=_COEFFICIENTS,
        n=st.integers(2, 600), x_min=st.floats(1e-3, 0.5),
@@ -217,27 +220,32 @@ _STENCIL_KERNELS = st.one_of(
          x_min=0.01, x_max=40.0, seed=0)
 @example(kernel=([(0.5, 2.0)], None), rate=(1.0, 0.0), speed=(1.0, 0.0),
          n=1024, x_min=0.01, x_max=40.0, seed=1)
+@example(kernel=([], 200.0), rate=(1.0, 1.0), speed=(1.0, 0.0), n=1024,
+         x_min=1e-3, x_max=1e3, seed=2)
+@example(kernel=([], -0.95), rate=(1.0, 1.0), speed=(1.0, 0.0), n=1024,
+         x_min=0.01, x_max=40.0, seed=3)
+@example(kernel=([(0.3, 0.7)], "uniform"), rate=(1.0, 1.0),
+         speed=(1.0, 0.0), n=1024, x_min=0.01, x_max=40.0, seed=4)
 def test_blocked_exchange_matches_its_row_sums(kernel, rate, speed, n, x_min,
                                                x_max, seed):
     # row j >= 1 of the exchange is sum_{i >= j} lattice[top + j - i] K_i
-    # m_i, summed here term by term; apply must agree to 1e-13 of the sum
-    # of each row's absolute terms
+    # m_i, summed here term by term over the stencil's one lattice; apply
+    # must agree to 1e-13 of the sum of each row's absolute terms
     model = _relative_model(*kernel, rate, speed, x_min, x_max)
     stencil = build_discrete_operator(
         model, SizeGrid.log_uniform(x_min, x_max, n)).stencil
-    lattice = np.zeros(n)
-    lattice[stencil.offset:stencil.offset + len(stencil.taps)] = \
-        stencil.taps[::-1]
+    lattice = stencil.lattice
     m = _masses(seed, n)
     v = stencil.rate * m
+    drain = -(stencil.rate + stencil.out)
     got = stencil.apply(m)
     for j in range(n):
         if j == 0:
-            terms = np.append(stencil.head * v, stencil.drain[0] * m[0])
+            terms = np.append(stencil.first * m, drain[0] * m[0])
         else:
             terms = np.append(lattice[j:][::-1] * v[j:],
                               [stencil.out[j - 1] * m[j - 1],
-                               stencil.drain[j] * m[j]])
+                               drain[j] * m[j]])
         want = math.fsum(terms)
         assert abs(got[j] - want) <= 1e-13 * np.abs(terms).sum()
 
@@ -255,24 +263,31 @@ def test_grid_that_is_not_log_uniform_is_rejected():
 
 @pytest.mark.filterwarnings("ignore::growfrag.pde.BoundaryLeak")
 def test_atom_kernel_marches_on_one_tap():
-    # mitosis, the CLI kernel with no density part, keeps the one tap of
-    # its atom: the cell of x_top / 2.  Its march agrees with Euler steps
-    # on the sparse matrix
-    model = ModelSpec(
-        growth=GrowthSpec.from_speed(lambda x: 1.0),
-        frag=FragmentationKernel.relative(lambda x: 1.0, mitosis_ratio()),
-        domain_hint=(0.01, 40.0))
+    # mitosis, the CLI kernel with no density part, costs one shifted
+    # axpy: its atom lands in the cell of x_top / 2, and no scan runs.
+    # Its march, the canonical kernel's and power(-0.5)'s agree with Euler
+    # steps on the sparse matrix
     grid = SizeGrid.log_uniform(0.01, 40.0, 24)
-    op = build_discrete_operator(model, grid)
-    assert list(op.stencil.taps) == [2.0]
-    assert op.stencil.offset == grid.locate(grid.centers[-1] / 2.0)
-    dt = op.cfl_dt
-    traj = solve(model, grid, 1.0, 20 * dt, dt=dt, operator=op)
-    m = DensityState.point_mass(grid, 1.0).masses
-    for _ in range(20):
-        m = m + dt * (op.matrix @ m)
-    assert traj.steps == 20
-    assert np.allclose(traj.final.masses, m, rtol=1e-12, atol=1e-300)
+    for ratio, rate in ((mitosis_ratio(), lambda x: 1.0),
+                        (uniform_ratio(), lambda x: x),
+                        (power_ratio(-0.5), lambda x: x)):
+        model = ModelSpec(
+            growth=GrowthSpec.from_speed(lambda x: 1.0),
+            frag=FragmentationKernel.relative(rate, ratio),
+            domain_hint=(0.01, 40.0))
+        op = build_discrete_operator(model, grid)
+        if ratio.density is None:
+            top = grid.n_cells - 1
+            cell = grid.locate(grid.centers[-1] / 2.0)
+            assert op.stencil.atoms == ((top - cell, 2.0),)
+            assert op.stencil.near == 0.0
+        dt = op.cfl_dt
+        traj = solve(model, grid, 1.0, 20 * dt, dt=dt, operator=op)
+        m = DensityState.point_mass(grid, 1.0).masses
+        for _ in range(20):
+            m = m + dt * (op.matrix @ m)
+        assert traj.steps == 20
+        assert np.allclose(traj.final.masses, m, rtol=1e-12, atol=1e-300)
 
 
 # total(t) + floored_mass + outflow through x_max equals total(0) plus the
