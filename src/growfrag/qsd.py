@@ -269,7 +269,8 @@ def eta_estimate(model: ModelSpec, law: TiltedJumpLaw, grid, t_probe: float,
     Each probe runs independent paths to 1.5*t_probe; survival at
     t_probe and 1.5*t_probe gives the two-horizon consistency check
     (InconsistentEta beyond 10% relative drift).  At most 2^20 paths
-    per probe keep the per-probe random streams disjoint.
+    per probe keep the per-probe random streams disjoint.  The paths run
+    in turn on one generator, rekeyed to each path's stream.
     """
     if t_probe <= 0.0:
         raise DomainError("t_probe must be positive")
@@ -283,12 +284,14 @@ def eta_estimate(model: ModelSpec, law: TiltedJumpLaw, grid, t_probe: float,
     t_late = 1.5 * t_probe
     values = np.empty(len(probes))
     values_late = np.empty(len(probes))
+    rng = make_rng(seed, _ETA_STREAM_STRIDE)
     for k, x in enumerate(probes):
         alive_mid = alive_late = 0
         for i in range(n_paths):
-            trace = simulate_path(
-                model, law, float(x), t_late, seed=seed,
-                stream_id=(k + 1) * _ETA_STREAM_STRIDE + i)
+            state = PdmpState.fresh(
+                float(x), seed=seed,
+                stream_id=(k + 1) * _ETA_STREAM_STRIDE + i, rng=rng)
+            trace = simulate_path(model, law, float(x), t_late, state=state)
             death = np.inf if trace.alive else trace.points[-1][0]
             if death > t_probe:
                 alive_mid += 1

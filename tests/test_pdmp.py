@@ -26,6 +26,7 @@ from growfrag.pdmp import (
     mc_semigroup,
     next_jump_time,
     post_jump_sample,
+    rekey,
     simulate_path,
 )
 
@@ -48,6 +49,48 @@ def test_make_rng_reproducible_and_stream_independent():
     c = make_rng(42, 8).random(5)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 63, 2 ** 64 - 1])
+def test_rekey_matches_make_rng_bit_for_bit(seed):
+    n = 10_000
+    draws = (lambda g: g.random(n), lambda g: g.standard_exponential(n),
+             lambda g: g.integers(2 ** 32, size=n, dtype=np.uint32))
+    rng = make_rng(5, 9)
+    for stream_id in (0, 1, 7, 2 ** 20 + 3, 2 ** 32, 2 ** 64 - 1):
+        rng.integers(1000, dtype=np.uint32)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        assert rekey(rng, seed, stream_id) is rng
+        fresh = make_rng(seed, stream_id)
+        got, want = rng.bit_generator.state, fresh.bit_generator.state
+        for part in ("counter", "key"):
+            assert np.array_equal(got["state"][part], want["state"][part])
+        assert np.array_equal(got["buffer"], want["buffer"])
+        assert [got[k] for k in ("buffer_pos", "has_uint32", "uinteger")] \
+            == [want[k] for k in ("buffer_pos", "has_uint32", "uinteger")]
+        for draw in draws:
+            assert np.array_equal(draw(rng), draw(fresh))
+
+
+@pytest.mark.parametrize("seed, stream_id", [(-1, 0), (0, -1), (2 ** 64, 0)])
+def test_rekey_keeps_the_key_checks_of_make_rng(seed, stream_id):
+    with pytest.raises(OverflowError):
+        make_rng(seed, stream_id)
+    with pytest.raises(OverflowError):
+        rekey(make_rng(0, 0), seed, stream_id)
+
+
+def test_mc_semigroup_on_one_rekeyed_generator_matches_one_per_path(
+        monkeypatch):
+    model = make_canonical()
+    rekeyed = mc_semigroup(model, _tilted_law(model), [lambda y: y],
+                           1.0, 1.0, n_paths=200, seed=3)
+    monkeypatch.setattr(pdmp, "rekey", lambda rng, seed, stream_id:
+                        make_rng(seed, stream_id))
+    fresh = mc_semigroup(model, _tilted_law(model), [lambda y: y],
+                         1.0, 1.0, n_paths=200, seed=3)
+    assert rekeyed[0] == fresh[0]
+    assert rekeyed[1] == fresh[1]
 
 
 # -- waiting times ----------------------------------------------------------
