@@ -489,6 +489,7 @@ def cmd_qsd(cfg: RunConfig, out_dir: str) -> dict:
         "supported": res.supported,
         "config_sha256": cfg.sha256,
         "seed": cfg.seed,
+        "lambda0_ci": [res.ci[0] - report.b, res.ci[1] - report.b],
         "work": law.work_counters(),
     }
 

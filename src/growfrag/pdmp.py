@@ -10,6 +10,9 @@ kernel k_h(x,dy) = h(y)/h(x) k(x,dy).  Since
 the total rate collapses to r(x) = b + K(x) - d ln h/ds(x), so jump
 *times* are sampled by thinning without a kernel integral or h, against
 majorants of r read from a lazily built table (Lewis & Shedler 1979).
+Each proposal spends one exponential across the table's pieces, which
+inverts the piecewise constant majorant's cumulative hazard (Devroye
+1986, VI), so a piece the flow crosses without a proposal draws nothing.
 The tilted mass only enters the kill test at accepted jumps, and there
 it is read from a second lazily built table that brackets it; the exact
 quadrature runs only when the uniform of the test falls inside the
@@ -19,7 +22,8 @@ kernel (Devroye 1986, II.3), against a bound of the tilt h(ux)/h(x)
 read from a third table, of the running maximum of ln h.
 
 The semigroup is recovered through the h-transform
-T_t f(x) = e^{bt} h(x) E_x[ f(X_t)/h(X_t); t < zeta ].
+T_t f(x) = e^{bt} h(x) E_x[ f(X_t)/h(X_t); t < zeta ].  Its paths run in
+turn on one generator, rekeyed to each path's own stream (seed, path).
 """
 
 from __future__ import annotations
@@ -189,10 +193,6 @@ class _LatticeTable:
             if x < top:
                 return j, i
         return j + 1, 0
-
-    def following(self, j, i):
-        """(j, i) of the piece above piece i of the built panel j."""
-        return (j, i + 1) if i + 1 < len(self.panels[j]) else (j + 1, 0)
 
     def contents(self):
         return [c for pieces in self.panels.values() for _, c in pieces]
@@ -391,11 +391,16 @@ def next_jump_time(state: PdmpState, law: TiltedJumpLaw, horizon: float):
     t <= horizon; returns NO_JUMP when tau exceeds the horizon.  The flow
     from x crosses the pieces of law's majorant table in turn; a window
     runs from where it enters a piece to where it leaves it, at
-    t = s(top) - s(x), or to the horizon if that comes first.  Proposals
-    in a window are spaced by exponentials at the piece's majorant r_bar
-    and accepted with probability r/r_bar; a proposal with r > r_bar
-    doubles r_bar and redoes the window.  A piece with no majorant takes
-    one from r at _MAJORANT_POINTS points of the window's own arc.
+    t = s(top) - s(x), or to the horizon if that comes first.  Each
+    proposal spends one standard exponential e across the windows, which
+    inverts the cumulative hazard of the piecewise constant majorant
+    (Devroye 1986, VI): a window [t, t1) of majorant r_bar > 0 takes
+    r_bar (t1 - t) from e if e is at least that, and otherwise proposes
+    at t + e/r_bar, accepted with probability r/r_bar; a rejection draws
+    a new e where the proposal stands, and a window with r_bar <= 0
+    takes nothing.  A proposal with r > r_bar doubles r_bar and redoes
+    the window from its start with a new e.  A piece with no majorant
+    takes one from r at _MAJORANT_POINTS points of the window's own arc.
     """
     if state.position is CEMETERY:
         raise DomainError("jump time queried from the cemetery")
@@ -405,42 +410,46 @@ def next_jump_time(state: PdmpState, law: TiltedJumpLaw, horizon: float):
     build = law._majorant
     s_x = flow.s_of(x)
     j, i = table.locate(x, build)
+    e = rng.standard_exponential()
     t0 = 0.0
-    while t0 < horizon:
-        _, (s_top, r_bar) = table.pieces(j, build)[i]
-        t1 = min(s_top - s_x, horizon)
-        if r_bar is None:
-            last = _MAJORANT_POINTS - 1
-            r_bar = _MAJORANT_SAFETY * max(
-                law.r(flow.flow_at(x, t0 + (t1 - t0) * k / last))
-                for k in range(_MAJORANT_POINTS))
-        while True:
-            if r_bar > _MAJORANT_CEILING:
-                raise MajorantOverflow(
-                    f"thinning majorant {r_bar:g} exceeds {_MAJORANT_CEILING:g}")
-            if r_bar <= 0.0:
-                break
+    while True:
+        for _, (s_top, r_bar) in table.pieces(j, build)[i:]:
+            t1 = s_top - s_x
+            if t1 > horizon:
+                t1 = horizon
+            if r_bar is None:
+                last = _MAJORANT_POINTS - 1
+                r_bar = _MAJORANT_SAFETY * max(
+                    law.r(flow.flow_at(x, t0 + (t1 - t0) * k / last))
+                    for k in range(_MAJORANT_POINTS))
             t = t0
-            violated = False
-            while True:
-                t += rng.standard_exponential() / r_bar
-                if t >= t1:
+            while r_bar > 0.0:
+                if r_bar > _MAJORANT_CEILING:
+                    raise MajorantOverflow(f"thinning majorant {r_bar:g} "
+                                           f"exceeds {_MAJORANT_CEILING:g}")
+                t_next = t + e / r_bar
+                if t_next >= t1:
+                    # e outlasts the window: spend its share and keep the
+                    # rest, which rounding must not leave below 0
+                    e -= r_bar * (t1 - t)
+                    if e < 0.0:
+                        e = 0.0
                     break
+                t = t_next
                 law.proposals += 1
                 r_t = law.r(flow.flow_at(x, t))
                 if r_t > r_bar:
                     # majorant violated: double it and redo this window
                     r_bar = 2.0 * max(r_bar, r_t)
                     law.majorant_doublings += 1
-                    violated = True
-                    break
-                if rng.random() * r_bar <= r_t:
+                    t = t0
+                elif rng.random() * r_bar <= r_t:
                     return t
-            if not violated:
-                break
-        t0 = t1
-        j, i = table.following(j, i)
-    return NO_JUMP
+                e = rng.standard_exponential()
+            if t1 >= horizon:
+                return NO_JUMP
+            t0 = t1
+        j, i = j + 1, 0
 
 
 def post_jump_sample(state: PdmpState, law: TiltedJumpLaw):

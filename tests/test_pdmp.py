@@ -122,11 +122,15 @@ def test_zero_rate_never_jumps():
     assert next_jump_time(state, law, 100.0) is NO_JUMP
 
 
-@pytest.mark.parametrize("b, safety", [(0.0, None), (1000.0, 0.5)],
-                         ids=["table", "doubled"])
-def test_inhomogeneous_waiting_time_distribution(monkeypatch, b, safety):
-    # unit speed from x0 = 1 with r(x) = b + x gives rate b + 1 + u along
-    # the flow, so P(tau > t) = exp(-(b + 1) t - t^2/2).  A majorant of
+@pytest.mark.parametrize("b, safety, x0",
+                         [(0.0, None, 1.0), (1000.0, 0.5, 1.0),
+                          (0.0, None, 0.05)],
+                         ids=["table", "doubled", "table-from-0.05"])
+def test_inhomogeneous_waiting_time_distribution(monkeypatch, b, safety, x0):
+    # unit speed from x0 with r(x) = b + x gives rate b + x0 + u along the
+    # flow, so P(tau > t) = exp(-(b + x0) t - t^2/2).  From x0 = 0.05 the
+    # flow crosses a few dozen pieces before a typical first proposal, so
+    # the exponential spent across them is tested.  A majorant of
     # half the largest r on its piece lies below r all over the piece,
     # where r varies by less than 2x: a proposal there doubles it to a
     # true majorant.  A window that no proposal reaches keeps the low
@@ -138,15 +142,42 @@ def test_inhomogeneous_waiting_time_distribution(monkeypatch, b, safety):
     n = 2000
     draws = np.empty(n)
     for i in range(n):
-        state = PdmpState.fresh(1.0, seed=9, stream_id=i)
+        state = PdmpState.fresh(x0, seed=9, stream_id=i)
         tau = next_jump_time(state, law, 30.0)
         assert tau is not NO_JUMP
         draws[i] = tau
-    cdf = lambda t: 1.0 - np.exp(-(b + 1.0) * t - 0.5 * t * t)  # noqa: E731
+    cdf = lambda t: 1.0 - np.exp(-(b + x0) * t - 0.5 * t * t)  # noqa: E731
     assert kstest(draws, cdf).pvalue > 0.01
     assert (law.majorant_doublings > 0) == (safety is not None)
 
 
+class _CountingRng:
+    """A generator that counts its standard_exponential draws."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.exponentials = 0
+
+    def standard_exponential(self):
+        self.exponentials += 1
+        return self._rng.standard_exponential()
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+@pytest.mark.parametrize("x0", [1.0, 0.05])
+def test_thinning_draws_one_exponential_per_proposal(x0):
+    # a window the flow crosses without a proposal draws nothing: one
+    # exponential to start, then one after each rejection or doubling
+    law = _tilted_law(make_canonical())
+    for stream in range(200):
+        state = PdmpState.fresh(x0, seed=5, stream_id=stream)
+        state.rng = _CountingRng(state.rng)
+        before = law.proposals + law.majorant_doublings
+        next_jump_time(state, law, 10.0)
+        spent = law.proposals + law.majorant_doublings - before
+        assert state.rng.exponentials <= spent + 1
 def _sqrt_speed_model():
     """Speed sqrt(x), a curved scale, and rate x/(1+x): with h = 1 and
     b = 1, r = 1 + x/(1+x) rises along the flow and q = 1 - x/(1+x)."""

@@ -154,14 +154,15 @@ def test_fv_run_reproducible():
 
 # sha256 of snapshots.tobytes() + kill_times.tobytes(), pinned to the bits
 # of the scalar position_at replay and the argmin kill scan: the canonical
-# model under the pseudo-entrance weight (136 kills, children drawn against
-# the running-maximum table of ln h), mitosis under b = 1.3 (13 kills)
+# model under the pseudo-entrance weight (115 kills, children drawn against
+# the running-maximum table of ln h), mitosis under b = 1.3 (23 kills),
+# with one exponential spent per thinning proposal
 @pytest.mark.parametrize("name, n, t_end, seed, digest", [
     ("canonical", 40, 1.5, 3,
-     "6092f67ad3aafcd25e0275d1d2b73b8e4d2ec695a42ed87af7dbbeb23cb9517d"),
+     "3302588f61c4e08e706635cd51ccfff71f58dee469f132636f5ec90562d06f8f"),
     ("mitosis", 40, 2.0, 5,
-     "c5cdc03588f7ae4aa465b9682198f5dc62eb62e2811bbf7e445864292e5ff4dc"),
-])
+     "85999c37c6f0eeefb3434645ec2488ffe5199df96222ca0bd5e622e58b0dc995"),
+], ids=["canonical", "mitosis"])
 def test_fv_run_bits_are_pinned(name, n, t_end, seed, digest):
     if name == "canonical":
         model = make_canonical()
