@@ -531,6 +531,10 @@ def test_monte_carlo_runs_end_with_work_counters(tmp_path, capsys, command):
     if command == "qsd":
         # every Fleming-Viot kill is a kill of the jump process
         assert work["kills"] == payload["kills"]
+        # the interval on lambda0 is ci shifted by b, and precedes work
+        ci, b = payload["ci"], payload["b"]
+        assert payload["lambda0_ci"] == [ci[0] - b, ci[1] - b]
+        assert list(payload)[-2] == "lambda0_ci"
 
 
 def test_pde_runs_and_reports(tmp_path, capsys):
@@ -602,23 +606,10 @@ def test_qsd_reports_rate_identity(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["lambda0"] == pytest.approx(
         payload["lambda0X"] - payload["b"], abs=1e-15)
-    assert payload["supported"] is True
-    assert (tmp_path / "ensemble.csv").exists()
-
-
-@pytest.mark.parametrize("config", [CANONICAL, MITOSIS],
-                         ids=["canonical", "mitosis"])
-def test_qsd_reports_the_interval_on_lambda0(tmp_path, capsys, config):
-    cfg = _write(tmp_path, config)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        code, out, _ = _run(capsys, "qsd", "--config", cfg, "--out",
-                            str(tmp_path))
-    assert code == 0
-    payload = json.loads(out)
     ci, b = payload["ci"], payload["b"]
     assert payload["lambda0_ci"] == [ci[0] - b, ci[1] - b]
-    assert list(payload)[-2:] == ["lambda0_ci", "work"]
+    assert payload["supported"] is True
+    assert (tmp_path / "ensemble.csv").exists()
 
 
 def test_converge_critical_has_no_gap(tmp_path, capsys):
