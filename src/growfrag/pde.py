@@ -10,9 +10,10 @@ masses come from its closed-form cumulative P(u) = p((0,u]).
 
 The grid is log-uniform, so edges_j / x_i = r^(j-i-1/2) and the
 kernel's unit inflow from cell i into cell j >= 1 depends on i - j only:
-the assembly reads one lattice, the top cell's column, and spectral
-factors the sparse matrix built from it.  The density part of the
-lattice is geometric, so the march needs no matrix product: O(n) a step.
+the assembly reads one lattice, the top cell's column, and builds the
+sparse matrix from it.  The density part of the lattice is geometric,
+so the march needs no matrix product, O(n) a step, and spectral factors
+the resolvent on 3n unknowns that carry the geometric tail, O(n) too.
 
 Starting from a point mass at x0, pairing the solution against f gives
 the deterministic oracle for T_t f(x0).
@@ -179,13 +180,49 @@ class ExchangeStencil:
             dm[1:-shift] += weights * m[1 + shift:]
         return dm
 
+    def resolvent_factor(self, sigma):
+        """SuperLU factor of sigma*I - M on 3n unknowns (x, R, Q), O(n).
+
+        R_j = rate_{j+1} x_{j+1} + R_{j+1} / g (R_{n-1} = 0) is the
+        geometric tail that row j in 1..n-2 reads as near R_j, and Q_j =
+        first_j x_j + Q_{j+1} (Q_n = 0) the suffix sum row 0 reads as Q_0.
+        sigma*I - M is the Schur complement of this matrix on x, so the
+        first n entries of the solution for (y, 0, 0) are (sigma*I - M)^-1
+        y, and trans="T" solves the transpose.  For sigma above the Perron
+        root of M the matrix is a non-singular M-matrix, factored without
+        pivoting under a symmetric ordering: every multiplier is <= 0 and
+        every pivot > 0, so a non-negative y solves non-negative.
+        """
+        from scipy.sparse.linalg import splu
+
+        n = len(self.rate)
+        x = np.arange(n)
+        r, q = x + n, x + 2 * n
+        tail = x[1:1 + len(self._sums)]   # rows 1..n-2 with a density part
+        parts = [(x, x, sigma - self._diag), (x[1:], x[:-1], -self.out[:-1]),
+                 (tail, r[tail], -self.near), (x[:1], q[:1], -1.0),
+                 (r, r, 1.0), (r[tail], r[tail + 1], -np.exp(-self.slope)),
+                 (r[tail], x[tail + 1], -self.rate[tail + 1]),
+                 (q, q, 1.0), (q, x, -self.first), (q[:-1], q[1:], -1.0)]
+        parts += [(x[1:-shift], x[1 + shift:], -weights)
+                  for shift, weights in self._atoms]
+        rows = np.concatenate([i for i, _, _ in parts])
+        cols = np.concatenate([j for _, j, _ in parts])
+        values = np.concatenate([np.broadcast_to(v, i.shape)
+                                 for i, _, v in parts])
+        matrix = sparse.csc_matrix((values, (rows, cols)), shape=(3 * n,) * 2)
+        matrix.eliminate_zeros()
+        return splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True})
+
 
 @dataclass
 class DiscreteOperator:
     """Sparse generator M of dm/dt = M m, plus solver metadata.
 
-    stencil applies M without the matrix, and solve marches on it; only
-    an operator made by hand from a matrix, for spectral, has none.
+    stencil applies M without the matrix: solve marches on it, and
+    spectral factors its resolvent_factor.  Only an operator made by hand
+    from a matrix, for spectral, has none; spectral factors its matrix.
     """
 
     grid: SizeGrid

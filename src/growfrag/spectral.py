@@ -5,11 +5,13 @@ sigma above its Perron root rho0 the resolvent (sigma*I - M)^{-1} is
 positive on a strongly connected grid (sigma*I - M is a non-singular
 M-matrix).  principal_eigen runs inverse iteration on that resolvent and
 its transpose: the left eigenvector of M is the grid eigenfunction phi,
-the right eigenvector is the eigenmeasure m (cell weights).  sigma starts
-above the max column sum of M, a bound on rho0, and after each round
-moves toward hi = max (M^T u)_i / u_i, which the left iterate u puts
-below sigma and the Collatz-Wielandt bound puts at or above rho0: every
-sigma stays above rho0, so every iterate stays positive.  The rounds
+the right eigenvector is the eigenmeasure m (cell weights).  An operator
+with an exchange stencil is factored in O(n) through the stencil's
+resolvent_factor; one built by hand from a matrix factors sigma*I - M.
+sigma starts above the max column sum of M, a bound on rho0, and after
+each round moves toward hi = max (M^T u)_i / u_i, which the left iterate
+u puts below sigma and the Collatz-Wielandt bound puts at or above rho0:
+every sigma stays above rho0, so every iterate stays positive.  The rounds
 stop once both reach rounding: the bracket [min (M^T u)_i / u_i, hi] of
 rho0, to 1e3 eps of |hi| + max drain, and the residual M m - rho m at
 the two-sided Rayleigh quotient rho, to 1e3 eps of max |M| m.  lambda0
@@ -47,7 +49,7 @@ class SpectralTriple:
     phi: np.ndarray
     m: np.ndarray
     residuals: Tuple[float, float]
-    work: Dict[str, int]    # LU factorizations and triangular solves
+    work: Dict[str, int]    # LU factorizations, solves, the last factor's nnz
 
     def m_of(self, f: Callable) -> float:
         """m(f) = sum_i f(x_i) m_i (midpoint pairing)."""
@@ -95,15 +97,21 @@ def principal_eigen(op: DiscreteOperator, psi: WeightFunction
     n = matrix.shape[0]
     if matrix.shape != (n, n) or n < 2:
         raise DomainError("operator matrix must be square with >= 2 cells")
-    _require_strongly_connected(matrix.copy())
+    _require_strongly_connected(matrix)
 
     drain = np.maximum(-matrix.diagonal(), 0.0)
     max_drain = float(np.max(drain))
     if max_drain <= 0.0:
         raise DomainError("generator diagonal must contain drain terms")
-    matrix_c = matrix.tocsc()
-    matrix_t = matrix_c.T           # CSR on matrix_c's arrays
-    eye = identity(n, format="csc")
+    matrix_t = matrix.T             # CSC on matrix's arrays
+    if op.stencil is None:          # made by hand: factor sigma*I - M itself
+        matrix_c = matrix.tocsc()
+        eye = identity(n, format="csc")
+
+        def factor(sigma):
+            return splu(sigma * eye - matrix_c)
+    else:
+        factor = op.stencil.resolvent_factor
     # the max column sum c of a Metzler matrix bounds its Perron root;
     # doubling |c| + 1 keeps sigma - M_jj clear of the rounding of c
     sigma = 2.0 * (abs(float(np.max(np.asarray(matrix.sum(axis=0))))) + 1.0)
@@ -111,11 +119,14 @@ def principal_eigen(op: DiscreteOperator, psi: WeightFunction
     u = np.ones(n)          # left vector of M: eigenfunction phi
     for rounds in range(1, _MAX_ROUNDS + 1):
         lu = None   # free the old factors before the new are built
-        lu = splu(sigma * eye - matrix_c)
+        lu = factor(sigma)
+        rhs = np.zeros(lu.shape[0])     # zero past n: the stencil's R and Q
         for _ in range(_SOLVES):
-            v = lu.solve(v)
+            rhs[:n] = v
+            v = lu.solve(rhs)[:n]
             v /= v.max()
-            u = lu.solve(u, trans="T")
+            rhs[:n] = u
+            u = lu.solve(rhs, trans="T")[:n]
             u /= u.max()
         if np.any(u <= 0.0) or np.any(v < 0.0):
             raise Reducible("dominant eigenvectors are not positive")
@@ -154,7 +165,8 @@ def principal_eigen(op: DiscreteOperator, psi: WeightFunction
         phi=phi,
         m=m,
         residuals=(right_res, left_res),
-        work={"factorizations": rounds, "solves": 2 * rounds * _SOLVES},
+        work={"factorizations": rounds, "solves": 2 * rounds * _SOLVES,
+              "factor_nnz": int(lu.nnz)},
     )
 
 

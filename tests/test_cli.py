@@ -340,14 +340,21 @@ def test_spectral_reports_negative_lambda0(tmp_path, capsys):
 
 
 def test_spectral_ends_with_work_counters(tmp_path, capsys):
-    # three rounds of inverse iteration, twelve solves per vector each
-    cfg = _write(tmp_path, CANONICAL)
-    code, out, _ = _run(capsys, "spectral", "--config", cfg, "--out",
-                        str(tmp_path))
-    assert code == 0
-    payload = json.loads(out)
-    assert list(payload)[-1] == "work"
-    assert payload["work"] == {"factorizations": 3, "solves": 72}
+    # three rounds of inverse iteration, twelve solves per vector each, on
+    # a factor whose size grows like n
+    works = []
+    for n in (128, 1024):
+        cfg = _write(tmp_path, CANONICAL.replace("grid_n = 128",
+                                                 f"grid_n = {n}"))
+        code, out, _ = _run(capsys, "spectral", "--config", cfg, "--out",
+                            str(tmp_path))
+        assert code == 0
+        payload = json.loads(out)
+        assert list(payload)[-1] == "work"
+        works.append(payload["work"])
+    assert works[0] == {"factorizations": 3, "solves": 72,
+                        "factor_nnz": 1972}
+    assert works[1]["factor_nnz"] <= 64 * 1024
 
 
 def test_spectral_assembles_singular_power_kernel(tmp_path, capsys):

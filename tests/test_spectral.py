@@ -1,9 +1,12 @@
 """Principal eigen-elements and spectral-gap rate fitting."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from growfrag.errors import DomainError, RatePositive, Reducible
 from growfrag.model import (FragmentationKernel, GrowthSpec, ModelSpec,
@@ -73,11 +76,12 @@ def test_normalizations(canonical_triple):
     assert np.all(canonical_triple.phi > 0.0)
 
 
-def _power_kernel_model():
-    """CANONICAL with the singular ratio density p(du) = 1.5 u^-0.5 du."""
+def _power_kernel_model(theta=-0.5):
+    """CANONICAL with the ratio density p(du) = (theta+2) u^theta du,
+    singular at u = 0 by default."""
     return ModelSpec(
         growth=GrowthSpec.from_speed(lambda x: 1.0),
-        frag=FragmentationKernel.relative(lambda x: x, power_ratio(-0.5)),
+        frag=FragmentationKernel.relative(lambda x: x, power_ratio(theta)),
         domain_hint=(0.01, 40.0),
         irreducible=True,
     )
@@ -92,12 +96,16 @@ def _shape_gap(got, want):
     return float(np.max(np.abs(got[kept] - want[kept]) / want[kept]))
 
 
-@pytest.mark.parametrize("make_model, domain", [
+_MODELS = [
     (make_canonical, (0.01, 40.0)),
     (make_mitosis, (0.01, 40.0)),
     (_power_kernel_model, (0.01, 40.0)),
     (make_critical, (0.02, 40.0)),      # the CLI's CRITICAL domain
-], ids=["canonical", "mitosis", "power", "critical"])
+]
+_MODEL_IDS = ["canonical", "mitosis", "power", "critical"]
+
+
+@pytest.mark.parametrize("make_model, domain", _MODELS, ids=_MODEL_IDS)
 def test_matches_dense_eigensolver(make_model, domain):
     grid = SizeGrid.log_uniform(domain[0], domain[1], 256)
     op = build_discrete_operator(make_model(), grid)
@@ -107,6 +115,37 @@ def test_matches_dense_eigensolver(make_model, domain):
     assert triple.lambda0 == pytest.approx(-eigvals[k].real, abs=1e-12)
     assert _shape_gap(triple.m, right[:, k].real) <= 1e-7
     assert _shape_gap(triple.phi, left[:, k].real) <= 1e-7
+
+
+@pytest.mark.parametrize("make_model, domain", _MODELS + [
+    (lambda: _power_kernel_model(200.0), (1e-3, 1e3)),
+    (make_canonical, (1e-12, 40.0)),
+], ids=_MODEL_IDS + ["power200", "canonical-wide"])
+def test_stencil_factor_solves_the_resolvent(make_model, domain):
+    # the stencil's O(n) factor solves sigma*I - M and its transpose as the
+    # direct factor does, and keeps a non-negative right-hand side's
+    # solution non-negative, also with sigma near the Perron root
+    grid = SizeGrid.log_uniform(domain[0], domain[1], 256)
+    op = build_discrete_operator(make_model(), grid)
+    n = grid.n_cells
+    matrix = op.matrix.tocsc()
+    sigma = 2.0 * (abs(float(np.max(np.asarray(matrix.sum(axis=0))))) + 1.0)
+    direct = splu(sigma * sparse.identity(n, format="csc") - matrix)
+    rho = -principal_eigen(op, constant_weight(1.0)).lambda0
+    rng = np.random.default_rng(5)
+    rhs = [np.ones(n), np.eye(n)[0], np.eye(n)[-1],
+           rng.random(n) * (rng.random(n) < 0.5)]
+    # principal_eigen's first shift, and the one two rounds on
+    for shift in (sigma, rho + 1e-4 * (sigma - rho)):
+        lu = op.stencil.resolvent_factor(shift)
+        for y, trans in itertools.product(rhs, ("N", "T")):
+            got = lu.solve(np.append(y, np.zeros(2 * n)), trans=trans)[:n]
+            assert np.all(got >= 0.0)
+            if shift == sigma:
+                want = direct.solve(y, trans=trans)
+                kept = want >= 1e-6 * want.max()
+                assert np.max(np.abs(got[kept] - want[kept])
+                              / want[kept]) <= 1e-12
 
 
 def test_refinement_contracts(canonical_model):
