@@ -434,6 +434,7 @@ def cmd_pde(cfg: RunConfig, out_dir: str) -> dict:
         "below_domain_mass": traj.below_domain_mass,
         "steps": traj.steps,
         "floored_mass": traj.floored_mass,
+        "floor_scans": traj.floor_scans,
         "grid_n": cfg.grid_n,
         "config_sha256": cfg.sha256,
         "seed": cfg.seed,

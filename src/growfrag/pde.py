@@ -15,6 +15,15 @@ sparse matrix from it.  The density part of the lattice is geometric,
 so the march needs no matrix product, O(n) a step, and spectral factors
 the resolvent on 3n unknowns that carry the geometric tail, O(n) too.
 
+A step writes m + h M m into a spare buffer as one pass of non-negative
+terms: (1 + h diag) m, the transport shift, row 0, the scan and the
+atoms, each coefficient scaled by h once per distinct step size.  The
+CFL bound h <= 0.9 / max(out + rate) keeps 1 + h diag >= 0.1, so a
+non-negative m steps to a non-negative m in rounding too; heun is
+(m + E(E m)) / 2 with E = I + h M.  A pass moves mass right by at most
+one cell, so the floor tests the newly reached cell alone and scans the
+cells behind the front only when one of them falls below it.
+
 Starting from a point mass at x0, pairing the solution against f gives
 the deterministic oracle for T_t f(x0).
 """
@@ -38,6 +47,7 @@ _MIN_DT = 1e-12
 _LEAK_WARN_FRACTION = 1e-3
 _MASS_FLOOR = 1e-250      # cell masses below this fraction of the total
 _SCAN_EXPONENT = 36.0     # largest |ln| of a scale factor in the exchange scan
+_PASSES = {"euler": 1, "heun": 2}   # stencil passes in one step
 
 
 class BoundaryLeak(UserWarning):
@@ -130,8 +140,8 @@ class ExchangeStencil:
     rows, so no factor leaves [e^-36, e^36]; a doubling scan carries each
     chunk's foot into the chunks below.  All terms are non-negative, so
     each row keeps its relative accuracy.  Each atom in cells 1..top-1,
-    (top - cell, weight) in atoms, is one shifted axpy.  apply writes
-    into buffers the stencil owns: one stencil serves one march at a time.
+    (top - cell, weight) in atoms, is one shifted axpy.  apply scans in
+    buffers the stencil owns: one stencil serves one march at a time.
     """
 
     rate: np.ndarray
@@ -159,26 +169,62 @@ class ExchangeStencil:
                        2 ** np.arange((len(chunks) - 1).bit_length())],
             _atoms=[(shift, weight * self.rate[1 + shift:])
                     for shift, weight in self.atoms])
+        vars(self)["_product"] = self._terms(0.0, 1.0)
 
-    def apply(self, m):
-        dm = self._diag * m
-        dm[1:] += self.out[:-1] * m[:-1]
-        dm[0] += self.first @ m
+    def _terms(self, unit, h):
+        """Coefficients of unit*I + h*M: the diagonal, then the transport
+        shift, row 0's first, the scan's down factors and the atoms'
+        weights, each scaled by h."""
+        return (unit + h * self._diag, h * self.out[:-1], h * self.first,
+                h * self._down, [(shift, h * weights)
+                                 for shift, weights in self._atoms])
+
+    def apply(self, m, terms=None, out=None):
+        """M m, or with the terms of a stepper unit*I + h*M applied to m,
+        written into out (a new array by default).  Only the diagonal
+        term can be negative, so with unit = 1 and 1 + h diag >= 0 a
+        non-negative m gives a non-negative result in rounding too."""
+        diag, shift, first, down, atoms = terms or self._product
+        dm = np.multiply(diag, m, out=out)
+        dm[1:] += shift * m[:-1]
+        dm[0] += first @ m
         sums, chunks = self._sums, self._chunks
         if len(sums):
             # sums[j - 1] becomes near T_{j+1}, row j's share
             np.multiply(m[2:], self._up, out=sums)
             np.add.accumulate(chunks[:, ::-1], axis=1, out=chunks[:, ::-1])
-            chunks *= self._down
+            chunks *= down
             if len(chunks) > 1:
                 ends = chunks[:, 0].copy()   # chunk c's foot, T from c up
                 for d, factor in self._doubling:
                     ends[:-d] += factor * ends[d:]
                 chunks[:-1] += ends[1:, None] * self._carry
             dm[1:-1] += sums
-        for shift, weights in self._atoms:
+        for shift, weights in atoms:
             dm[1:-shift] += weights * m[1 + shift:]
         return dm
+
+    def stepper(self, h, method):
+        """One time step of length h as step(m, out), written into out.
+
+        euler is E m with E = I + h M, one pass of apply; heun is
+        (m + E(E m)) / 2, two passes and one axpy, the same polynomial
+        m + h M m + h^2 M^2 m / 2 as the trapezoidal predictor-corrector.
+        For h within the CFL bound 1 + h diag >= 0.1, so both map a
+        non-negative m to a non-negative result.  A heun stepper owns
+        its predictor buffer.
+        """
+        terms = self._terms(1.0, h)
+        if method == "euler":
+            return lambda m, out: self.apply(m, terms, out)
+        pred = np.empty(len(self.rate))
+
+        def heun(m, out):
+            self.apply(self.apply(m, terms, pred), terms, out)
+            out += m
+            out *= 0.5
+            return out
+        return heun
 
     def resolvent_factor(self, sigma):
         """SuperLU factor of sigma*I - M on 3n unknowns (x, R, Q), O(n).
@@ -325,13 +371,15 @@ class Trajectory:
     """Checkpointed solver output.
 
     steps counts the time steps taken; floored_mass is the total of the
-    cell masses the floor set to 0.
+    cell masses the floor set to 0, and floor_scans the number of steps
+    whose floor scanned every cell behind the front.
     """
 
     states: List[DensityState]
     below_domain_mass: float = 0.0
     steps: int = 0
     floored_mass: float = 0.0
+    floor_scans: int = 0
 
     @property
     def final(self):
@@ -353,6 +401,12 @@ class Trajectory:
                 for s in self.states]
 
 
+def _front(m):
+    """Index of the last nonzero cell, 0 when there is none."""
+    nonzero = np.flatnonzero(m)
+    return int(nonzero[-1]) if len(nonzero) else 0
+
+
 def solve(model: ModelSpec, grid: SizeGrid, u0, t_end: float,
           dt: Optional[float] = None, method: str = "euler",
           checkpoints=None, operator: Optional[DiscreteOperator] = None
@@ -361,10 +415,20 @@ def solve(model: ModelSpec, grid: SizeGrid, u0, t_end: float,
 
     u0 is a DensityState or a point-mass location x0.  Checkpoints are
     hit exactly by shortening the step; the trajectory records them plus
-    the final state.  After each step, cell masses below 1e-250 of the
-    total (negative ones included) are set to 0, which keeps subnormal
-    numbers out of the products.
+    the final state.  Each step is one stepper of the stencil per
+    distinct step size, written into a spare buffer.
+
+    After each step, cell masses below 1e-250 of the total are set to 0,
+    which keeps subnormal numbers out of the products.  A pass moves
+    mass right by at most one cell, so every cell past the front, the
+    last nonzero cell plus one cell per pass, stays exactly 0: only the
+    newly reached cells are tested one by one, and the whole vector
+    behind the front only when its minimum falls below the floor.
     """
+    if not np.isfinite(t_end):
+        raise DomainError(f"t_end={t_end!r} must be finite")
+    if dt is not None and not 0.0 < dt < np.inf:
+        raise DomainError(f"dt={dt!r} must be positive and finite")
     if operator is None:
         operator = build_discrete_operator(model, grid)
     if operator.stencil is None:
@@ -383,42 +447,51 @@ def solve(model: ModelSpec, grid: SizeGrid, u0, t_end: float,
     elif dt > operator.cfl_dt + 1e-15:
         raise CFLViolation(
             f"dt={dt:g} exceeds the positivity bound {operator.cfl_dt:g}")
-    if method not in ("euler", "heun"):
+    if method not in _PASSES:
         raise DomainError(f"unknown time stepper {method!r}")
 
     marks = sorted(set(float(t) for t in (checkpoints or []))
                    | {float(t_end)})
     if any(t < state.time or t > t_end for t in marks):
         raise DomainError("checkpoints must lie in [t0, t_end]")
-    product = operator.stencil.apply
+    steppers = {}
     below = operator.below_inflow
     m = state.masses
+    spare = np.empty_like(m)
+    front, n, reach = _front(m), len(m), _PASSES[method]
     t = state.time
     leak = floored = 0.0
-    steps = 0
+    steps = scans = 0
     out = []
     for mark in marks:
         # a relative tolerance: the accumulated t may fall short of a
         # late mark by a few ulps, which must not cost one more step
         while t < mark - 1e-12 * max(mark, dt):
             step = min(dt, mark - t)
-            rate0 = product(m)
-            if method == "euler":
-                m_new = m + step * rate0
-            else:
-                pred = m + step * rate0
-                m_new = m + 0.5 * step * (rate0 + product(pred))
+            if step not in steppers:
+                steppers[step] = operator.stencil.stepper(step, method)
+            m_new = steppers[step](m, spare)
             total = m.sum()
-            low = m_new.min()
+            floor = _MASS_FLOOR * total
+            low = m_new[:front + 1].min()
             if low < -1e-9 * max(total, 1e-300):
                 raise NegativeMass(
                     f"negative cell mass {low:g} at t={t + step:g}")
-            if low < _MASS_FLOOR * total:
-                tiny = m_new < _MASS_FLOOR * total
-                floored += float(m_new[tiny].sum())
-                np.putmask(m_new, tiny, 0.0)
+            for k in range(front + 1, min(front + 1 + reach, n)):
+                if m_new[k] < floor:
+                    floored += float(m_new[k])
+                    m_new[k] = 0.0
+                else:
+                    front = k
+            if low < floor:
+                behind = m_new[:front + 1]
+                tiny = behind < floor
+                floored += float(behind[tiny].sum())
+                np.putmask(behind, tiny, 0.0)
+                front = _front(behind)
+                scans += 1
             leak += step * float(below @ m)
-            m = m_new
+            m, spare = m_new, m
             t += step
             steps += 1
         out.append(DensityState(grid=grid, masses=m.copy(), time=mark))
@@ -428,4 +501,4 @@ def solve(model: ModelSpec, grid: SizeGrid, u0, t_end: float,
             f"fragmentation inflow below x_min reached {leak:g} "
             f"({leak / total:.2%} of final mass)", BoundaryLeak)
     return Trajectory(states=out, below_domain_mass=leak, steps=steps,
-                      floored_mass=floored)
+                      floored_mass=floored, floor_scans=scans)

@@ -552,6 +552,9 @@ def test_pde_runs_and_reports(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["summary"][-1]["t"] == pytest.approx(0.5)
     assert (tmp_path / "density.csv").exists()
+    # every cell behind the front stays above the floor, so no step
+    # scans the whole vector
+    assert payload["steps"] > 0 and payload["floor_scans"] == 0
 
 
 def test_pde_runs_on_a_grid_whose_edges_multiply_past_overflow(tmp_path,

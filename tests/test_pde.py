@@ -168,6 +168,23 @@ def test_cfl_violation_raised():
         solve(model, grid, 1.0, t_end=0.1, dt=op.cfl_dt * 10.0, operator=op)
 
 
+@pytest.mark.parametrize("dt", [0.0, -1e-4, float("nan"), float("inf")])
+def test_bad_step_size_is_a_domain_error_naming_dt(dt):
+    # dt = 0 once looped forever, nan stopped after one step at t = nan
+    # and a negative dt was reported as a negative mass
+    grid = SizeGrid.log_uniform(0.01, 40.0, 64)
+    with pytest.raises(DomainError, match="dt"):
+        solve(make_mitosis(), grid, 1.0, t_end=0.5, dt=dt)
+
+
+@pytest.mark.parametrize("t_end", [float("nan"), float("inf"),
+                                   float("-inf")])
+def test_non_finite_horizon_is_a_domain_error_naming_t_end(t_end):
+    grid = SizeGrid.log_uniform(0.01, 40.0, 64)
+    with pytest.raises(DomainError, match="t_end"):
+        solve(make_mitosis(), grid, 1.0, t_end=t_end)
+
+
 def test_checkpoints_hit_exactly():
     model = make_mitosis()
     grid = SizeGrid.log_uniform(0.01, 40.0, 128)
@@ -239,18 +256,23 @@ def test_solution_support_bound():
 @pytest.mark.filterwarnings("ignore::growfrag.pde.BoundaryLeak")
 def test_march_reports_its_product_and_steps(monkeypatch):
     # a density kernel and mitosis alike march on the Toeplitz stencil,
-    # one product per Euler step, and never read the sparse matrix
+    # one pass per Euler step and two per Heun step, and never read the
+    # sparse matrix
     grid = SizeGrid.log_uniform(0.01, 40.0, 64)
     products = []
     apply = ExchangeStencil.apply
     monkeypatch.setattr(ExchangeStencil, "apply",
-                        lambda self, m: products.append(1) or apply(self, m))
+                        lambda self, *args: products.append(1)
+                        or apply(self, *args))
     for model in (make_canonical(), make_mitosis()):
         op = build_discrete_operator(model, grid)
         op.matrix = None
-        products.clear()
-        traj = solve(model, grid, 1.0, t_end=0.5, operator=op)
-        assert traj.steps == len(products) == int(np.ceil(0.5 / op.cfl_dt))
+        for method, passes in (("euler", 1), ("heun", 2)):
+            products.clear()
+            traj = solve(model, grid, 1.0, t_end=0.5, method=method,
+                         operator=op)
+            assert traj.steps == int(np.ceil(0.5 / op.cfl_dt))
+            assert len(products) == passes * traj.steps
 
 
 @pytest.mark.filterwarnings("ignore::growfrag.pde.BoundaryLeak")
@@ -268,6 +290,42 @@ def test_steep_power_kernel_marches_without_overflow():
     m = traj.final.masses
     assert np.all(np.isfinite(m)) and np.all(m >= 0.0)
     assert traj.final.total_mass() > 0.0
+
+
+_POWER_HALF = ModelSpec(
+    growth=GrowthSpec.from_speed(lambda x: 1.0),
+    frag=FragmentationKernel.relative(lambda x: x, power_ratio(-0.5)),
+    domain_hint=(0.01, 40.0))
+
+
+@pytest.mark.filterwarnings("ignore::growfrag.pde.BoundaryLeak")
+@pytest.mark.parametrize("model", [make_canonical(), make_mitosis(),
+                                   _POWER_HALF],
+                         ids=["canonical", "mitosis", "power-0.5"])
+def test_front_tracked_floor_matches_the_full_floor(model):
+    # from a point mass the front crosses more than 100 cells in 400
+    # steps with cells still 0 past it; Euler steps on the sparse matrix
+    # that floor every cell must give the same zeros, and the same cells
+    # and floored mass to 1e-12
+    grid = SizeGrid.log_uniform(0.01, 40.0, 512)
+    op = build_discrete_operator(model, grid)
+    dt = op.cfl_dt
+    traj = solve(model, grid, 1.0, 400 * dt, dt=dt, operator=op)
+    m = DensityState.point_mass(grid, 1.0).masses
+    floored = 0.0
+    for _ in range(400):
+        new = m + dt * (op.matrix @ m)
+        tiny = new < 1e-250 * m.sum()
+        floored += new[tiny].sum()
+        new[tiny] = 0.0
+        m = new
+    got = traj.final.masses
+    assert traj.steps == 400
+    assert np.flatnonzero(m)[-1] - grid.locate(1.0) > 100 and m[-1] == 0.0
+    assert np.array_equal(got == 0.0, m == 0.0)
+    kept = m != 0.0
+    assert np.all(np.abs(got[kept] - m[kept]) <= 1e-12 * m[kept])
+    assert traj.floored_mass == pytest.approx(floored, rel=1e-12, abs=0.0)
 
 
 def test_floor_zeroes_denormal_range_masses():

@@ -199,6 +199,33 @@ def test_stencil_product_matches_matrix(atoms, density, rate, speed, n,
     assert np.all(np.abs(got - want) <= 1e-10 * (abs(op.matrix) @ m))
 
 
+@settings(max_examples=100, deadline=None)
+@given(atoms=_ATOMS, density=_DENSITIES, rate=_COEFFICIENTS,
+       speed=_COEFFICIENTS, n=st.integers(8, 48),
+       x_min=st.floats(1e-3, 0.5), x_max=st.floats(2.0, 100.0),
+       seed=st.integers(0, 2 ** 32 - 1),
+       method=st.sampled_from(["euler", "heun"]))
+def test_step_maps_non_negative_masses_to_non_negative(
+        atoms, density, rate, speed, n, x_min, x_max, seed, method):
+    # at the CFL step 1 + dt diag >= 0.1 and every other term of a step is
+    # a product of non-negative numbers, so a step with no floor keeps
+    # every sign bit clear; it must agree with the step on the sparse
+    # matrix to 1e-12 of each cell, or of the smallest normal number for
+    # cells whose products underflow
+    model = _relative_model(atoms, density, rate, speed, x_min, x_max)
+    op = build_discrete_operator(model, SizeGrid.log_uniform(x_min, x_max,
+                                                             n))
+    dt = op.cfl_dt
+    m = _masses(seed, n)
+    got = op.stencil.stepper(dt, method)(m, np.empty(n))
+    assert not np.signbit(got).any()
+    rate0 = op.matrix @ m
+    want = m + dt * rate0 if method == "euler" else \
+        m + 0.5 * dt * (rate0 + op.matrix @ (m + dt * rate0))
+    tiny = np.finfo(float).tiny
+    assert np.all(np.abs(got - want) <= 1e-12 * got + n * tiny)
+
+
 # one atom, an atom plus a density, or a power density alone
 _ATOM = st.lists(st.tuples(st.floats(0.01, 0.99), st.floats(0.01, 3.0)),
                  min_size=1, max_size=1)
