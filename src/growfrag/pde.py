@@ -10,10 +10,11 @@ masses come from its closed-form cumulative P(u) = p((0,u]).
 
 The grid is log-uniform, so edges_j / x_i = r^(j-i-1/2) and the
 kernel's unit inflow from cell i into cell j >= 1 depends on i - j only:
-the assembly reads one lattice, the top cell's column, and builds the
-sparse matrix from it.  The density part of the lattice is geometric,
-so the march needs no matrix product, O(n) a step, and spectral factors
-the resolvent on 3n unknowns that carry the geometric tail, O(n) too.
+the assembly reads one lattice, the top cell's column, and keeps M as
+that stencil, O(n) numbers; no n x n matrix is built.  The density part
+of the lattice is geometric, so M m and M^T u are O(n) scans, and
+spectral factors the resolvent on 3n unknowns that carry the geometric
+tail, O(n) too; the same 3n-node graph gives M's strong components.
 
 A step writes m + h M m into a spare buffer as one pass of non-negative
 terms: (1 + h diag) m, the transport shift, row 0, the scan and the
@@ -37,6 +38,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import csgraph
 
 from .errors import (CFLUnsatisfiable, CFLViolation, DomainError,
                      NegativeMass)
@@ -163,6 +165,7 @@ class ExchangeStencil:
             _chunks=chunks, _sums=chunks.reshape(-1)[:count],
             _up=np.resize(np.exp(self.slope * q), count)
             * self.rate[2:2 + count],
+            _rise=np.resize(np.exp(self.slope * q[::-1]), count),
             _down=self.near * np.exp(-self.slope * q),
             _carry=np.exp(-self.slope * (q + 1)),
             _doubling=[(d, np.exp(-self.slope * span * d)) for d in
@@ -204,6 +207,33 @@ class ExchangeStencil:
             dm[1:-shift] += weights * m[1 + shift:]
         return dm
 
+    def apply_transpose(self, u):
+        """M^T u, a new array.  Column i >= 2 reads near K_i S_{i-1}, S_k =
+        sum_{1 <= j <= k} g^-(k-j) u_j: a forward cumulative sum of
+        g^(j-b) u_j scaled back by g^-(k-b), b the foot of a chunk, in
+        apply's chunks, so no factor leaves [e^-36, e^36]; the doubling
+        scan carries each chunk's top into the chunks above.  The
+        transport, row 0 and the atoms are apply's, transposed."""
+        du = self._diag * u
+        du += self.first * u[0]
+        du[:-1] += self.out[:-1] * u[1:]
+        count = len(self._sums)
+        if count:
+            chunks = np.zeros_like(self._chunks)
+            sums = chunks.reshape(-1)[:count]   # sums[k - 1] becomes S_k
+            np.multiply(u[1:1 + count], self._rise, out=sums)
+            np.add.accumulate(chunks, axis=1, out=chunks)
+            chunks *= self._down[::-1]
+            if len(chunks) > 1:
+                ends = chunks[:, -1].copy()   # chunk c's top, S from c down
+                for d, factor in self._doubling:
+                    ends[d:] += factor * ends[:-d]
+                chunks[1:] += ends[:-1, None] * self._carry[::-1]
+            du[2:] += self.rate[2:] * sums
+        for shift, weights in self._atoms:
+            du[1 + shift:] += weights * u[1:-shift]
+        return du
+
     def stepper(self, h, method):
         """One time step of length h as step(m, out), written into out.
 
@@ -241,6 +271,21 @@ class ExchangeStencil:
         """
         from scipy.sparse.linalg import splu
 
+        return splu(self._augmented(sigma), permc_spec="MMD_AT_PLUS_A",
+                    diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+
+    def strong_components(self):
+        """Number of strong components of M's graph, from the 3n-node
+        graph of resolvent_factor's matrix: a path from cell i to cell j
+        through R and Q nodes is an entry of the Schur complement sigma*I -
+        M, and an M-matrix's Schur complement has no cancellation, so two
+        cells share a component there exactly when they share one in M."""
+        _, labels = csgraph.connected_components(
+            self._augmented(0.0), directed=True, connection="strong")
+        return len(np.unique(labels[:len(self.rate)]))
+
+    def _augmented(self, sigma):
+        """resolvent_factor's CSC matrix on (x, R, Q), zeros eliminated."""
         n = len(self.rate)
         x = np.arange(n)
         r, q = x + n, x + 2 * n
@@ -258,21 +303,58 @@ class ExchangeStencil:
                                  for i, _, v in parts])
         matrix = sparse.csc_matrix((values, (rows, cols)), shape=(3 * n,) * 2)
         matrix.eliminate_zeros()
-        return splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                    options={"SymmetricMode": True})
+        return matrix
+
+
+class StencilGenerator:
+    """The generator M as an O(n) operator on its stencil.
+
+    This is what spectral reads of M: shape, M @ m, apply_transpose,
+    diagonal, column_sums, strong_components and factor(sigma), the
+    stencil's resolvent_factor.  The diagonal and the column sums are the
+    assembly's closed forms; nnz counts the coefficients the stencil
+    stores, rate, out, first and the lattice.
+    """
+
+    def __init__(self, stencil: ExchangeStencil, column_sums: np.ndarray):
+        n = len(stencil.rate)
+        self.stencil = stencil
+        self.shape = (n, n)
+        self.nnz = 4 * n
+        self._column_sums = column_sums
+        self._diagonal = stencil._diag.copy()
+        self._diagonal[0] += stencil.first[0]   # row 0 reads its own cell
+
+    def __matmul__(self, m):
+        return self.stencil.apply(m)
+
+    def apply_transpose(self, u):
+        return self.stencil.apply_transpose(u)
+
+    def diagonal(self):
+        return self._diagonal
+
+    def column_sums(self):
+        return self._column_sums
+
+    def strong_components(self):
+        return self.stencil.strong_components()
+
+    def factor(self, sigma):
+        return self.stencil.resolvent_factor(sigma)
 
 
 @dataclass
 class DiscreteOperator:
-    """Sparse generator M of dm/dt = M m, plus solver metadata.
+    """Generator M of dm/dt = M m, plus solver metadata.
 
-    stencil applies M without the matrix: solve marches on it, and
-    spectral factors its resolvent_factor.  Only an operator made by hand
-    from a matrix, for spectral, has none; spectral factors its matrix.
+    matrix is M as the protocol spectral reads, a StencilGenerator from
+    the assembly; stencil applies M: solve marches on it.  Only an
+    operator made by hand, for spectral, has no stencil.
     """
 
     grid: SizeGrid
-    matrix: sparse.csr_matrix
+    matrix: StencilGenerator
     below_inflow: np.ndarray   # rate of mass landing below x_min, per source
     cfl_dt: float
     stencil: Optional[ExchangeStencil] = None
@@ -341,29 +423,14 @@ def build_discrete_operator(model: ModelSpec,
                               lattice=lattice, near=near, slope=slope,
                               atoms=tuple(atoms))
 
-    # the same numbers as CSR: row 0 spans every column, and row j >= 1
-    # spans columns j - 1..top, transport from j - 1 and then the exchange
-    # from each column i >= j, lattice[top + j - i]
-    first = np.maximum(np.arange(n) - 1, 0)
-    counts = n - first
-    indptr = np.append(0, np.cumsum(counts))
-    idx = np.int32 if indptr[-1] < 2 ** 31 else np.int64
-    cols = np.arange(indptr[-1], dtype=idx)
-    cols -= np.repeat((indptr[:-1] - first).astype(idx), counts)
-    k = np.repeat(np.arange(top, top + n, dtype=idx), counts)
-    k -= cols
-    values = np.append(lattice, 0.0)[k]   # column j - 1 reads the 0
-    del k
-    values *= rate[cols]
-    values[:n] = stencil.first
-    values[indptr[1:n]] = out[:-1]
-    diag = indptr[:-1] + np.arange(n) - first
-    values[diag] -= rate + out
-    matrix = sparse.csr_matrix((values, cols, indptr), shape=(n, n))
-    matrix.eliminate_zeros()
+    # transport columns sum to 0 but the last, which empties through x_max
+    column_sums = frag_colsum.copy()
+    column_sums[-1] -= out[-1]
     cfl_dt = _CFL_FACTOR / float(np.max(out + rate))
-    return DiscreteOperator(grid=grid, matrix=matrix, below_inflow=below,
-                            cfl_dt=cfl_dt, stencil=stencil)
+    return DiscreteOperator(grid=grid,
+                            matrix=StencilGenerator(stencil, column_sums),
+                            below_inflow=below, cfl_dt=cfl_dt,
+                            stencil=stencil)
 
 
 @dataclass
@@ -423,7 +490,8 @@ def solve(model: ModelSpec, grid: SizeGrid, u0, t_end: float,
     mass right by at most one cell, so every cell past the front, the
     last nonzero cell plus one cell per pass, stays exactly 0: only the
     newly reached cells are tested one by one, and the whole vector
-    behind the front only when its minimum falls below the floor.
+    behind the front only when its least positive cell falls below the
+    floor.
     """
     if not np.isfinite(t_end):
         raise DomainError(f"t_end={t_end!r} must be finite")
@@ -485,11 +553,14 @@ def solve(model: ModelSpec, grid: SizeGrid, u0, t_end: float,
                     front = k
             if low < floor:
                 behind = m_new[:front + 1]
-                tiny = behind < floor
-                floored += float(behind[tiny].sum())
-                np.putmask(behind, tiny, 0.0)
-                front = _front(behind)
-                scans += 1
+                # cells already 0 need no floor: test the positive ones
+                if low != 0.0 or np.min(behind, where=behind > 0.0,
+                                        initial=np.inf) < floor:
+                    tiny = behind < floor
+                    floored += float(behind[tiny].sum())
+                    np.putmask(behind, tiny, 0.0)
+                    front = _front(behind)
+                    scans += 1
             leak += step * float(below @ m)
             m, spare = m_new, m
             t += step

@@ -5,9 +5,11 @@ sigma above its Perron root rho0 the resolvent (sigma*I - M)^{-1} is
 positive on a strongly connected grid (sigma*I - M is a non-singular
 M-matrix).  principal_eigen runs inverse iteration on that resolvent and
 its transpose: the left eigenvector of M is the grid eigenfunction phi,
-the right eigenvector is the eigenmeasure m (cell weights).  An operator
-with an exchange stencil is factored in O(n) through the stencil's
-resolvent_factor; one built by hand from a matrix factors sigma*I - M.
+the right eigenvector is the eigenmeasure m (cell weights).  It reads M
+only through the operator's matrix: the products M v and M^T u, the
+diagonal, the column sums, the strong-component count and factor(sigma).
+The assembled operator gives each in O(n) from its exchange stencil, so
+no n x n matrix is built.
 sigma starts above the max column sum of M, a bound on rho0, and after
 each round moves toward hi = max (M^T u)_i / u_i, which the left iterate
 u puts below sigma and the Collatz-Wielandt bound puts at or above rho0:
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse import csgraph
 
 from .errors import BoundViolated, DomainError, NoConvergence, RatePositive, Reducible
 from .model import WeightFunction
@@ -69,16 +70,6 @@ class SpectralTriple:
                                  repr(float(w))])
 
 
-def _require_strongly_connected(matrix):
-    pattern = (matrix != 0)
-    pattern.setdiag(True)
-    n_comp, _ = csgraph.connected_components(pattern, directed=True,
-                                             connection="strong")
-    if n_comp != 1:
-        raise Reducible(
-            f"operator sparsity graph has {n_comp} strong components")
-
-
 def principal_eigen(op: DiscreteOperator, psi: WeightFunction
                     ) -> SpectralTriple:
     """Dominant eigenpair of the cell-mass generator by inverse iteration.
@@ -90,36 +81,27 @@ def principal_eigen(op: DiscreteOperator, psi: WeightFunction
     drain) and max |M v - rho v| <= _TOL * max |M| v at the Rayleigh
     quotient rho; otherwise sigma moves to hi + _SHIFT*(sigma - hi).
     """
-    from scipy.sparse import identity
-    from scipy.sparse.linalg import splu
-
-    matrix = op.matrix.tocsr()
+    matrix = op.matrix
     n = matrix.shape[0]
     if matrix.shape != (n, n) or n < 2:
         raise DomainError("operator matrix must be square with >= 2 cells")
-    _require_strongly_connected(matrix)
+    components = matrix.strong_components()
+    if components != 1:
+        raise Reducible(
+            f"operator sparsity graph has {components} strong components")
 
     drain = np.maximum(-matrix.diagonal(), 0.0)
     max_drain = float(np.max(drain))
     if max_drain <= 0.0:
         raise DomainError("generator diagonal must contain drain terms")
-    matrix_t = matrix.T             # CSC on matrix's arrays
-    if op.stencil is None:          # made by hand: factor sigma*I - M itself
-        matrix_c = matrix.tocsc()
-        eye = identity(n, format="csc")
-
-        def factor(sigma):
-            return splu(sigma * eye - matrix_c)
-    else:
-        factor = op.stencil.resolvent_factor
     # the max column sum c of a Metzler matrix bounds its Perron root;
     # doubling |c| + 1 keeps sigma - M_jj clear of the rounding of c
-    sigma = 2.0 * (abs(float(np.max(np.asarray(matrix.sum(axis=0))))) + 1.0)
+    sigma = 2.0 * (abs(float(np.max(matrix.column_sums()))) + 1.0)
     v = np.ones(n)          # right vector of M: eigenmeasure m
     u = np.ones(n)          # left vector of M: eigenfunction phi
     for rounds in range(1, _MAX_ROUNDS + 1):
         lu = None   # free the old factors before the new are built
-        lu = factor(sigma)
+        lu = matrix.factor(sigma)
         rhs = np.zeros(lu.shape[0])     # zero past n: the stencil's R and Q
         for _ in range(_SOLVES):
             rhs[:n] = v
@@ -130,7 +112,7 @@ def principal_eigen(op: DiscreteOperator, psi: WeightFunction
             u /= u.max()
         if np.any(u <= 0.0) or np.any(v < 0.0):
             raise Reducible("dominant eigenvectors are not positive")
-        ratios = (matrix_t @ u) / u
+        ratios = matrix.apply_transpose(u) / u
         lo, hi = float(ratios.min()), float(ratios.max())
         product = matrix @ v
         rayleigh = float(u @ product) / float(u @ v)
@@ -155,7 +137,8 @@ def principal_eigen(op: DiscreteOperator, psi: WeightFunction
     phi = u / float(np.max(np.abs(u / psi_vals)))   # max |phi/psi| = 1
 
     norm = abs(rayleigh) + max_drain
-    right_res = float(np.max(np.abs(matrix_t @ phi - rayleigh * phi))
+    right_res = float(np.max(np.abs(matrix.apply_transpose(phi)
+                                    - rayleigh * phi))
                       / (norm * np.max(np.abs(phi))))
     left_res = float(np.max(np.abs(matrix @ m - rayleigh * m))
                      / (norm * np.max(np.abs(m))))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from growfrag.model import (
     FragmentationKernel,
@@ -16,6 +17,36 @@ from growfrag.pde import SizeGrid, build_discrete_operator
 from growfrag import spectral
 
 DOMAIN = (1e-2, 40.0)
+
+
+def operator_matrix(op):
+    """The generator M of an assembled operator as a CSR matrix, entry by
+    entry from its stencil: the oracle for the O(n) operator."""
+    stencil = op.stencil
+    rate, out, lattice = stencil.rate, stencil.out, stencil.lattice
+    n = len(rate)
+    top = n - 1
+    # the same numbers as CSR: row 0 spans every column, and row j >= 1
+    # spans columns j - 1..top, transport from j - 1 and then the exchange
+    # from each column i >= j, lattice[top + j - i]
+    first = np.maximum(np.arange(n) - 1, 0)
+    counts = n - first
+    indptr = np.append(0, np.cumsum(counts))
+    idx = np.int32 if indptr[-1] < 2 ** 31 else np.int64
+    cols = np.arange(indptr[-1], dtype=idx)
+    cols -= np.repeat((indptr[:-1] - first).astype(idx), counts)
+    k = np.repeat(np.arange(top, top + n, dtype=idx), counts)
+    k -= cols
+    values = np.append(lattice, 0.0)[k]   # column j - 1 reads the 0
+    del k
+    values *= rate[cols]
+    values[:n] = stencil.first
+    values[indptr[1:n]] = out[:-1]
+    diag = indptr[:-1] + np.arange(n) - first
+    values[diag] -= rate + out
+    matrix = sparse.csr_matrix((values, cols, indptr), shape=(n, n))
+    matrix.eliminate_zeros()
+    return matrix
 
 
 def make_canonical():

@@ -42,6 +42,7 @@ from conftest import (
     make_conserving_linear,
     make_critical,
     make_mitosis,
+    operator_matrix,
 )
 
 pytestmark = pytest.mark.slow
@@ -178,7 +179,7 @@ def test_acceptance_spectral(canonical_model, canonical_operator,
     lam2 = lambda2_bound(canonical_model,
                          identity_weight(canonical_model.growth))
     assert canonical_triple.lambda0 <= float(lam2) + 1e-6
-    dense = canonical_operator.matrix.toarray()
+    dense = operator_matrix(canonical_operator).toarray()
     perron = float(np.max(np.linalg.eigvals(dense).real))
     assert canonical_triple.lambda0 == pytest.approx(-perron, abs=1e-8)
     assert max(canonical_triple.residuals) <= 1e-8

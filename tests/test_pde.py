@@ -25,7 +25,8 @@ from growfrag.pde import (
     solve,
 )
 
-from conftest import make_canonical, make_conserving_linear, make_mitosis
+from conftest import (make_canonical, make_conserving_linear, make_mitosis,
+                      operator_matrix)
 
 
 def _transport_only(speed):
@@ -79,9 +80,9 @@ def test_mitosis_inflow_is_exact_dyadic_shift():
     # cells below its parent
     model = make_mitosis()
     grid = SizeGrid.log_uniform(2.0 ** -7, 2.0 ** 3, 160)
-    full = build_discrete_operator(model, grid).matrix.toarray()
-    bare = build_discrete_operator(_transport_only(lambda x: 1.0),
-                                   grid).matrix.toarray()
+    full = operator_matrix(build_discrete_operator(model, grid)).toarray()
+    bare = operator_matrix(build_discrete_operator(
+        _transport_only(lambda x: 1.0), grid)).toarray()
     frag = full - bare
     for j in range(20, 160, 13):
         col = frag[:, j].copy()
@@ -96,9 +97,9 @@ def test_uniform_inflow_matches_analytic_column():
     # K(x_j) * 2 * (min(b, x_j) - a) / x_j
     model = make_canonical()
     grid = SizeGrid.log_uniform(0.01, 40.0, 96)
-    full = build_discrete_operator(model, grid).matrix.toarray()
-    bare = build_discrete_operator(
-        _transport_only(lambda x: 1.0), grid).matrix.toarray()
+    full = operator_matrix(build_discrete_operator(model, grid)).toarray()
+    bare = operator_matrix(build_discrete_operator(
+        _transport_only(lambda x: 1.0), grid)).toarray()
     frag = full - bare
     edges, centers = grid.edges, grid.centers
     for j in (20, 50, 90):
@@ -122,7 +123,7 @@ def test_column_sums_match_branching_rate():
     model = make_canonical()
     grid = SizeGrid.log_uniform(0.01, 40.0, 128)
     op = build_discrete_operator(model, grid)
-    sums = np.asarray(op.matrix.sum(axis=0)).ravel()
+    sums = np.asarray(operator_matrix(op).sum(axis=0)).ravel()
     centers = grid.centers
     interior = slice(1, -1)   # top cell loses transport outflow
     assert np.allclose(sums[interior], centers[interior], rtol=1e-6,
@@ -136,14 +137,15 @@ def test_general_kernel_matches_its_relative_form():
     from scipy.integrate import quad
     grid = SizeGrid.log_uniform(0.01, 40.0, 96)
     edges, centers = grid.edges, grid.centers
-    bare = build_discrete_operator(_transport_only(lambda x: 1.0),
-                                   grid).matrix.toarray()
+    bare = operator_matrix(build_discrete_operator(
+        _transport_only(lambda x: 1.0), grid)).toarray()
     for ratio in (uniform_ratio(), power_ratio(-0.5)):
         model = ModelSpec(
             growth=GrowthSpec.from_speed(lambda x: 1.0),
             frag=FragmentationKernel.relative(lambda x: 1.0, ratio),
             domain_hint=(1e-2, 40.0))
-        frag = build_discrete_operator(model, grid).matrix.toarray() - bare
+        op = build_discrete_operator(model, grid)
+        frag = operator_matrix(op).toarray() - bare
         for j in (5, 30, 60, 95):
             x = centers[j]
             # the first cell also takes the children below x_min
@@ -256,8 +258,8 @@ def test_solution_support_bound():
 @pytest.mark.filterwarnings("ignore::growfrag.pde.BoundaryLeak")
 def test_march_reports_its_product_and_steps(monkeypatch):
     # a density kernel and mitosis alike march on the Toeplitz stencil,
-    # one pass per Euler step and two per Heun step, and never read the
-    # sparse matrix
+    # one pass per Euler step and two per Heun step, and never read
+    # op.matrix
     grid = SizeGrid.log_uniform(0.01, 40.0, 64)
     products = []
     apply = ExchangeStencil.apply
@@ -309,12 +311,13 @@ def test_front_tracked_floor_matches_the_full_floor(model):
     # and floored mass to 1e-12
     grid = SizeGrid.log_uniform(0.01, 40.0, 512)
     op = build_discrete_operator(model, grid)
+    matrix = operator_matrix(op)
     dt = op.cfl_dt
     traj = solve(model, grid, 1.0, 400 * dt, dt=dt, operator=op)
     m = DensityState.point_mass(grid, 1.0).masses
     floored = 0.0
     for _ in range(400):
-        new = m + dt * (op.matrix @ m)
+        new = m + dt * (matrix @ m)
         tiny = new < 1e-250 * m.sum()
         floored += new[tiny].sum()
         new[tiny] = 0.0
@@ -326,6 +329,23 @@ def test_front_tracked_floor_matches_the_full_floor(model):
     kept = m != 0.0
     assert np.all(np.abs(got[kept] - m[kept]) <= 1e-12 * m[kept])
     assert traj.floored_mass == pytest.approx(floored, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.filterwarnings("ignore::growfrag.pde.BoundaryLeak")
+def test_floor_skips_cells_that_are_already_zero():
+    # mitosis from a point mass keeps cells between the atom's images
+    # exactly 0 for a while: 0 is below the floor, yet no step whose
+    # positive cells all stay above it scans the cells behind the front
+    grid = SizeGrid.log_uniform(0.01, 40.0, 512)
+    model = make_mitosis()
+    op = build_discrete_operator(model, grid)
+    dt = op.cfl_dt
+    traj = solve(model, grid, 1.0, 400 * dt, dt=dt, checkpoints=[20 * dt],
+                 operator=op)
+    early = traj.states[0].masses
+    assert traj.steps == 400
+    assert np.any(early[:np.flatnonzero(early)[-1]] == 0.0)
+    assert traj.floor_scans == 0
 
 
 def test_floor_zeroes_denormal_range_masses():

@@ -8,6 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.sparse import csgraph
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
@@ -20,6 +21,8 @@ from growfrag.model import (FragmentationKernel, GrowthSpec, ModelSpec,
                             uniform_ratio)
 from growfrag.pde import (DensityState, SizeGrid,
                           build_discrete_operator, solve)
+
+from conftest import operator_matrix
 
 _SCALARS = (st.none() | st.booleans() | st.integers() | st.text()
             | st.floats(allow_nan=False, allow_infinity=False))
@@ -117,7 +120,7 @@ def test_operator_columns_sum_to_branching_rate(atoms, density, rate, speed,
     (k0, k_exp), (c0, c_exp) = rate, speed
     grid = SizeGrid.log_uniform(x_min, x_max, n)
     op = build_discrete_operator(model, grid)
-    m = op.matrix.toarray()
+    m = operator_matrix(op).toarray()
     assert np.min(m - np.diag(np.diag(m))) >= 0.0
     assert np.min(op.below_inflow) >= 0.0
     # transport columns sum to 0, except the outflow at the last edge
@@ -171,7 +174,8 @@ def test_operator_matches_per_column_reference(atoms, density, rate, speed,
     grid = SizeGrid.log_uniform(x_min, x_max, n)
     op = build_discrete_operator(model, grid)
     want, scale, below = _reference_operator(model, grid)
-    assert np.all(np.abs(op.matrix.toarray() - want) <= 1e-12 * scale)
+    assert np.all(np.abs(operator_matrix(op).toarray() - want)
+                  <= 1e-12 * scale)
     assert np.all(np.abs(op.below_inflow - below) <= 1e-12 * below)
 
 
@@ -190,13 +194,27 @@ def _masses(seed, n):
        seed=st.integers(0, 2 ** 32 - 1))
 def test_stencil_product_matches_matrix(atoms, density, rate, speed, n,
                                         x_min, x_max, seed):
-    # atom-only measures included: every kernel marches on the stencil
+    # atom-only measures included: every kernel marches on the stencil.
+    # What the eigen-solve reads of op.matrix matches the CSR matrix too:
+    # the transposed product to the same bound, the diagonal exactly, the
+    # column sums to 1e-12 of each column's entries, and the number of
+    # strong components
     model = _relative_model(atoms, density, rate, speed, x_min, x_max)
     grid = SizeGrid.log_uniform(x_min, x_max, n)
     op = build_discrete_operator(model, grid)
+    matrix = operator_matrix(op)
     m = _masses(seed, n)
-    got, want = op.stencil.apply(m), op.matrix @ m
-    assert np.all(np.abs(got - want) <= 1e-10 * (abs(op.matrix) @ m))
+    got, want = op.stencil.apply(m), matrix @ m
+    assert np.all(np.abs(got - want) <= 1e-10 * (abs(matrix) @ m))
+    got, want = op.matrix.apply_transpose(m), matrix.T @ m
+    assert np.all(np.abs(got - want) <= 1e-10 * (abs(matrix).T @ m))
+    assert np.array_equal(op.matrix.diagonal(), matrix.diagonal())
+    sums = np.asarray(matrix.sum(axis=0)).ravel()
+    scale = np.asarray(abs(matrix).sum(axis=0)).ravel()
+    assert np.all(np.abs(op.matrix.column_sums() - sums) <= 1e-12 * scale)
+    count, _ = csgraph.connected_components(matrix != 0, directed=True,
+                                            connection="strong")
+    assert op.matrix.strong_components() == count
 
 
 @settings(max_examples=100, deadline=None)
@@ -215,13 +233,14 @@ def test_step_maps_non_negative_masses_to_non_negative(
     model = _relative_model(atoms, density, rate, speed, x_min, x_max)
     op = build_discrete_operator(model, SizeGrid.log_uniform(x_min, x_max,
                                                              n))
+    matrix = operator_matrix(op)
     dt = op.cfl_dt
     m = _masses(seed, n)
     got = op.stencil.stepper(dt, method)(m, np.empty(n))
     assert not np.signbit(got).any()
-    rate0 = op.matrix @ m
+    rate0 = matrix @ m
     want = m + dt * rate0 if method == "euler" else \
-        m + 0.5 * dt * (rate0 + op.matrix @ (m + dt * rate0))
+        m + 0.5 * dt * (rate0 + matrix @ (m + dt * rate0))
     tiny = np.finfo(float).tiny
     assert np.all(np.abs(got - want) <= 1e-12 * got + n * tiny)
 
@@ -257,7 +276,8 @@ def test_blocked_exchange_matches_its_row_sums(kernel, rate, speed, n, x_min,
                                                x_max, seed):
     # row j >= 1 of the exchange is sum_{i >= j} lattice[top + j - i] K_i
     # m_i, summed here term by term over the stencil's one lattice; apply
-    # must agree to 1e-13 of the sum of each row's absolute terms
+    # must agree to 1e-13 of the sum of each row's absolute terms, and
+    # apply_transpose likewise on each column
     model = _relative_model(*kernel, rate, speed, x_min, x_max)
     stencil = build_discrete_operator(
         model, SizeGrid.log_uniform(x_min, x_max, n)).stencil
@@ -275,6 +295,15 @@ def test_blocked_exchange_matches_its_row_sums(kernel, rate, speed, n, x_min,
                                drain[j] * m[j]])
         want = math.fsum(terms)
         assert abs(got[j] - want) <= 1e-13 * np.abs(terms).sum()
+    got = stencil.apply_transpose(m)
+    for i in range(n):
+        # column i: row 0, the exchange rows 1..i, transport into i + 1
+        terms = np.concatenate([
+            [stencil.first[i] * m[0], drain[i] * m[i]],
+            lattice[n - i:] * stencil.rate[i] * m[1:i + 1],
+            stencil.out[i:i + 1] * m[i + 1:i + 2]])
+        want = math.fsum(terms)
+        assert abs(got[i] - want) <= 1e-13 * np.abs(terms).sum()
 
 
 def test_grid_that_is_not_log_uniform_is_rejected():
@@ -303,6 +332,7 @@ def test_atom_kernel_marches_on_one_tap():
             frag=FragmentationKernel.relative(rate, ratio),
             domain_hint=(0.01, 40.0))
         op = build_discrete_operator(model, grid)
+        matrix = operator_matrix(op)
         if ratio.density is None:
             top = grid.n_cells - 1
             cell = grid.locate(grid.centers[-1] / 2.0)
@@ -312,7 +342,7 @@ def test_atom_kernel_marches_on_one_tap():
         traj = solve(model, grid, 1.0, 20 * dt, dt=dt, operator=op)
         m = DensityState.point_mass(grid, 1.0).masses
         for _ in range(20):
-            m = m + dt * (op.matrix @ m)
+            m = m + dt * (matrix @ m)
         assert traj.steps == 20
         assert np.allclose(traj.final.masses, m, rtol=1e-12, atol=1e-300)
 
@@ -332,6 +362,7 @@ def test_march_balances_mass(atoms, density, rate, speed, n, x_min, x_max,
     model = _relative_model(atoms, density, rate, speed, x_min, x_max)
     grid = SizeGrid.log_uniform(x_min, x_max, n)
     op = build_discrete_operator(model, grid)
+    matrix = operator_matrix(op)
     (k0, k_exp), (c0, c_exp) = rate, speed
     branching = k0 * grid.centers ** k_exp * (
         model.frag.ratio_measure.mass() - 1.0)
@@ -349,7 +380,7 @@ def test_march_balances_mass(atoms, density, rate, speed, n, x_min, x_max,
     for m in states[:-1]:
         # the rates a step of the method integrates
         nodes = [m] if method == "euler" else [
-            m, m + dt * (op.matrix @ m)]
+            m, m + dt * (matrix @ m)]
         for node in nodes:
             w = dt / len(nodes)
             gained += w * float(branching @ node)

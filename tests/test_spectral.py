@@ -1,11 +1,13 @@
 """Principal eigen-elements and spectral-gap rate fitting."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy import sparse
+from scipy.sparse import csgraph
 from scipy.sparse.linalg import splu
 
 from growfrag.errors import DomainError, RatePositive, Reducible
@@ -22,12 +24,42 @@ from growfrag.spectral import (
 )
 from growfrag.errors import BoundViolated
 
-from conftest import make_canonical, make_critical, make_mitosis
+from conftest import (make_canonical, make_critical, make_mitosis,
+                      operator_matrix)
+
+
+class _SparseGenerator:
+    """What principal_eigen reads of a generator, on a hand-built matrix."""
+
+    def __init__(self, matrix):
+        self.matrix = sparse.csr_matrix(matrix)
+        self.shape = self.matrix.shape
+
+    def __matmul__(self, v):
+        return self.matrix @ v
+
+    def apply_transpose(self, u):
+        return self.matrix.T @ u
+
+    def diagonal(self):
+        return self.matrix.diagonal()
+
+    def column_sums(self):
+        return np.asarray(self.matrix.sum(axis=0)).ravel()
+
+    def strong_components(self):
+        count, _ = csgraph.connected_components(
+            self.matrix != 0, directed=True, connection="strong")
+        return count
+
+    def factor(self, sigma):
+        eye = sparse.identity(self.shape[0], format="csc")
+        return splu(sigma * eye - self.matrix.tocsc())
 
 
 def _toy_operator(matrix):
     grid = SizeGrid.log_uniform(0.5, 2.0, matrix.shape[0])
-    return DiscreteOperator(grid=grid, matrix=sparse.csr_matrix(matrix),
+    return DiscreteOperator(grid=grid, matrix=_SparseGenerator(matrix),
                             below_inflow=np.zeros(matrix.shape[0]),
                             cfl_dt=0.1)
 
@@ -58,8 +90,35 @@ def test_solve_refuses_an_operator_without_a_stencil(canonical_model):
 
 def test_reducible_matrix_rejected():
     block = np.array([[-1.0, 0.0], [0.0, -2.0]])
-    with pytest.raises(Reducible):
+    with pytest.raises(Reducible, match="has 2 strong components"):
         principal_eigen(_toy_operator(block), constant_weight(1.0))
+
+
+def test_coarse_mitosis_grid_is_reducible_on_the_stencil():
+    # cells of 3.2 decades keep every mitosis child in its parent's cell:
+    # the stencil's 3n-node graph finds the CSR matrix's 64 components
+    grid = SizeGrid.log_uniform(0.01, 1e200, 64)
+    op = build_discrete_operator(make_mitosis(), grid)
+    count, _ = csgraph.connected_components(
+        operator_matrix(op) != 0, directed=True, connection="strong")
+    assert count == op.matrix.strong_components() == 64
+    with pytest.raises(Reducible, match="has 64 strong components"):
+        principal_eigen(op, constant_weight(1.0))
+
+
+def test_fine_grid_eigen_solve_stays_small():
+    # at n = 8192 the n^2/2-entry CSR matrix alone took about 400 MB; the
+    # O(n) operator assembles and eigen-solves in a fraction of 64 MB
+    grid = SizeGrid.log_uniform(0.01, 40.0, 8192)
+    tracemalloc.start()
+    try:
+        op = build_discrete_operator(make_canonical(), grid)
+        triple = principal_eigen(op, constant_weight(1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    assert triple.lambda0 == pytest.approx(-1.0, abs=5e-4)
 
 
 def test_canonical_growth_is_supercritical(canonical_triple):
@@ -110,7 +169,8 @@ def test_matches_dense_eigensolver(make_model, domain):
     grid = SizeGrid.log_uniform(domain[0], domain[1], 256)
     op = build_discrete_operator(make_model(), grid)
     triple = principal_eigen(op, constant_weight(1.0))
-    eigvals, left, right = scipy.linalg.eig(op.matrix.toarray(), left=True)
+    eigvals, left, right = scipy.linalg.eig(operator_matrix(op).toarray(),
+                                            left=True)
     k = int(np.argmax(eigvals.real))
     assert triple.lambda0 == pytest.approx(-eigvals[k].real, abs=1e-12)
     assert _shape_gap(triple.m, right[:, k].real) <= 1e-7
@@ -128,7 +188,7 @@ def test_stencil_factor_solves_the_resolvent(make_model, domain):
     grid = SizeGrid.log_uniform(domain[0], domain[1], 256)
     op = build_discrete_operator(make_model(), grid)
     n = grid.n_cells
-    matrix = op.matrix.tocsc()
+    matrix = operator_matrix(op).tocsc()
     sigma = 2.0 * (abs(float(np.max(np.asarray(matrix.sum(axis=0))))) + 1.0)
     direct = splu(sigma * sparse.identity(n, format="csc") - matrix)
     rho = -principal_eigen(op, constant_weight(1.0)).lambda0
