@@ -225,7 +225,7 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
             f"domain must satisfy x_min < 1 < x_max, got ({x_min}, {x_max})",
             key="x_min")
     grid_n = _get(parser, "numerics", "grid_n", int, 256, minimum=2)
-    dt = _get(parser, "numerics", "dt", float, None, positive=True)
+    dt = _get(parser, "numerics", "dt", float, None, minimum=pde._MIN_DT)
     method = _get(parser, "numerics", "method", str, "euler").strip()
     if method not in ("euler", "heun"):
         raise ConfigError(f"unknown time stepper {method!r}", key="method")
@@ -356,16 +356,16 @@ def cmd_check(cfg: RunConfig, out_dir: str) -> dict:
         low, high = lyapunov.criterion_lnx(cfg.model.frag)
         thresholds["lnx"] = {"low": low, "high": high}
         probes = cfg.model.probe_grid()
-        k_vals = np.array([cfg.model.frag.loss_rate(x) for x in probes])
+        k_vals = np.array([cfg.model.frag.rate(x) for x in probes])
         tail = max(4, len(probes) // 8)
         k_at_zero = float(np.max(k_vals[:tail]))
         k_at_inf = float(np.min(k_vals[-tail:]))
         checks.append({"name": "rate-below-low-threshold-at-zero",
                        "margin": low - k_at_zero,
-                       "pass": k_at_zero < low})
+                       "pass": bool(k_at_zero < low)})
         checks.append({"name": "rate-above-high-threshold-at-infinity",
                        "margin": k_at_inf - high,
-                       "pass": k_at_inf > high})
+                       "pass": bool(k_at_inf > high)})
         report_json = None
     elif cfg.regime == "K-constant":
         report = lyapunov.criterion_K_constant(cfg.model)

@@ -244,7 +244,7 @@ def build_h_pseudo_entrance(model: ModelSpec, alpha: float) -> WeightFunction:
         raise DomainError("pseudo-entrance construction needs alpha > 1")
     frag = model.frag
     measure = frag.ratio_measure
-    c, rate = model.growth.c, frag.loss_rate
+    c, rate = model.growth.c, frag.rate
 
     def rate_speed(y):
         # G is the scale of the speed c/K, which is infinite where K = 0
@@ -304,7 +304,7 @@ def build_h_pseudo_entrance(model: ModelSpec, alpha: float) -> WeightFunction:
 
     a0 = max(measure.mass() - 1.0, 0.0) + 1.0
     return _two_sided_exp(-a0, a_inf, cum, "pseudo-entrance",
-                          slope=frag.loss_rate)
+                          slope=frag.rate)
 
 
 def build_h_powerlaw(model: ModelSpec, alpha: float,
@@ -480,7 +480,7 @@ def criterion_K_constant(model: ModelSpec) -> AssumptionReport:
     flow = FlowEngine(model.growth, *model.domain_hint)
     probes = model.probe_grid()
     speed = np.array([model.growth.c(x) for x in probes])
-    rate = np.array([frag.loss_rate(x) for x in probes])
+    rate = np.array([frag.rate(x) for x in probes])
     cx_ratio = speed / probes
     p0 = measure.mass()
     inf_rate = float(np.min(rate))

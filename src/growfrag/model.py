@@ -199,10 +199,6 @@ class FragmentationKernel:
             raise QuadratureDivergence(
                 f"kernel integral at x={x:g}: {exc}") from exc
 
-    def loss_rate(self, x):
-        """K(x): the fragmentation event rate entering the generator."""
-        return self.rate(x)
-
 
 # Common ratio measures -------------------------------------------------
 
@@ -311,7 +307,7 @@ def tilted_generator(model: ModelSpec, w: WeightFunction, x: float):
     through w.tilt, split at w.kinks), and A w/w = d ln w/ds + it - K(x).
     """
     tilted = model.frag.integrate(x, w.tilt(x), w.kinks)
-    return tilted, w.log_slope(x) + tilted - model.frag.loss_rate(x)
+    return tilted, w.log_slope(x) + tilted - model.frag.rate(x)
 
 
 @dataclass(frozen=True)
@@ -434,7 +430,7 @@ def tilted_generator_batch(model: ModelSpec, w: WeightFunction, xs):
     ratio = np.empty(len(xs))
     for i, x in enumerate(xs):
         if kept[i]:
-            rate = model.frag.loss_rate(x)
+            rate = model.frag.rate(x)
             tilted[i] = rate * integral[i]
             ratio[i] = w.log_slope(x) + tilted[i] - rate
         else:

@@ -11,10 +11,11 @@ masses come from its closed-form cumulative P(u) = p((0,u]).
 The grid is log-uniform, so edges_j / x_i = r^(j-i-1/2) and the
 kernel's unit inflow from cell i into cell j >= 1 depends on i - j only:
 the assembly reads one lattice, the top cell's column, and keeps M as
-that stencil, O(n) numbers; no n x n matrix is built.  The density part
-of the lattice is geometric, so M m and M^T u are O(n) scans, and
-spectral factors the resolvent on 3n unknowns that carry the geometric
-tail, O(n) too; the same 3n-node graph gives M's strong components.
+that stencil, ExchangeStencil, O(n) numbers that the march and spectral
+both read; no n x n matrix is built.  The density part of the lattice
+is geometric, so M m and M^T u are O(n) scans, and spectral factors the
+resolvent on 3n unknowns that carry the geometric tail, O(n) too; the
+same 3n-node graph gives M's strong components.
 
 A step writes m + h M m into a spare buffer as one pass of non-negative
 terms: (1 + h diag) m, the transport shift, row 0, the scan and the
@@ -128,9 +129,8 @@ def pairing(state: DensityState, f: Callable) -> float:
     return float(sum(f(x) * m for x, m in zip(centers, state.masses)))
 
 
-@dataclass(frozen=True)
 class ExchangeStencil:
-    """M m as transport plus the fragmentation exchange, in O(n).
+    """The generator M: transport plus the fragmentation exchange, in O(n).
 
     lattice[k] is the top cell's unit inflow into cell k; row 0 receives
     first @ m, row j >= 1 sum_{i >= j} lattice[top + j - i] (K m)[i].
@@ -144,35 +144,54 @@ class ExchangeStencil:
     each row keeps its relative accuracy.  Each atom in cells 1..top-1,
     (top - cell, weight) in atoms, is one shifted axpy.  apply scans in
     buffers the stencil owns: one stencil serves one march at a time.
+
+    It is also what spectral reads of M: shape, M @ m, apply_transpose,
+    diagonal, column_sums (the assembly's closed form), strong_components
+    and factor(sigma); nnz counts the coefficients it stores, rate, out,
+    first and the lattice.
     """
 
-    rate: np.ndarray
-    out: np.ndarray    # c(edge_{i+1}) / width_i: upwind outflow of cell i
-    first: np.ndarray  # K_i times column i's unit inflow into cell 0
-    lattice: np.ndarray
-    near: float        # density part of lattice[top - 1]; 0 without one
-    slope: float       # ln g
-    atoms: tuple
-
-    def __post_init__(self):
-        count = len(self.rate) - 2 if self.near > 0.0 else 0  # T_2..T_top
-        span = max(1, min(count, int(_SCAN_EXPONENT / (self.slope or 1.0))))
+    def __init__(self, rate, out, first, lattice, near, slope, atoms,
+                 column_sums):
+        self.rate = rate
+        self.out = out      # c(edge_{i+1}) / width_i: upwind outflow of cell i
+        self.first = first  # K_i times column i's unit inflow into cell 0
+        self.lattice = lattice
+        self.near = near    # density part of lattice[top - 1]; 0 without one
+        self.slope = slope  # ln g
+        self.atoms = atoms
+        self._column_sums = column_sums
+        n = len(rate)
+        self.shape = (n, n)
+        self.nnz = 4 * n
+        count = n - 2 if near > 0.0 else 0  # T_2..T_top
+        span = max(1, min(count, int(_SCAN_EXPONENT / (slope or 1.0))))
         chunks = np.zeros((-(-count // span), span))  # top padding stays 0
         q = np.arange(span - 1, -1, -1)      # distance to the chunk's top
-        vars(self).update(   # the factors carry K; row 0 reads all of first
-            _diag=self.lattice[-1] * np.append(0.0, self.rate[1:])
-            - (self.rate + self.out),
-            _chunks=chunks, _sums=chunks.reshape(-1)[:count],
-            _up=np.resize(np.exp(self.slope * q), count)
-            * self.rate[2:2 + count],
-            _rise=np.resize(np.exp(self.slope * q[::-1]), count),
-            _down=self.near * np.exp(-self.slope * q),
-            _carry=np.exp(-self.slope * (q + 1)),
-            _doubling=[(d, np.exp(-self.slope * span * d)) for d in
-                       2 ** np.arange((len(chunks) - 1).bit_length())],
-            _atoms=[(shift, weight * self.rate[1 + shift:])
-                    for shift, weight in self.atoms])
-        vars(self)["_product"] = self._terms(0.0, 1.0)
+        # the factors carry K; row 0 reads all of first
+        self._diag = lattice[-1] * np.append(0.0, rate[1:]) - (rate + out)
+        self._chunks, self._sums = chunks, chunks.reshape(-1)[:count]
+        self._up = np.resize(np.exp(slope * q), count) * rate[2:2 + count]
+        self._rise = np.resize(np.exp(slope * q[::-1]), count)
+        self._down = near * np.exp(-slope * q)
+        self._carry = np.exp(-slope * (q + 1))
+        self._doubling = [(d, np.exp(-slope * span * d)) for d in
+                          2 ** np.arange((len(chunks) - 1).bit_length())]
+        self._atoms = [(shift, weight * rate[1 + shift:])
+                       for shift, weight in atoms]
+        self._product = self._terms(0.0, 1.0)
+
+    def __matmul__(self, m):
+        return self.apply(m)
+
+    def diagonal(self):
+        """M's diagonal, a new array: row 0 also reads its own cell."""
+        diagonal = self._diag.copy()
+        diagonal[0] += self.first[0]
+        return diagonal
+
+    def column_sums(self):
+        return self._column_sums
 
     def _terms(self, unit, h):
         """Coefficients of unit*I + h*M: the diagonal, then the transport
@@ -256,7 +275,7 @@ class ExchangeStencil:
             return out
         return heun
 
-    def resolvent_factor(self, sigma):
+    def factor(self, sigma):
         """SuperLU factor of sigma*I - M on 3n unknowns (x, R, Q), O(n).
 
         R_j = rate_{j+1} x_{j+1} + R_{j+1} / g (R_{n-1} = 0) is the
@@ -276,16 +295,16 @@ class ExchangeStencil:
 
     def strong_components(self):
         """Number of strong components of M's graph, from the 3n-node
-        graph of resolvent_factor's matrix: a path from cell i to cell j
-        through R and Q nodes is an entry of the Schur complement sigma*I -
-        M, and an M-matrix's Schur complement has no cancellation, so two
-        cells share a component there exactly when they share one in M."""
+        graph of factor's matrix: a path from cell i to cell j through R
+        and Q nodes is an entry of the Schur complement sigma*I - M, and an
+        M-matrix's Schur complement has no cancellation, so two cells
+        share a component there exactly when they share one in M."""
         _, labels = csgraph.connected_components(
             self._augmented(0.0), directed=True, connection="strong")
         return len(np.unique(labels[:len(self.rate)]))
 
     def _augmented(self, sigma):
-        """resolvent_factor's CSC matrix on (x, R, Q), zeros eliminated."""
+        """factor's CSC matrix on (x, R, Q), zeros eliminated."""
         n = len(self.rate)
         x = np.arange(n)
         r, q = x + n, x + 2 * n
@@ -306,58 +325,20 @@ class ExchangeStencil:
         return matrix
 
 
-class StencilGenerator:
-    """The generator M as an O(n) operator on its stencil.
-
-    This is what spectral reads of M: shape, M @ m, apply_transpose,
-    diagonal, column_sums, strong_components and factor(sigma), the
-    stencil's resolvent_factor.  The diagonal and the column sums are the
-    assembly's closed forms; nnz counts the coefficients the stencil
-    stores, rate, out, first and the lattice.
-    """
-
-    def __init__(self, stencil: ExchangeStencil, column_sums: np.ndarray):
-        n = len(stencil.rate)
-        self.stencil = stencil
-        self.shape = (n, n)
-        self.nnz = 4 * n
-        self._column_sums = column_sums
-        self._diagonal = stencil._diag.copy()
-        self._diagonal[0] += stencil.first[0]   # row 0 reads its own cell
-
-    def __matmul__(self, m):
-        return self.stencil.apply(m)
-
-    def apply_transpose(self, u):
-        return self.stencil.apply_transpose(u)
-
-    def diagonal(self):
-        return self._diagonal
-
-    def column_sums(self):
-        return self._column_sums
-
-    def strong_components(self):
-        return self.stencil.strong_components()
-
-    def factor(self, sigma):
-        return self.stencil.resolvent_factor(sigma)
-
-
 @dataclass
 class DiscreteOperator:
     """Generator M of dm/dt = M m, plus solver metadata.
 
-    matrix is M as the protocol spectral reads, a StencilGenerator from
-    the assembly; stencil applies M: solve marches on it.  Only an
-    operator made by hand, for spectral, has no stencil.
+    matrix is M, an ExchangeStencil from the assembly: solve marches on
+    it and spectral reads it.  An operator made by hand, for spectral,
+    may carry any matrix with the protocol spectral reads; solve refuses
+    it.
     """
 
     grid: SizeGrid
-    matrix: StencilGenerator
+    matrix: ExchangeStencil
     below_inflow: np.ndarray   # rate of mass landing below x_min, per source
     cfl_dt: float
-    stencil: Optional[ExchangeStencil] = None
 
 
 def build_discrete_operator(model: ModelSpec,
@@ -380,7 +361,7 @@ def build_discrete_operator(model: ModelSpec,
     # donor-cell transport: c > 0 moves mass rightward and out through the
     # last edge, so the left boundary needs no condition
     out = c_edge[1:] / grid.widths
-    rate = np.array([model.frag.loss_rate(x) for x in centers])
+    rate = np.array([model.frag.rate(x) for x in centers])
 
     # the top cell's unit inflow: cum[k] is what lands below edge k and
     # lattice[k] what lands in cell k, with P(u) = P(1) u^(theta+1) in
@@ -419,18 +400,15 @@ def build_discrete_operator(model: ModelSpec,
             np.abs(expected))):
         raise DomainError(
             "fragmentation column sums disagree with K(x)(p((0,1))-1)")
-    stencil = ExchangeStencil(rate=rate, out=out, first=first,
-                              lattice=lattice, near=near, slope=slope,
-                              atoms=tuple(atoms))
-
     # transport columns sum to 0 but the last, which empties through x_max
     column_sums = frag_colsum.copy()
     column_sums[-1] -= out[-1]
+    matrix = ExchangeStencil(rate=rate, out=out, first=first,
+                             lattice=lattice, near=near, slope=slope,
+                             atoms=tuple(atoms), column_sums=column_sums)
     cfl_dt = _CFL_FACTOR / float(np.max(out + rate))
-    return DiscreteOperator(grid=grid,
-                            matrix=StencilGenerator(stencil, column_sums),
-                            below_inflow=below, cfl_dt=cfl_dt,
-                            stencil=stencil)
+    return DiscreteOperator(grid=grid, matrix=matrix, below_inflow=below,
+                            cfl_dt=cfl_dt)
 
 
 @dataclass
@@ -482,8 +460,9 @@ def solve(model: ModelSpec, grid: SizeGrid, u0, t_end: float,
 
     u0 is a DensityState or a point-mass location x0.  Checkpoints are
     hit exactly by shortening the step; the trajectory records them plus
-    the final state.  Each step is one stepper of the stencil per
-    distinct step size, written into a spare buffer.
+    the final state.  Each step is one stepper of the operator's stencil
+    per distinct step size, written into a spare buffer.  dt below 1e-12
+    and an operator assembled on another grid are DomainErrors.
 
     After each step, cell masses below 1e-250 of the total are set to 0,
     which keeps subnormal numbers out of the products.  A pass moves
@@ -495,13 +474,16 @@ def solve(model: ModelSpec, grid: SizeGrid, u0, t_end: float,
     """
     if not np.isfinite(t_end):
         raise DomainError(f"t_end={t_end!r} must be finite")
-    if dt is not None and not 0.0 < dt < np.inf:
-        raise DomainError(f"dt={dt!r} must be positive and finite")
+    if dt is not None and not _MIN_DT <= dt < np.inf:
+        raise DomainError(f"dt={dt!r} must be finite and at least "
+                          f"{_MIN_DT:g}")
     if operator is None:
         operator = build_discrete_operator(model, grid)
-    if operator.stencil is None:
+    if not isinstance(operator.matrix, ExchangeStencil):
         raise DomainError("solve marches on the operator's stencil: build "
                           "the operator with build_discrete_operator")
+    if not np.array_equal(operator.grid.edges, grid.edges):
+        raise DomainError("operator grid differs from the solve's grid")
     if operator.cfl_dt < _MIN_DT:
         raise CFLUnsatisfiable(
             f"stable time step {operator.cfl_dt:g} below {_MIN_DT:g}")
@@ -537,7 +519,7 @@ def solve(model: ModelSpec, grid: SizeGrid, u0, t_end: float,
         while t < mark - 1e-12 * max(mark, dt):
             step = min(dt, mark - t)
             if step not in steppers:
-                steppers[step] = operator.stencil.stepper(step, method)
+                steppers[step] = operator.matrix.stepper(step, method)
             m_new = steppers[step](m, spare)
             total = m.sum()
             floor = _MASS_FLOOR * total

@@ -317,7 +317,7 @@ class TiltedJumpLaw:
 
     def r(self, x: float) -> float:
         """Total jump rate r(x) = b + K(x) - d ln h/ds(x)."""
-        val = self.b + self.model.frag.loss_rate(x) - self.h.log_slope(x)
+        val = self.b + self.model.frag.rate(x) - self.h.log_slope(x)
         if not np.isfinite(val):
             raise DomainError(f"jump rate not finite at x={x:g}")
         return val

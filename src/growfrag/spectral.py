@@ -8,8 +8,8 @@ its transpose: the left eigenvector of M is the grid eigenfunction phi,
 the right eigenvector is the eigenmeasure m (cell weights).  It reads M
 only through the operator's matrix: the products M v and M^T u, the
 diagonal, the column sums, the strong-component count and factor(sigma).
-The assembled operator gives each in O(n) from its exchange stencil, so
-no n x n matrix is built.
+The assembled operator's matrix, pde.ExchangeStencil, gives each in
+O(n), so no n x n matrix is built.
 sigma starts above the max column sum of M, a bound on rho0, and after
 each round moves toward hi = max (M^T u)_i / u_i, which the left iterate
 u puts below sigma and the Collatz-Wielandt bound puts at or above rho0:

@@ -22,7 +22,7 @@ DOMAIN = (1e-2, 40.0)
 def operator_matrix(op):
     """The generator M of an assembled operator as a CSR matrix, entry by
     entry from its stencil: the oracle for the O(n) operator."""
-    stencil = op.stencil
+    stencil = op.matrix
     rate, out, lattice = stencil.rate, stencil.out, stencil.lattice
     n = len(rate)
     top = n - 1

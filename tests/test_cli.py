@@ -299,6 +299,8 @@ def test_nonpositive_path_count_rejected(tmp_path, capsys):
      "kernel_theta"),
     ("simulate", "kernel = uniform", "kernel = power\nkernel_theta = 1e5", (),
      "kernel_theta"),
+    # a step so small that t + dt == t once t passes about 1e-284
+    ("pde", "x_max = 40.0", "x_max = 40.0\ndt = 1e-300", (), "dt"),
 ])
 def test_bad_value_exits_2_naming_key(tmp_path, capsys, command, old, new,
                                       argv, key):

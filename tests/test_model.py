@@ -108,7 +108,7 @@ def test_relative_kernel_integrate_and_mass():
     # int f(y) k(x,dy) = K(x) int f(ux) 2 du
     assert frag.integrate(x, lambda y: 1.0) == pytest.approx(2.0 * x)
     assert frag.integrate(x, lambda y: y) == pytest.approx(x * x, rel=1e-9)
-    assert frag.loss_rate(x) == pytest.approx(x)
+    assert frag.rate(x) == pytest.approx(x)
 
 
 def test_mass_conserving_flag_validated():

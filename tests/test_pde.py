@@ -170,10 +170,12 @@ def test_cfl_violation_raised():
         solve(model, grid, 1.0, t_end=0.1, dt=op.cfl_dt * 10.0, operator=op)
 
 
-@pytest.mark.parametrize("dt", [0.0, -1e-4, float("nan"), float("inf")])
+@pytest.mark.parametrize("dt", [0.0, -1e-4, float("nan"), float("inf"),
+                                1e-300])
 def test_bad_step_size_is_a_domain_error_naming_dt(dt):
     # dt = 0 once looped forever, nan stopped after one step at t = nan
-    # and a negative dt was reported as a negative mass
+    # and a negative dt was reported as a negative mass; dt = 1e-300
+    # looped forever once t + dt == t
     grid = SizeGrid.log_uniform(0.01, 40.0, 64)
     with pytest.raises(DomainError, match="dt"):
         solve(make_mitosis(), grid, 1.0, t_end=0.5, dt=dt)
@@ -185,6 +187,18 @@ def test_non_finite_horizon_is_a_domain_error_naming_t_end(t_end):
     grid = SizeGrid.log_uniform(0.01, 40.0, 64)
     with pytest.raises(DomainError, match="t_end"):
         solve(make_mitosis(), grid, 1.0, t_end=t_end)
+
+
+@pytest.mark.parametrize("bounds, n", [((0.001, 400.0), 64),
+                                      ((0.01, 40.0), 32)])
+def test_operator_on_another_grid_is_a_domain_error(bounds, n):
+    # on another grid with the same n the march once returned total mass
+    # 1.8129 for 1.6563; with another n it ended in a numpy ValueError
+    model = make_canonical()
+    op = build_discrete_operator(model, SizeGrid.log_uniform(*bounds, n))
+    grid = SizeGrid.log_uniform(0.01, 40.0, 64)
+    with pytest.raises(DomainError, match="grid"):
+        solve(model, grid, 1.0, 0.5, operator=op)
 
 
 def test_checkpoints_hit_exactly():
@@ -258,17 +272,19 @@ def test_solution_support_bound():
 @pytest.mark.filterwarnings("ignore::growfrag.pde.BoundaryLeak")
 def test_march_reports_its_product_and_steps(monkeypatch):
     # a density kernel and mitosis alike march on the Toeplitz stencil,
-    # one pass per Euler step and two per Heun step, and never read
-    # op.matrix
+    # one pass per Euler step and two per Heun step, and never form M @ m
     grid = SizeGrid.log_uniform(0.01, 40.0, 64)
     products = []
     apply = ExchangeStencil.apply
     monkeypatch.setattr(ExchangeStencil, "apply",
                         lambda self, *args: products.append(1)
                         or apply(self, *args))
+
+    def matmul(self, m):
+        raise AssertionError("the march formed M @ m")
+    monkeypatch.setattr(ExchangeStencil, "__matmul__", matmul)
     for model in (make_canonical(), make_mitosis()):
         op = build_discrete_operator(model, grid)
-        op.matrix = None
         for method, passes in (("euler", 1), ("heun", 2)):
             products.clear()
             traj = solve(model, grid, 1.0, t_end=0.5, method=method,

@@ -151,7 +151,7 @@ def _reference_operator(model, grid):
                 lost[i] += w
             else:
                 inflow[grid.locate(u * x), i] += w
-    rate = np.array([model.frag.loss_rate(x) for x in centers])
+    rate = np.array([model.frag.rate(x) for x in centers])
     out = np.array([model.growth.c(e) for e in edges[1:]]) / grid.widths
     exchange = inflow * rate
     transport = np.diag(out[:-1], -1)
@@ -204,7 +204,7 @@ def test_stencil_product_matches_matrix(atoms, density, rate, speed, n,
     op = build_discrete_operator(model, grid)
     matrix = operator_matrix(op)
     m = _masses(seed, n)
-    got, want = op.stencil.apply(m), matrix @ m
+    got, want = op.matrix.apply(m), matrix @ m
     assert np.all(np.abs(got - want) <= 1e-10 * (abs(matrix) @ m))
     got, want = op.matrix.apply_transpose(m), matrix.T @ m
     assert np.all(np.abs(got - want) <= 1e-10 * (abs(matrix).T @ m))
@@ -236,7 +236,7 @@ def test_step_maps_non_negative_masses_to_non_negative(
     matrix = operator_matrix(op)
     dt = op.cfl_dt
     m = _masses(seed, n)
-    got = op.stencil.stepper(dt, method)(m, np.empty(n))
+    got = op.matrix.stepper(dt, method)(m, np.empty(n))
     assert not np.signbit(got).any()
     rate0 = matrix @ m
     want = m + dt * rate0 if method == "euler" else \
@@ -280,7 +280,7 @@ def test_blocked_exchange_matches_its_row_sums(kernel, rate, speed, n, x_min,
     # apply_transpose likewise on each column
     model = _relative_model(*kernel, rate, speed, x_min, x_max)
     stencil = build_discrete_operator(
-        model, SizeGrid.log_uniform(x_min, x_max, n)).stencil
+        model, SizeGrid.log_uniform(x_min, x_max, n)).matrix
     lattice = stencil.lattice
     m = _masses(seed, n)
     v = stencil.rate * m
@@ -336,8 +336,8 @@ def test_atom_kernel_marches_on_one_tap():
         if ratio.density is None:
             top = grid.n_cells - 1
             cell = grid.locate(grid.centers[-1] / 2.0)
-            assert op.stencil.atoms == ((top - cell, 2.0),)
-            assert op.stencil.near == 0.0
+            assert op.matrix.atoms == ((top - cell, 2.0),)
+            assert op.matrix.near == 0.0
         dt = op.cfl_dt
         traj = solve(model, grid, 1.0, 20 * dt, dt=dt, operator=op)
         m = DensityState.point_mass(grid, 1.0).masses
@@ -500,7 +500,7 @@ _RUN_EXAMPLE = {"seed": 1, "x0": 1.0, "f": "id", "regime": "pseudo-entrance",
 
 
 # two inputs that once exited 0 with an identically-zero functional, one
-# that ended in a DomainError, not a config error naming beta, and one whose
+# that ended in a DomainError, not a config error naming beta, and two whose
 # numpy pass flags once made check exit 2 naming no key
 @settings(max_examples=100, deadline=None)
 @given(run=_RUN, model=_RUN_MODELS,
@@ -512,6 +512,8 @@ _RUN_EXAMPLE = {"seed": 1, "x0": 1.0, "f": "id", "regime": "pseudo-entrance",
 @example(run=dict(_RUN_EXAMPLE, regime="powerlaw", beta=-1),
          model=_CANONICAL_RUN, command="simulate")
 @example(run=dict(_RUN_EXAMPLE, regime="K-constant"), model=_MITOSIS_RUN,
+         command="check")
+@example(run=dict(_RUN_EXAMPLE, regime="lnx"), model=_MITOSIS_RUN,
          command="check")
 def test_run_config_runs_or_exits_with_a_json_error(tmp_path_factory, run,
                                                     model, command):

@@ -82,7 +82,7 @@ def test_two_by_two_exact():
 
 
 def test_solve_refuses_an_operator_without_a_stencil(canonical_model):
-    # an operator made by hand has a matrix only; solve marches on stencils
+    # an operator made by hand carries no stencil; solve marches on one
     op = _toy_operator(np.array([[-1.0, 2.0], [1.0, -1.0]]))
     with pytest.raises(DomainError, match="build_discrete_operator"):
         solve(canonical_model, op.grid, 1.0, 0.5, operator=op)
@@ -197,7 +197,7 @@ def test_stencil_factor_solves_the_resolvent(make_model, domain):
            rng.random(n) * (rng.random(n) < 0.5)]
     # principal_eigen's first shift, and the one two rounds on
     for shift in (sigma, rho + 1e-4 * (sigma - rho)):
-        lu = op.stencil.resolvent_factor(shift)
+        lu = op.matrix.factor(shift)
         for y, trans in itertools.product(rhs, ("N", "T")):
             got = lu.solve(np.append(y, np.zeros(2 * n)), trans=trans)[:n]
             assert np.all(got >= 0.0)
